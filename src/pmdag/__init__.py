@@ -29,7 +29,6 @@ from pmdag.graph import (
     is_mdag,
     is_subdag,
     mutilate,
-    query,
     validate,
 )
 from pmdag.sync import InvalidCustomPlan, MaskSet, Synchronization, build_masks, synchronize
@@ -43,6 +42,7 @@ from pmdag.gauss import (
     grad_err_kl,
     kl_gaussian,
     load_cov_csv,
+    loss_kernel,
     sample_covariance,
     save_cov_csv,
     spd_factor,
@@ -50,7 +50,6 @@ from pmdag.gauss import (
 from pmdag.solver import (
     FitConfig,
     FitReport,
-    TargetNotSPD,
     backward_acc,
     backward_cov,
     backward_reduced,
@@ -59,8 +58,10 @@ from pmdag.solver import (
     forward_cov,
     forward_reduced,
     init_weights,
+    fit_kl,
     joint_cov,
     optimize_step,
+    root_loadings,
     standardize,
 )
 from pmdag.identify import (

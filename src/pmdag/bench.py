@@ -14,16 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from pmdag.generate import GenSpec, random_pmdag
-from pmdag.solver import (
-    backward_acc,
-    backward_cov,
-    backward_reduced,
-    edge_weight_map,
-    forward_acc,
-    forward_cov,
-    forward_reduced,
-    init_weights,
-)
+from pmdag.solver import ENGINES, init_weights, visible_positions
 from pmdag.sync import build_masks, synchronize
 
 
@@ -38,29 +29,17 @@ class BenchRow:
 
 
 def _time_phases(method, sync, masks, weights):
-    n = len(sync.layers[-1])
-    seed = np.eye(n)
-    if method == "covariance":
-        t0 = time.perf_counter()
-        _sigma, lams, _ = forward_cov(sync, weights)
-        t1 = time.perf_counter()
-        backward_cov(sync, masks, weights, lams, seed)
-        t2 = time.perf_counter()
-    elif method == "accumulation":
-        t0 = time.perf_counter()
-        _sigma, accs = forward_acc(sync, weights)
-        t1 = time.perf_counter()
-        backward_acc(sync, masks, weights, accs, seed)
-        t2 = time.perf_counter()
-    elif method == "reduced":
-        edge_w = edge_weight_map(masks, weights)
-        t0 = time.perf_counter()
-        state = forward_reduced(sync, edge_w)
-        t1 = time.perf_counter()
-        backward_reduced(sync, edge_w, state, seed)
-        t2 = time.perf_counter()
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    try:
+        engine = ENGINES[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+    vis = visible_positions(sync)
+    seed = np.eye(len(sync.layers[-1]))
+    t0 = time.perf_counter()
+    _sigma, ctx = engine.forward(sync, masks, weights, vis)
+    t1 = time.perf_counter()
+    engine.backward(sync, masks, weights, ctx, seed)
+    t2 = time.perf_counter()
     return t1 - t0, t2 - t1
 
 

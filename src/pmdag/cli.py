@@ -19,7 +19,7 @@ from pmdag.graph import GraphError, load_graph, save_graph, validate
 from pmdag.identify import (
     NOT_IDENTIFIABLE,
     NOT_INDUCIBLE,
-    FitBudgetExhausted,
+    IdentifyError,
     InterventionQuery,
     identify,
 )
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    text = experiment_mod.json_text(data)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (GraphError, GaussError, SolverError, FitBudgetExhausted, OSError, ValueError) as exc:
+    except (GraphError, GaussError, SolverError, IdentifyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

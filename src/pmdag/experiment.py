@@ -66,6 +66,21 @@ class Experiment:
                    hook_stride=data.get("hook_stride", 10))
 
 
+def _finite_or_none(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(value) for value in obj]
+    return obj
+
+
+def json_text(data) -> str:
+    """Strict JSON (RFC 8259) for result files: non-finite floats become null."""
+    return json.dumps(_finite_or_none(data), indent=2, allow_nan=False)
+
+
 def _deciles(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stack ragged traces (padded with their last value) and take 0.1/0.5/0.9 quantiles."""
     width = max(len(t) for t in traces)
@@ -79,7 +94,8 @@ def _deciles(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def run_experiment(exp: Experiment, outdir) -> dict:
     """Run all repetitions and write traces, deciles, and a summary.
 
-    Returns the summary dict (also written to ``summary.json``).
+    Returns the summary dict (also written to ``summary.json``, where
+    non-finite floats appear as null).
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -120,7 +136,7 @@ def run_experiment(exp: Experiment, outdir) -> dict:
         }
         if query is not None:
             final_do = divergence(interventional_dist(g, params, query), truth_do)
-            rep_entry["final_do_divergence"] = None if math.isinf(final_do) else final_do
+            rep_entry["final_do_divergence"] = final_do
             do_traces.append(do_trace)
         reps.append(rep_entry)
 
@@ -150,7 +166,5 @@ def run_experiment(exp: Experiment, outdir) -> dict:
         "repetitions": reps,
         "converged_count": sum(1 for r in reps if r["converged"]),
     }
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    (outdir / "summary.json").write_text(json_text(summary) + "\n", encoding="utf-8")
     return summary

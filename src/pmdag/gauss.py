@@ -27,18 +27,6 @@ class SingularQ(GaussError):
     """The reference (second-argument) covariance is not invertible."""
 
 
-class SingularTarget(GaussError):
-    pass
-
-
-class SingularModel(GaussError):
-    pass
-
-
-class SingularSum(GaussError):
-    pass
-
-
 class NotPositiveDefinite(GaussError):
     pass
 
@@ -47,11 +35,16 @@ class LabelMismatch(GaussError):
     pass
 
 
+def _require_finite(data: np.ndarray) -> None:
+    if not np.all(np.isfinite(data)):
+        raise GaussError("matrix has non-finite entries")
+
+
 class CovMatrix:
     """A labeled symmetric positive-semidefinite matrix.
 
-    Symmetry is required to 1e-12 (relative to the largest entry) and
-    eigenvalues may not drop below -1e-10 * trace.
+    Entries must be finite, symmetry is required to 1e-12 (relative to the
+    largest entry), and eigenvalues may not drop below -1e-10 * trace.
     """
 
     __slots__ = ("labels", "data")
@@ -63,6 +56,7 @@ class CovMatrix:
             raise GaussError(f"matrix shape {data.shape} does not match {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise GaussError("labels must be unique")
+        _require_finite(data)
         scale = max(1.0, float(np.abs(data).max())) if data.size else 1.0
         if data.size and float(np.abs(data - data.T).max()) > 1e-12 * scale:
             raise GaussError("matrix is not symmetric")
@@ -143,13 +137,6 @@ def spd_factor(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     raise NotPositiveDefinite("matrix is not positive definite, even with maximum jitter")
 
 
-def _chol_or(sigma, exc_type):
-    try:
-        return spd_factor(sigma)
-    except NotPositiveDefinite as exc:
-        raise exc_type(str(exc)) from None
-
-
 def _solve_spd(lower, rhs):
     return la.cho_solve((lower, True), rhs)
 
@@ -159,7 +146,10 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     if p.cov.dim != q.cov.dim:
         raise GaussError("dimension mismatch")
     n = p.cov.dim
-    lq, logdet_q = _chol_or(q.cov.data, SingularQ)
+    try:
+        lq, logdet_q = spd_factor(q.cov.data)
+    except NotPositiveDefinite as exc:
+        raise SingularQ(str(exc)) from None
     sign_p, logdet_p = np.linalg.slogdet(p.cov.data)
     if sign_p <= 0:
         return math.inf
@@ -169,37 +159,68 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     return 0.5 * (trace + maha - n + logdet_q - logdet_p)
 
 
+def _factor(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    try:
+        return spd_factor(matrix)
+    except NotPositiveDefinite:
+        raise NotPositiveDefinite(f"{what} is not positive definite, even with maximum jitter") from None
+
+
+def target_terms(target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of the target, the fixed inputs of ``loss_kernel``."""
+    lower, logdet = _factor(target, "target covariance")
+    return _solve_spd(lower, np.eye(target.shape[0])), logdet
+
+
+def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
+                target_inv: np.ndarray, target_logdet: float):
+    """Surrogate loss, covariance-gradient seed, and KL(model || target) from one factorization.
+
+    ``loss="kl"`` is tr(target^-1 sigma) - ln|sigma| with seed
+    target^-1 - sigma^-1; ``loss="bha"`` is ln err_bha with seed
+    (sigma + target)^-1 - sigma^-1 / 2.  The seed is symmetrized; it is the
+    entrywise derivative of the loss in sigma.  Raises NotPositiveDefinite
+    naming the matrix that could not be factored.
+    """
+    n = sigma.shape[0]
+    lower, logdet_s = _factor(sigma, "model covariance")
+    eye = np.eye(n)
+    sigma_inv = _solve_spd(lower, eye)
+    trace = float((target_inv * sigma).sum())
+    kl_mt = 0.5 * (trace - n + target_logdet - logdet_s)
+    if loss == "kl":
+        err = trace - logdet_s
+        seed = target_inv - sigma_inv
+    else:
+        lsum, logdet_sum = _factor(sigma + target, "model plus target covariance")
+        err = n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
+        seed = _solve_spd(lsum, eye) - 0.5 * sigma_inv
+    seed = (seed + seed.T) / 2.0
+    return err, seed, kl_mt
+
+
+def _kernel(loss, sigma, target):
+    return loss_kernel(loss, sigma, target, *target_terms(target))
+
+
 def err_kl(sigma: np.ndarray, target: np.ndarray) -> float:
     """tr(target^-1 sigma) - ln|sigma|: the divergence surrogate the solver minimizes."""
-    lt, _ = _chol_or(target, SingularTarget)
-    _, logdet_s = _chol_or(sigma, SingularModel)
-    return float(np.trace(_solve_spd(lt, sigma))) - logdet_s
+    return _kernel("kl", sigma, target)[0]
 
 
 def grad_err_kl(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
     """target^-1 - sigma^-1, the entrywise derivative of err_kl in sigma."""
-    n = sigma.shape[0]
-    lt, _ = _chol_or(target, SingularTarget)
-    ls, _ = _chol_or(sigma, SingularModel)
-    eye = np.eye(n)
-    g = _solve_spd(lt, eye) - _solve_spd(ls, eye)
-    return (g + g.T) / 2.0
+    return _kernel("kl", sigma, target)[1]
 
 
 def err_bha(sigma: np.ndarray, target: np.ndarray) -> float:
     """(1/2)^n |sigma + target| / |sigma|^(1/2): the Bhattacharyya-style surrogate."""
-    n = sigma.shape[0]
-    _, logdet_sum = _chol_or(sigma + target, SingularSum)
-    _, logdet_s = _chol_or(sigma, SingularModel)
-    return float(np.exp(n * math.log(0.5) + logdet_sum - 0.5 * logdet_s))
+    return float(np.exp(log_err_bha(sigma, target)))
 
 
 def log_err_bha(sigma: np.ndarray, target: np.ndarray) -> float:
     """ln err_bha; the solver optimizes the logarithm for numerical range."""
-    n = sigma.shape[0]
-    _, logdet_sum = _chol_or(sigma + target, SingularSum)
-    _, logdet_s = _chol_or(sigma, SingularModel)
-    return n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
+    return _kernel("bha", sigma, target)[0]
 
 
 def grad_err_bha(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -208,12 +229,7 @@ def grad_err_bha(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
     This matches err_bha's own gradient up to the positive factor err_bha
     itself, which the learning rate absorbs.
     """
-    n = sigma.shape[0]
-    lsum, _ = _chol_or(sigma + target, SingularSum)
-    ls, _ = _chol_or(sigma, SingularModel)
-    eye = np.eye(n)
-    g = _solve_spd(lsum, eye) - 0.5 * _solve_spd(ls, eye)
-    return (g + g.T) / 2.0
+    return _kernel("bha", sigma, target)[1]
 
 
 # --- CSV covariance format ----------------------------------------------
@@ -239,6 +255,7 @@ def load_cov_csv(path) -> CovMatrix:
     data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
     if data.shape != (len(labels), len(labels)):
         raise GaussError(f"covariance file {path} is not a {len(labels)}x{len(labels)} matrix")
+    _require_finite(data)
     scale = max(1.0, float(np.abs(data).max()))
     if float(np.abs(data - data.T).max()) > 1e-9 * scale:
         raise GaussError(f"covariance file {path} is not symmetric within 1e-9 relative tolerance")

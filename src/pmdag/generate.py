@@ -27,7 +27,7 @@ from pmdag.graph import (
     exogenize,
     validate,
 )
-from pmdag.solver import joint_cov
+from pmdag.solver import joint_cov, root_loadings
 
 
 class InfeasibleBudget(UserWarning):
@@ -220,14 +220,6 @@ def ground_truth(g: PmDag, seed: int, samples: int | None = None) -> tuple[Struc
     if samples is None:
         return params, joint_cov(g, params).restrict(vis)
 
-    roots = g.roots
-    draws = {name: rng.standard_normal(samples) for name in roots}
-    values = {}
-    for name in g.topological_order():
-        if name in draws:
-            values[name] = draws[name]
-        else:
-            values[name] = sum(
-                w * values[p] for p, w in zip(g.parents(name), params.weights[name]))
-    obs = np.column_stack([values[name] for name in vis])
+    draws = np.column_stack([rng.standard_normal(samples) for _ in g.roots])
+    obs = draws @ root_loadings(g, params)[:, [g.index(name) for name in vis]]
     return params, sample_covariance(obs, vis)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -97,6 +97,8 @@ def _as_node(spec) -> Node:
     if isinstance(spec, Node):
         return spec
     if isinstance(spec, dict):
+        if not {"name", "role"} <= spec.keys():
+            raise GraphError(f"node {spec!r} needs a 'name' and a 'role'")
         return Node(spec["name"], spec["role"])
     name, role = spec
     return Node(name, role)
@@ -269,6 +271,8 @@ class PmDag:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PmDag":
+        if not isinstance(data, dict) or not {"nodes", "edges"} <= data.keys():
+            raise GraphError("a graph needs an object with 'nodes' and 'edges'")
         return cls(data["nodes"], [tuple(e) for e in data["edges"]])
 
     def to_json(self, **kwargs) -> str:
@@ -362,12 +366,6 @@ class StructuralParams:
 # --- operations ---------------------------------------------------------
 
 
-class NodeView(NamedTuple):
-    parents: tuple[str, ...]
-    children: tuple[str, ...]
-    is_root: bool
-
-
 def validate(nodes: Iterable, edges: Iterable[tuple[str, str]], strict: bool = False) -> PmDag:
     """Build a graph, raising on cycles, visible roots, and (if strict) non-root latents."""
     g = PmDag(nodes, edges)
@@ -376,11 +374,6 @@ def validate(nodes: Iterable, edges: Iterable[tuple[str, str]], strict: bool = F
             if node.is_latent and g.parents(node.name):
                 raise NonRootLatent(node.name)
     return g
-
-
-def query(g: PmDag, name: str) -> NodeView:
-    """Parents, children, and rootness of one node."""
-    return NodeView(g.parents(name), g.children(name), g.is_root(name))
 
 
 def aux_name(target: str) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from pmdag.gauss import CovMatrix, GaussianDist, SingularQ, kl_gaussian
 from pmdag.graph import NotVisible, PmDag, StructuralParams, UnknownNode, mutilate
-from pmdag.solver import FitConfig, FitReport, derive_seed, fit, joint_cov
+from pmdag.solver import FitConfig, FitReport, derive_seed, fit, fit_kl, root_loadings
 
 
 class IdentifyError(RuntimeError):
@@ -46,6 +46,8 @@ class InterventionQuery:
             raise IdentifyError("one value per intervention target is required")
         if not self.effects:
             raise IdentifyError("at least one effect node is required")
+        if not all(math.isfinite(v) for v in self.values):
+            raise IdentifyError("intervention values must be finite")
 
 
 def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQuery) -> GaussianDist:
@@ -68,44 +70,21 @@ def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQ
               if k[1] not in query.targets}
     for t in query.targets:
         edge_w[(aux_map[t], t)] = 1.0
+    loadings = root_loadings(cut, StructuralParams.from_edge_dict(cut, edge_w))
 
     roots = cut.roots
-    stochastic = [r for r in roots if r not in assigned]
-    pos = {name: i for i, name in enumerate(stochastic)}
-    coeff: dict[str, np.ndarray] = {}
-    mean: dict[str, float] = {}
-    for name in cut.topological_order():
-        if cut.is_root(name):
-            col = np.zeros(len(stochastic))
-            if name in assigned:
-                mean[name] = assigned[name]
-            else:
-                col[pos[name]] = 1.0
-                mean[name] = 0.0
-            coeff[name] = col
-        else:
-            col = np.zeros(len(stochastic))
-            mu = 0.0
-            for p in cut.parents(name):
-                w = edge_w.get((p, name), 0.0)
-                col += w * coeff[p]
-                mu += w * mean[p]
-            coeff[name] = col
-            mean[name] = mu
-
-    basis = np.column_stack([coeff[e] for e in query.effects])
+    point = [roots.index(name) for name in assigned]
+    stochastic = [i for i, name in enumerate(roots) if name not in assigned]
+    effects = [cut.index(e) for e in query.effects]
+    basis = loadings[np.ix_(stochastic, effects)]
     cov = CovMatrix(query.effects, basis.T @ basis)
-    mu = np.array([mean[e] for e in query.effects])
+    mu = np.array(list(assigned.values())) @ loadings[np.ix_(point, effects)]
     return GaussianDist(mu, cov)
 
 
 def check_fit(g: PmDag, target: CovMatrix, params: StructuralParams, tol_fit: float = 1e-5) -> bool:
     """Whether the fitted system actually induces the target visible distribution."""
-    vis = g.visible_names
-    model = joint_cov(g, params).restrict(vis)
-    zero = np.zeros(len(vis))
-    kl = kl_gaussian(GaussianDist(zero, model), GaussianDist(zero, target.restrict(vis)))
-    return kl <= tol_fit
+    return fit_kl(g, target, params) <= tol_fit
 
 
 def divergence(a: GaussianDist, b: GaussianDist) -> float:
@@ -181,20 +160,19 @@ def identify(
     refutes identifiability with a replayable witness; otherwise the verdict
     is presumed identifiability with the largest observed divergence.
     """
+    if iters < 1 or retry_cap < 1:
+        raise IdentifyError("iters and retry_cap must be at least 1")
     if fn_config is None:
         fn_config = FitConfig()
     master = fn_config.seed
 
     ref_seed = derive_seed(master, 0, 0)
-    ref_params, ref_report = fn(g, target, replace(fn_config, seed=ref_seed))
-    vis = g.visible_names
-    model = joint_cov(g, ref_params).restrict(vis)
-    zero = np.zeros(len(vis))
-    fit_kl = kl_gaussian(GaussianDist(zero, model), GaussianDist(zero, target.restrict(vis)))
+    ref_params, _ = fn(g, target, replace(fn_config, seed=ref_seed))
+    ref_kl = fit_kl(g, target, ref_params)
     fits_run = 1
-    if fit_kl > tol_fit:
+    if ref_kl > tol_fit:
         return IdentVerdict(NOT_INDUCIBLE, iterations=iters, max_divergence=math.nan,
-                            fit_kl=float(fit_kl), fits_run=fits_run)
+                            fit_kl=float(ref_kl), fits_run=fits_run)
 
     ref_do = interventional_dist(g, ref_params, query)
     seen: list[tuple[int, StructuralParams, GaussianDist]] = [(ref_seed, ref_params, ref_do)]
@@ -218,12 +196,12 @@ def identify(
                 return IdentVerdict(
                     NOT_IDENTIFIABLE, iterations=iters,
                     max_divergence=float(d), divergences=divergences,
-                    fit_kl=float(fit_kl),
+                    fit_kl=float(ref_kl),
                     witness_seeds=(other_seed, slot_seed),
                     witness_params=(other_params, params_i),
                     fits_run=fits_run)
         seen.append((slot_seed, params_i, do_i))
     return IdentVerdict(
         PRESUMED_IDENTIFIABLE, iterations=iters,
-        max_divergence=max(divergences) if divergences else 0.0,
-        divergences=divergences, fit_kl=float(fit_kl), fits_run=fits_run)
+        max_divergence=max(divergences),
+        divergences=divergences, fit_kl=float(ref_kl), fits_run=fits_run)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as la
 
 from pmdag.gauss import (
     CovMatrix,
@@ -26,13 +25,13 @@ from pmdag.gauss import (
     NotPositiveDefinite,
     SingularQ,
     kl_gaussian,
-    spd_factor,
+    loss_kernel,
+    target_terms,
 )
 from pmdag.graph import GraphError, PmDag, StructuralParams
 from pmdag.sync import MaskSet, Synchronization, build_masks, synchronize
 
 LOSSES = ("kl", "bha")
-METHODS = ("covariance", "accumulation", "reduced")
 OPTIMIZERS = ("adamax", "sgd")
 
 
@@ -49,10 +48,6 @@ class AsymmetricSeed(SolverError):
 
 
 class NonFiniteGradient(SolverError):
-    pass
-
-
-class TargetNotSPD(SolverError):
     pass
 
 
@@ -416,6 +411,64 @@ def backward_reduced(
     return edge_grads
 
 
+# --- the engine table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Engine:
+    """One solver method as a forward/backward pair over the weight stack.
+
+    ``forward(sync, masks, weights, vis)`` returns the visible covariance
+    (last-layer positions ``vis``) and a context; ``backward(sync, masks,
+    weights, ctx, seed)`` takes the full last-layer seed and returns the
+    gradient of the weight stack.
+    """
+
+    forward: Callable
+    backward: Callable
+
+
+def _cov_forward(sync, masks, weights, vis):
+    sigma, lams, _ = forward_cov(sync, weights)
+    return sigma[np.ix_(vis, vis)], lams
+
+
+def _acc_forward(sync, masks, weights, vis):
+    sigma, accs = forward_acc(sync, weights)
+    return sigma[np.ix_(vis, vis)], accs
+
+
+def _reduced_forward(sync, masks, weights, vis):
+    edge_w = edge_weight_map(masks, weights)
+    state = forward_reduced(sync, edge_w)
+    return state.visible_cov(), (edge_w, state)
+
+
+def _reduced_backward(sync, masks, weights, ctx, seed):
+    edge_w, state = ctx
+    edge_grads = backward_reduced(sync, edge_w, state, seed)
+    grads = [np.zeros_like(w) for w in weights]
+    for (p, c, l, r, col) in masks.edges:
+        grads[l - 1][r, col] = edge_grads[(p, c)]
+    return grads
+
+
+# Entries look the engine functions up by module-level name at call time, so
+# a wrapper installed on a module attribute sees every call.
+ENGINES = {
+    "covariance": Engine(_cov_forward, lambda *args: backward_cov(*args)),
+    "accumulation": Engine(_acc_forward, lambda *args: backward_acc(*args)),
+    "reduced": Engine(_reduced_forward, _reduced_backward),
+}
+METHODS = tuple(ENGINES)
+
+
+def visible_positions(sync: Synchronization) -> list[int]:
+    """Positions of the graph's visible nodes, in node-list order, within the last layer."""
+    last = sync.layer_names(sync.depth - 1)
+    return [last.index(name) for name in sync.graph.visible_names]
+
+
 # --- optimizers -------------------------------------------------------------
 
 
@@ -471,36 +524,52 @@ def optimize_step(weights, grads, state):
 # --- full-system covariance oracle ------------------------------------------
 
 
-def joint_cov(g: PmDag, params: StructuralParams, root_variances: dict[str, float] | None = None) -> CovMatrix:
-    """Covariance over all nodes by root-to-node path accumulation.
+def root_loadings(g: PmDag, params: StructuralParams) -> np.ndarray:
+    """Linear coefficients of every node on the root vector, by root-to-node path sums.
 
-    Each node's column collects its linear coefficients on the root vector in
-    topological order; the covariance is the Gram matrix of those columns.
-    Serves as the brute-force reference for every forward method.
+    Row r is root ``g.roots[r]`` and column j is node ``g.names[j]``; each
+    node's column is the weighted sum of its parents' columns, filled in
+    topological order.
     """
     params.validate_for(g)
     roots = g.roots
     root_pos = {name: i for i, name in enumerate(roots)}
-    scale = np.ones(len(roots))
+    cols = {}
+    for name in g.topological_order():
+        col = np.zeros(len(roots))
+        if g.is_root(name):
+            col[root_pos[name]] = 1.0
+        else:
+            for p, w in zip(g.parents(name), params.weights[name]):
+                col += w * cols[p]
+        cols[name] = col
+    return np.column_stack([cols[name] for name in g.names])
+
+
+def joint_cov(g: PmDag, params: StructuralParams, root_variances: dict[str, float] | None = None) -> CovMatrix:
+    """Covariance over all nodes: the Gram matrix of the root loadings.
+
+    Roots are standard normal unless ``root_variances`` gives their variance.
+    Serves as the brute-force reference for every forward method.
+    """
+    basis = root_loadings(g, params)
     if root_variances is not None:
+        root_pos = {name: i for i, name in enumerate(g.roots)}
+        scale = np.ones(len(root_pos))
         for name, var in root_variances.items():
             if var < 0:
                 raise NegativeVariance(f"variance of root {name!r} is negative")
             scale[root_pos[name]] = math.sqrt(var)
-    cols = {}
-    for name in g.topological_order():
-        if g.is_root(name):
-            col = np.zeros(len(roots))
-            col[root_pos[name]] = scale[root_pos[name]]
-            cols[name] = col
-        else:
-            vec = params.weights[name]
-            col = np.zeros(len(roots))
-            for p, w in zip(g.parents(name), vec):
-                col += w * cols[p]
-            cols[name] = col
-    basis = np.column_stack([cols[name] for name in g.names])
+        basis = scale[:, None] * basis
     return CovMatrix(g.names, basis.T @ basis)
+
+
+def fit_kl(g: PmDag, target: CovMatrix, params: StructuralParams) -> float:
+    """KL(model || target) on the visible margin: how well the params induce the target."""
+    vis = g.visible_names
+    model = joint_cov(g, params).restrict(vis)
+    zero = np.zeros(len(vis))
+    return kl_gaussian(GaussianDist(zero, model), GaussianDist(zero, target.restrict(vis)))
 
 
 def standardize(g: PmDag, params: StructuralParams, root_variances: dict[str, float]) -> StructuralParams:
@@ -546,14 +615,18 @@ class FitConfig:
             raise SolverError(f"method must be one of {METHODS}")
         if self.optimizer not in OPTIMIZERS:
             raise SolverError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.lr <= 0:
-            raise SolverError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise SolverError("learning rate must be positive and finite")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise SolverError("beta1 and beta2 must lie in [0, 1)")
         if self.max_iters < 1:
             raise SolverError("max_iters must be at least 1")
-        if self.min_improvement < 0:
-            raise SolverError("min_improvement must be nonnegative")
+        if not (math.isfinite(self.min_improvement) and self.min_improvement >= 0):
+            raise SolverError("min_improvement must be nonnegative and finite")
         if self.restarts < 1:
             raise SolverError("restarts must be at least 1")
+        if not (math.isfinite(self.kl_tol) and self.kl_tol >= 0):
+            raise SolverError("kl_tol must be nonnegative and finite")
 
 
 @dataclass
@@ -572,26 +645,6 @@ class FitReport:
     wall_time: float
     loss: str
     method: str
-
-
-def _loss_and_seed(loss: str, sigma_vis: np.ndarray, target: np.ndarray,
-                   target_inv: np.ndarray, target_logdet: float):
-    """Surrogate loss, covariance-gradient seed, and true KL, from one factorization."""
-    n = sigma_vis.shape[0]
-    lower, logdet_s = spd_factor(sigma_vis)
-    eye = np.eye(n)
-    sigma_inv = la.cho_solve((lower, True), eye)
-    trace = float((target_inv * sigma_vis).sum())
-    kl_mt = 0.5 * (trace - n + target_logdet - logdet_s)
-    if loss == "kl":
-        err = trace - logdet_s
-        seed = target_inv - sigma_inv
-    else:
-        lsum, logdet_sum = spd_factor(sigma_vis + target)
-        err = n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
-        seed = la.cho_solve((lsum, True), eye) - 0.5 * sigma_inv
-    seed = (seed + seed.T) / 2.0
-    return err, seed, kl_mt
 
 
 def extract_params(g: PmDag, masks: MaskSet, weights) -> StructuralParams:
@@ -614,6 +667,7 @@ def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> l
 
 def _run_single(g, sync, masks, target, target_inv, target_logdet, vis_positions,
                 config, seed, iter_hook):
+    engine = ENGINES[config.method]
     weights = init_weights(sync, masks, seed)
     state = make_optimizer_state(config)
     n_last = len(sync.layers[-1])
@@ -624,22 +678,9 @@ def _run_single(g, sync, masks, target, target_inv, target_logdet, vis_positions
     converged = False
 
     for i in range(1, config.max_iters + 1):
-        if config.method == "covariance":
-            sigma_last, lams, _ = forward_cov(sync, weights)
-            ctx = lams
-            sigma_vis = sigma_last[np.ix_(vis_positions, vis_positions)]
-        elif config.method == "accumulation":
-            sigma_last, accs = forward_acc(sync, weights)
-            ctx = accs
-            sigma_vis = sigma_last[np.ix_(vis_positions, vis_positions)]
-        else:
-            edge_w = edge_weight_map(masks, weights)
-            red = forward_reduced(sync, edge_w)
-            ctx = (edge_w, red)
-            sigma_vis = red.visible_cov()
-
+        sigma_vis, ctx = engine.forward(sync, masks, weights, vis_positions)
         try:
-            err, seed_vis, kl_mt = _loss_and_seed(
+            err, seed_vis, kl_mt = loss_kernel(
                 config.loss, sigma_vis, target, target_inv, target_logdet)
         except NotPositiveDefinite:
             stop_reason = "singular_model"
@@ -657,21 +698,9 @@ def _run_single(g, sync, masks, target, target_inv, target_logdet, vis_positions
             break
         prev_err = err
 
-        if config.method == "reduced":
-            edge_w, red = ctx
-            seed_full = np.zeros((n_last, n_last))
-            seed_full[np.ix_(vis_positions, vis_positions)] = seed_vis
-            edge_grads = backward_reduced(sync, edge_w, red, seed_full)
-            grads = [np.zeros_like(w) for w in weights]
-            for (p, c, l, r, col) in masks.edges:
-                grads[l - 1][r, col] = edge_grads[(p, c)]
-        else:
-            seed_full = np.zeros((n_last, n_last))
-            seed_full[np.ix_(vis_positions, vis_positions)] = seed_vis
-            if config.method == "covariance":
-                grads = backward_cov(sync, masks, weights, ctx, seed_full)
-            else:
-                grads = backward_acc(sync, masks, weights, ctx, seed_full)
+        seed_full = np.zeros((n_last, n_last))
+        seed_full[np.ix_(vis_positions, vis_positions)] = seed_vis
+        grads = engine.backward(sync, masks, weights, ctx, seed_full)
         weights, state = optimize_step(weights, grads, state)
 
     params = extract_params(g, masks, weights)
@@ -702,16 +731,11 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
         raise LabelMismatch(
             f"target labels {sorted(target.labels)} do not match visible nodes {sorted(vis)}")
     target = target.restrict(vis)
-    try:
-        target_chol, target_logdet = spd_factor(target.data)
-    except NotPositiveDefinite as exc:
-        raise TargetNotSPD(str(exc)) from None
-    target_inv = la.cho_solve((target_chol, True), np.eye(target.dim))
+    target_inv, target_logdet = target_terms(target.data)
 
     sync = synchronize(g, plan=plan)
     masks = build_masks(sync)
-    last_names = sync.layer_names(sync.depth - 1)
-    vis_positions = [last_names.index(name) for name in vis]
+    vis_positions = visible_positions(sync)
 
     t0 = time.perf_counter()
     best = None
@@ -730,9 +754,9 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     wall = time.perf_counter() - t0
 
     final_kl, params, loss_trace, kl_trace, converged, stop_reason, run_seed = best
+    kl_mt = fit_kl(g, target, params)
     model = joint_cov(g, params).restrict(vis)
     zero = np.zeros(len(vis))
-    kl_mt = kl_gaussian(GaussianDist(zero, model), GaussianDist(zero, target))
     try:
         kl_tm = kl_gaussian(GaussianDist(zero, target), GaussianDist(zero, model))
     except SingularQ:

@@ -154,10 +154,6 @@ def synchronize(g: PmDag, plan: Iterable[Iterable[str]] | None = None) -> Synchr
     return Synchronization(g, layers)
 
 
-def first_appearance(sync: Synchronization, name: str) -> int:
-    return sync.app(name)
-
-
 class MaskSet:
     """Per-layer trainable masks and constant patterns for the weight stack.
 
@@ -178,9 +174,6 @@ class MaskSet:
     @property
     def n_trainable(self) -> int:
         return len(self.edges)
-
-    def shapes(self) -> list[tuple[int, int]]:
-        return [m.shape for m in self.trainable]
 
 
 def build_masks(sync: Synchronization) -> MaskSet:

@@ -25,10 +25,14 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 0
         assert "ok:" in capsys.readouterr().out
 
-    def test_invalid_graph_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("graph", [
+        {"nodes": [{"name": "X", "role": "visible"}], "edges": []},
+        {"nodes": [{"name": "L", "role": "latent"}]},
+        {"nodes": [{"name": "L", "role": "latent"}, {"name": "X"}], "edges": [["L", "X"]]},
+    ], ids=["visible_root", "no_edges", "no_role"])
+    def test_invalid_graph_exits_1(self, tmp_path, capsys, graph):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "nodes": [{"name": "X", "role": "visible"}], "edges": []}))
+        path.write_text(json.dumps(graph))
         assert main(["validate", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -137,15 +141,41 @@ class TestIdentifyCommand:
         target = CovMatrix(("X", "Y", "Z"), [[1.0, r, r], [r, 1.0, -r], [r, -r, 1.0]])
         gpath = tmp_path / "g.json"
         cpath = tmp_path / "c.csv"
+        out = tmp_path / "verdict.json"
         save_graph(g, gpath)
         save_cov_csv(target, cpath)
         code = main(["identify", str(gpath), str(cpath), "--do", "X=0", "--effect", "Y",
-                     "--iters", "2", "--seed", "1", "--restarts", "2", "--epochs", "4000"])
+                     "--iters", "2", "--seed", "1", "--restarts", "2", "--epochs", "4000",
+                     "-o", str(out)])
         assert code == 2
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        verdict = json.loads(out.read_text(), parse_constant=reject)
+        assert verdict["outcome"] == "not_inducible"
+        assert verdict["max_divergence"] is None
 
     def test_malformed_do_exits_1(self, tmp_path):
         gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
         assert main(["identify", gpath, cpath, "--do", "X", "--effect", "Y"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--do", "X=nan"], ["--do", "X=0", "--iters", "0"],
+                                       ["--do", "X=0", "--retry-cap", "0"]],
+                             ids=["nan_value", "zero_iters", "zero_retry_cap"])
+    def test_bad_probe_settings_exit_1(self, tmp_path, capsys, flags):
+        gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
+        assert main(["identify", gpath, cpath, *flags, "--effect", "Y",
+                     "--epochs", "50", "--restarts", "1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_nan_in_covariance_exits_1(self, tmp_path, capsys):
+        gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
+        lines = (tmp_path / "bow.csv").read_text().splitlines()
+        lines[1] = ",".join(["nan"] + lines[1].split(",")[1:])
+        (tmp_path / "bow.csv").write_text("\n".join(lines) + "\n")
+        assert main(["identify", gpath, cpath, "--do", "X=0", "--effect", "Y"]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestBenchCommand:

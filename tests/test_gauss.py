@@ -49,6 +49,11 @@ class TestCovMatrix:
         sub = cov.restrict(("c", "a"))
         np.testing.assert_array_equal(sub.data, np.diag([3.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(GaussError, match="non-finite"):
+            CovMatrix(("a", "b"), [[1.0, bad], [bad, 1.0]])
+
     def test_get(self):
         cov = CovMatrix(("a", "b"), [[2.0, 0.5], [0.5, 1.0]])
         assert cov.get("a", "b") == 0.5

@@ -24,7 +24,6 @@ from pmdag.graph import (
     is_mdag,
     is_subdag,
     mutilate,
-    query,
     validate,
 )
 from pmdag.solver import joint_cov
@@ -81,21 +80,20 @@ class TestValidate:
 
 class TestQuery:
     def test_bow_parents_in_node_order(self, bow):
-        view = query(bow, "Y")
-        assert view.parents == ("A", "X")
-        assert not view.is_root
+        assert bow.parents("Y") == ("A", "X")
+        assert not bow.is_root("Y")
 
     def test_root_has_no_parents(self, bow):
-        view = query(bow, "A")
-        assert view.parents == ()
-        assert view.is_root
+        assert bow.parents("A") == ()
+        assert bow.is_root("A")
 
     def test_children(self, bow):
-        assert query(bow, "A").children == ("X", "Y")
+        assert bow.children("A") == ("X", "Y")
 
     def test_unknown_node(self, bow):
-        with pytest.raises(UnknownNode):
-            query(bow, "Q")
+        for method in (bow.parents, bow.children, bow.is_root):
+            with pytest.raises(UnknownNode):
+                method("Q")
 
 
 class TestAugment:

@@ -32,6 +32,11 @@ class TestInterventionQuery:
         with pytest.raises(IdentifyError):
             InterventionQuery(("X",), (0.0,), ())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(IdentifyError, match="finite"):
+            InterventionQuery(("X",), (value,), ("Y",))
+
 
 class TestInterventionalDist:
     def params(self, bow, a=1.0, b=1.0, c=1.0):
@@ -219,6 +224,15 @@ class TestIdentify:
             identify(g, target, DO_X_ON_Y, FitConfig(seed=0), iters=2,
                      retry_cap=3, fn=flaky)
         assert calls["n"] == 4  # reference + three failed attempts
+
+    @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": -1}, {"retry_cap": 0}])
+    def test_no_comparisons_rejected(self, kwargs):
+        g = canonical("bow")
+        _, target = ground_truth(g, seed=5)
+        calls = []
+        with pytest.raises(IdentifyError, match="at least 1"):
+            identify(g, target, DO_X_ON_Y, QUICK, fn=lambda *a: calls.append(a), **kwargs)
+        assert not calls  # rejected before any fit runs
 
     def test_all_pairs_mode(self):
         g = canonical("backdoor")

@@ -1,0 +1,114 @@
+"""Property tests of the shared kernels against an independent linear-algebra oracle.
+
+On a strict graph every node is linear in the roots: with W the weighted
+adjacency (W[p, c] the weight of p -> c) and E the columns of the identity at
+the roots, the node vector is x = (I - W^T)^-1 E u for standard-normal roots
+u.  An intervention zeroes the targets' incoming columns of W and adds the
+assigned values at the targets' rows.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmdag.generate import GenSpec, random_pmdag
+from pmdag.identify import InterventionQuery, interventional_dist
+from pmdag.solver import (
+    ENGINES,
+    METHODS,
+    backward_cov,
+    forward_cov,
+    joint_cov,
+    root_loadings,
+    visible_positions,
+    weights_from_params,
+)
+from pmdag.sync import build_masks, synchronize
+
+from conftest import random_params
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def graph_and_rng(draw):
+    spec = GenSpec(v=draw(st.integers(2, 5)),
+                   l_star=draw(st.floats(0.0, 0.6)),
+                   e_star=draw(st.floats(0.1, 1.0)),
+                   seed=draw(st.integers(0, 2**31 - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = random_pmdag(spec)
+    return g, np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+
+def adjacency(g, params, cut=()):
+    w = np.zeros((len(g.nodes), len(g.nodes)))
+    for (p, c), value in params.to_edge_dict(g).items():
+        if c not in cut:
+            w[g.index(p), g.index(c)] = value
+    return w
+
+
+def solve_system(g, w, rows):
+    """(I - W^T)^-1 applied to the identity columns at ``rows``."""
+    n = len(g.nodes)
+    return np.linalg.solve(np.eye(n) - w.T, np.eye(n)[:, rows])
+
+
+@PROPERTY
+@given(graph_and_rng())
+def test_root_loadings_match_linear_solve(case):
+    g, rng = case
+    params = random_params(g, rng)
+    roots = [g.index(r) for r in g.roots]
+    oracle = solve_system(g, adjacency(g, params), roots).T
+    np.testing.assert_allclose(root_loadings(g, params), oracle, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(graph_and_rng(), st.data())
+def test_interventional_dist_matches_mutilated_system(case, data):
+    g, rng = case
+    params = random_params(g, rng)
+    vis = list(g.visible_names)
+    targets = data.draw(st.lists(st.sampled_from(vis), min_size=1, max_size=2, unique=True))
+    effects = data.draw(st.lists(st.sampled_from(vis), min_size=1, max_size=3, unique=True))
+    values = [data.draw(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)) for _ in targets]
+    dist = interventional_dist(g, params, InterventionQuery(targets, values, effects))
+
+    w = adjacency(g, params, cut=targets)
+    eff = [g.index(e) for e in effects]
+    noise = solve_system(g, w, [g.index(r) for r in g.roots])[eff]
+    shift = solve_system(g, w, [g.index(t) for t in targets])[eff] @ np.array(values)
+    np.testing.assert_allclose(dist.mean, shift, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dist.cov.data, noise @ noise.T, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(graph_and_rng())
+def test_every_engine_matches_joint_cov_and_backward_cov(case):
+    g, rng = case
+    params = random_params(g, rng)
+    sync = synchronize(g)
+    masks = build_masks(sync)
+    weights = weights_from_params(g, masks, params)
+    vis = visible_positions(sync)
+    n_last = len(sync.layers[-1])
+    half = rng.standard_normal((len(vis), len(vis)))
+    seed = np.zeros((n_last, n_last))
+    seed[np.ix_(vis, vis)] = half + half.T
+    expected_cov = joint_cov(g, params).restrict(g.visible_names).data
+    _sigma, lams, _ = forward_cov(sync, weights)
+    expected_grads = backward_cov(sync, masks, weights, lams, seed)
+
+    assert METHODS == tuple(ENGINES)
+    for method, engine in ENGINES.items():
+        sigma_vis, ctx = engine.forward(sync, masks, weights, vis)
+        np.testing.assert_allclose(sigma_vis, expected_cov, rtol=1e-10, atol=1e-10,
+                                   err_msg=method)
+        grads = engine.backward(sync, masks, weights, ctx, seed)
+        for got, want in zip(grads, expected_grads, strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10, err_msg=method)

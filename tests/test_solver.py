@@ -466,6 +466,15 @@ class TestFitConfigValidation:
         {"max_iters": 0},
         {"min_improvement": -1.0},
         {"restarts": 0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"min_improvement": float("nan")},
+        {"beta1": 2.0},
+        {"beta1": 1.0},
+        {"beta2": -1.0},
+        {"kl_tol": -1.0},
+        {"kl_tol": float("nan")},
+        {"kl_tol": float("inf")},
     ])
     def test_bad_values_rejected(self, kwargs):
         from pmdag.solver import SolverError

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmdag.graph import validate
-from pmdag.sync import InvalidCustomPlan, build_masks, first_appearance, synchronize
+from pmdag.sync import InvalidCustomPlan, build_masks, synchronize
 
 from conftest import random_small_graph
 
@@ -32,9 +32,9 @@ class TestLayers:
 
     def test_first_appearance_bow(self, bow):
         sync = synchronize(bow)
-        assert first_appearance(sync, "A") == 0
-        assert first_appearance(sync, "X") == 1
-        assert first_appearance(sync, "Y") == 2
+        assert sync.app("A") == 0
+        assert sync.app("X") == 1
+        assert sync.app("Y") == 2
 
     def test_every_visible_in_last_layer(self):
         rng = np.random.default_rng(5)
