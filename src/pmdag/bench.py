@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from pmdag.generate import GenSpec, random_pmdag
-from pmdag.solver import ENGINES, init_weights, visible_positions
+from pmdag.solver import ENGINES, edge_vector, init_weights
 from pmdag.sync import build_masks, synchronize
 
 
@@ -30,15 +30,16 @@ class BenchRow:
 
 def _time_phases(method, sync, masks, weights):
     try:
-        engine = ENGINES[method]
+        bind = ENGINES[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
-    vis = visible_positions(sync)
-    seed = np.eye(len(sync.layers[-1]))
+    engine = bind(sync, masks)
+    theta = edge_vector(masks, weights)
+    seed = np.eye(len(sync.graph.visible_names))
     t0 = time.perf_counter()
-    _sigma, ctx = engine.forward(sync, masks, weights, vis)
+    _sigma, ctx = engine.forward(theta)
     t1 = time.perf_counter()
-    engine.backward(sync, masks, weights, ctx, seed)
+    engine.backward(ctx, seed)
     t2 = time.perf_counter()
     return t1 - t0, t2 - t1
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
+# The LAPACK routines behind ``scipy.linalg.cholesky``/``cho_solve``, resolved
+# once: the fit factors a small matrix every iteration, and the wrappers'
+# per-call checks and dispatch cost more than the factorization itself.
+_POTRF, _POTRS = la.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
 
 class GaussError(ValueError):
     """Base class for covariance and divergence errors."""
@@ -35,9 +40,13 @@ class LabelMismatch(GaussError):
     pass
 
 
+class NonFiniteEntries(GaussError):
+    pass
+
+
 def _require_finite(data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
-        raise GaussError("matrix has non-finite entries")
+    if not np.isfinite(data).all():
+        raise NonFiniteEntries("matrix has non-finite entries")
 
 
 class CovMatrix:
@@ -117,28 +126,26 @@ def spd_factor(sigma: np.ndarray) -> tuple[np.ndarray, float]:
 
     Jitter starts at 1e-12 * trace/n and grows tenfold up to 1e-6 * trace/n
     before giving up; sample covariances are routinely semidefinite at
-    round-off scale.
+    round-off scale.  Non-finite entries raise NonFiniteEntries.
     """
     sigma = np.asarray(sigma, dtype=float)
+    _require_finite(sigma)
     n = sigma.shape[0]
-    try:
-        lower = la.cholesky(sigma, lower=True)
-        return lower, 2.0 * float(np.log(np.diag(lower)).sum())
-    except la.LinAlgError:
-        pass
-    base = max(float(np.trace(sigma)), 0.0) / max(n, 1)
-    jitter = 1e-12 * base
-    while jitter <= 1e-6 * base and jitter > 0.0:
-        try:
-            lower = la.cholesky(sigma + jitter * np.eye(n), lower=True)
-            return lower, 2.0 * float(np.log(np.diag(lower)).sum())
-        except la.LinAlgError:
+    lower, info = _POTRF(sigma, lower=1)
+    if info:
+        base = max(float(np.trace(sigma)), 0.0) / max(n, 1)
+        jitter = 1e-12 * base
+        while info and 0.0 < jitter <= 1e-6 * base:
+            lower, info = _POTRF(sigma + jitter * np.eye(n), lower=1)
             jitter *= 10.0
-    raise NotPositiveDefinite("matrix is not positive definite, even with maximum jitter")
+        if info:
+            raise NotPositiveDefinite("matrix is not positive definite, even with maximum jitter")
+    return lower, 2.0 * float(np.log(lower.diagonal()).sum())
 
 
 def _solve_spd(lower, rhs):
-    return la.cho_solve((lower, True), rhs)
+    """Solve sigma x = rhs from the lower Cholesky factor of sigma."""
+    return _POTRS(lower, rhs, lower=1)[0]
 
 
 def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
@@ -154,6 +161,7 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     if sign_p <= 0:
         return math.inf
     diff = q.mean - p.mean
+    _require_finite(diff)
     trace = float(np.trace(_solve_spd(lq, p.cov.data)))
     maha = float(diff @ _solve_spd(lq, diff))
     return 0.5 * (trace + maha - n + logdet_q - logdet_p)
@@ -164,6 +172,8 @@ def _factor(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
         return spd_factor(matrix)
     except NotPositiveDefinite:
         raise NotPositiveDefinite(f"{what} is not positive definite, even with maximum jitter") from None
+    except NonFiniteEntries:
+        raise NonFiniteEntries(f"{what} has non-finite entries") from None
 
 
 def target_terms(target: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,7 +190,7 @@ def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
     target^-1 - sigma^-1; ``loss="bha"`` is ln err_bha with seed
     (sigma + target)^-1 - sigma^-1 / 2.  The seed is symmetrized; it is the
     entrywise derivative of the loss in sigma.  Raises NotPositiveDefinite
-    naming the matrix that could not be factored.
+    or NonFiniteEntries naming the matrix that could not be factored.
     """
     n = sigma.shape[0]
     lower, logdet_s = _factor(sigma, "model covariance")

@@ -48,6 +48,8 @@ class InterventionQuery:
             raise IdentifyError("at least one effect node is required")
         if not all(math.isfinite(v) for v in self.values):
             raise IdentifyError("intervention values must be finite")
+        if len(set(self.targets)) != len(self.targets):
+            raise IdentifyError("an intervention target is given more than once")
 
 
 def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQuery) -> GaussianDist:

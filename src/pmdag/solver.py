@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from pmdag.gauss import (
     CovMatrix,
     GaussianDist,
     LabelMismatch,
+    NonFiniteEntries,
     NotPositiveDefinite,
     SingularQ,
     kl_gaussian,
@@ -74,6 +75,8 @@ def init_weights(sync: Synchronization, masks: MaskSet, seed: int) -> list[np.nd
 
 
 def _check_shapes(sync: Synchronization, weights) -> None:
+    if tuple(w.shape for w in weights) == sync.weight_shapes:
+        return
     if len(weights) != sync.depth - 1:
         raise ShapeMismatch(f"expected {sync.depth - 1} weight matrices, got {len(weights)}")
     for l in range(1, sync.depth):
@@ -414,51 +417,103 @@ def backward_reduced(
 # --- the engine table ---------------------------------------------------------
 
 
+def edge_vector(masks: MaskSet, weights) -> np.ndarray:
+    """The trainable entries of a weight stack as one vector, ordered like ``masks.edges``."""
+    return np.fromiter(edge_weight_map(masks, weights).values(), float, len(masks.edges))
+
+
 @dataclass(frozen=True)
 class Engine:
-    """One solver method as a forward/backward pair over the weight stack.
+    """One solver method bound to a layering, over the flat edge vector theta.
 
-    ``forward(sync, masks, weights, vis)`` returns the visible covariance
-    (last-layer positions ``vis``) and a context; ``backward(sync, masks,
-    weights, ctx, seed)`` takes the full last-layer seed and returns the
-    gradient of the weight stack.
+    ``theta`` holds one weight per trainable edge, ordered like
+    ``masks.edges``.  ``forward(theta)`` returns the visible covariance and a
+    context; ``backward(ctx, seed_vis)`` takes the covariance-gradient seed
+    on the visible block and returns d(loss)/d(theta).
     """
 
     forward: Callable
     backward: Callable
 
 
-def _cov_forward(sync, masks, weights, vis):
-    sigma, lams, _ = forward_cov(sync, weights)
-    return sigma[np.ix_(vis, vis)], lams
+def _visible_block(sync: Synchronization):
+    """(take, embed): the visible block of a last-layer matrix, and a seed placed back into one."""
+    vis = visible_positions(sync)
+    n = len(sync.layers[-1])
+    ix = np.ix_(vis, vis)
+    full = np.zeros((n, n))  # entries outside the visible block stay zero
+
+    def embed(seed_vis):
+        full[ix] = seed_vis
+        return full
+
+    return (lambda sigma: sigma[ix]), embed
 
 
-def _acc_forward(sync, masks, weights, vis):
-    sigma, accs = forward_acc(sync, weights)
-    return sigma[np.ix_(vis, vis)], accs
+def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> Engine:
+    """Bind a weight-stack engine to theta through one flat buffer.
+
+    ``forward(weights) -> (sigma, ctx)`` and ``backward(weights, ctx, seed)
+    -> masked gradient stack`` are the engine's kernels.  The weight matrices
+    are views into a buffer holding the constant pattern; one fancy-index
+    assignment writes theta into the trainable entries, and the gradient is
+    read back at the same positions.
+    """
+    take, embed = _visible_block(sync)
+    buf = np.zeros(sum(const.size for const in masks.constants))
+    weights, offsets, off = [], [], 0
+    for const in masks.constants:
+        w = buf[off:off + const.size].reshape(const.shape)
+        w[...] = const
+        weights.append(w)
+        offsets.append(off)
+        off += const.size
+    pos = np.array([offsets[l - 1] + r * weights[l - 1].shape[1] + col
+                    for (_p, _c, l, r, col) in masks.edges], dtype=np.intp)
+
+    def forward_theta(theta):
+        buf[pos] = theta
+        sigma, ctx = forward(weights)
+        return take(sigma), ctx
+
+    def backward_theta(ctx, seed_vis):
+        grads = backward(weights, ctx, embed(seed_vis))
+        return np.concatenate([grad.ravel() for grad in grads])[pos]
+
+    return Engine(forward_theta, backward_theta)
 
 
-def _reduced_forward(sync, masks, weights, vis):
-    edge_w = edge_weight_map(masks, weights)
-    state = forward_reduced(sync, edge_w)
-    return state.visible_cov(), (edge_w, state)
+def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
+    """Bind the reduced engine: edge weights are read from theta, edge gradients returned as one."""
+    _take, embed = _visible_block(sync)
+    keys = [(p, c) for (p, c, _l, _r, _col) in masks.edges]
+
+    def forward_theta(theta):
+        edge_w = dict(zip(keys, theta.tolist()))
+        state = forward_reduced(sync, edge_w)
+        return state.visible_cov(), (edge_w, state)
+
+    def backward_theta(ctx, seed_vis):
+        edge_w, state = ctx
+        grads = backward_reduced(sync, edge_w, state, embed(seed_vis))
+        return np.array([grads[key] for key in keys], dtype=float)
+
+    return Engine(forward_theta, backward_theta)
 
 
-def _reduced_backward(sync, masks, weights, ctx, seed):
-    edge_w, state = ctx
-    edge_grads = backward_reduced(sync, edge_w, state, seed)
-    grads = [np.zeros_like(w) for w in weights]
-    for (p, c, l, r, col) in masks.edges:
-        grads[l - 1][r, col] = edge_grads[(p, c)]
-    return grads
-
-
-# Entries look the engine functions up by module-level name at call time, so
-# a wrapper installed on a module attribute sees every call.
+# Each entry binds a method to one fit's layering: ``ENGINES[method](sync,
+# masks) -> Engine``.  Bound engines call ``forward_cov`` etc. by module-level
+# name at call time, so a wrapper installed on a module attribute sees every call.
 ENGINES = {
-    "covariance": Engine(_cov_forward, lambda *args: backward_cov(*args)),
-    "accumulation": Engine(_acc_forward, lambda *args: backward_acc(*args)),
-    "reduced": Engine(_reduced_forward, _reduced_backward),
+    "covariance": lambda sync, masks: _bind_layered(
+        sync, masks,
+        lambda w: forward_cov(sync, w)[:2],
+        lambda w, lams, seed: backward_cov(sync, masks, w, lams, seed)),
+    "accumulation": lambda sync, masks: _bind_layered(
+        sync, masks,
+        lambda w: forward_acc(sync, w),
+        lambda w, accs, seed: backward_acc(sync, masks, w, accs, seed)),
+    "reduced": _bind_reduced,
 }
 METHODS = tuple(ENGINES)
 
@@ -483,8 +538,8 @@ class AdamaxState:
     beta1: float = 0.9
     beta2: float = 0.999
     t: int = 0
-    m: tuple = ()
-    u: tuple = ()
+    m: np.ndarray | None = None
+    u: np.ndarray | None = None
 
 
 def make_optimizer_state(config: "FitConfig"):
@@ -493,31 +548,25 @@ def make_optimizer_state(config: "FitConfig"):
     return AdamaxState(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
 
 
-def optimize_step(weights, grads, state):
-    """One optimizer update on the weight stack; constants carry zero gradient.
+def optimize_step(theta, grad, state):
+    """One optimizer update of the edge vector.
 
-    Returns (new weights, new state).  Raises NonFiniteGradient on nan/inf
+    Returns (new theta, new state).  Raises NonFiniteGradient on nan/inf
     gradients.
     """
-    for grad in grads:
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteGradient("gradient contains nan or inf")
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("gradient contains nan or inf")
     if isinstance(state, SgdState):
-        return [w - state.lr * g for w, g in zip(weights, grads)], state
+        return theta - state.lr * grad, state
     if isinstance(state, AdamaxState):
         t = state.t + 1
-        m_prev = state.m if state.m else tuple(np.zeros_like(g) for g in grads)
-        u_prev = state.u if state.u else tuple(np.zeros_like(g) for g in grads)
-        new_w, new_m, new_u = [], [], []
-        bias = 1.0 - state.beta1 ** t
-        for w, g, m0, u0 in zip(weights, grads, m_prev, u_prev):
-            m = state.beta1 * m0 + (1.0 - state.beta1) * g
-            u = np.maximum(state.beta2 * u0, np.abs(g))
-            step = np.where(u > 0.0, (state.lr / bias) * m / np.where(u > 0.0, u, 1.0), 0.0)
-            new_w.append(w - step)
-            new_m.append(m)
-            new_u.append(u)
-        return new_w, replace(state, t=t, m=tuple(new_m), u=tuple(new_u))
+        m0 = np.zeros_like(grad) if state.m is None else state.m
+        u0 = np.zeros_like(grad) if state.u is None else state.u
+        m = state.beta1 * m0 + (1.0 - state.beta1) * grad
+        u = np.maximum(state.beta2 * u0, np.abs(grad))
+        live = u > 0.0
+        step = np.where(live, (state.lr / (1.0 - state.beta1 ** t)) * m / np.where(live, u, 1.0), 0.0)
+        return theta - step, AdamaxState(state.lr, state.beta1, state.beta2, t, m, u)
     raise SolverError(f"unknown optimizer state {type(state).__name__}")
 
 
@@ -647,16 +696,17 @@ class FitReport:
     method: str
 
 
-def extract_params(g: PmDag, masks: MaskSet, weights) -> StructuralParams:
-    """Read each edge weight at the child's first appearance."""
-    edge_w = {}
-    for (p, c, l, r, col) in masks.edges:
-        edge_w[(g.nodes[p].name, g.nodes[c].name)] = float(weights[l - 1][r, col])
-    return StructuralParams.from_edge_dict(g, edge_w)
+def extract_params(g: PmDag, masks: MaskSet, theta) -> StructuralParams:
+    """Structural parameters from the edge vector (ordered like ``masks.edges``)."""
+    names = [(g.nodes[p].name, g.nodes[c].name) for (p, c, _l, _r, _col) in masks.edges]
+    return StructuralParams.from_edge_dict(g, dict(zip(names, np.asarray(theta).tolist())))
 
 
 def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> list[np.ndarray]:
-    """Materialize the weight stack holding the given edge weights (inverse of extract_params)."""
+    """Materialize the weight stack holding the given edge weights.
+
+    ``extract_params(g, masks, edge_vector(masks, weights))`` gives the params back.
+    """
     params.validate_for(g)
     edge_w = params.to_edge_dict(g)
     weights = [const.copy() for const in masks.constants]
@@ -665,30 +715,36 @@ def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> l
     return weights
 
 
-def _run_single(g, sync, masks, target, target_inv, target_logdet, vis_positions,
-                config, seed, iter_hook):
-    engine = ENGINES[config.method]
-    weights = init_weights(sync, masks, seed)
+def _run_single(g, masks, engine, theta, target, target_inv, target_logdet, config, iter_hook):
+    """One seeded descent from ``theta``: returns (params, losses, KLs, converged, stop reason).
+
+    A non-finite model covariance or gradient ends the run as "diverged"
+    with the last edge vector whose loss was recorded.
+    """
     state = make_optimizer_state(config)
-    n_last = len(sync.layers[-1])
     loss_trace = []
     kl_trace = []
     prev_err = math.inf
     stop_reason = "max_iters"
     converged = False
+    recorded = theta
 
     for i in range(1, config.max_iters + 1):
-        sigma_vis, ctx = engine.forward(sync, masks, weights, vis_positions)
+        sigma_vis, ctx = engine.forward(theta)
         try:
             err, seed_vis, kl_mt = loss_kernel(
                 config.loss, sigma_vis, target, target_inv, target_logdet)
         except NotPositiveDefinite:
             stop_reason = "singular_model"
             break
+        except NonFiniteEntries:
+            stop_reason = "diverged"
+            theta = recorded
+            break
         loss_trace.append(err)
         kl_trace.append(kl_mt)
         if iter_hook is not None:
-            iter_hook(i, extract_params(g, masks, weights))
+            iter_hook(i, extract_params(g, masks, theta))
         if kl_mt <= config.kl_tol:
             converged = True
             stop_reason = "kl_threshold"
@@ -698,13 +754,14 @@ def _run_single(g, sync, masks, target, target_inv, target_logdet, vis_positions
             break
         prev_err = err
 
-        seed_full = np.zeros((n_last, n_last))
-        seed_full[np.ix_(vis_positions, vis_positions)] = seed_vis
-        grads = engine.backward(sync, masks, weights, ctx, seed_full)
-        weights, state = optimize_step(weights, grads, state)
+        try:
+            stepped, state = optimize_step(theta, engine.backward(ctx, seed_vis), state)
+        except NonFiniteGradient:
+            stop_reason = "diverged"
+            break
+        recorded, theta = theta, stepped
 
-    params = extract_params(g, masks, weights)
-    return params, loss_trace, kl_trace, converged, stop_reason
+    return extract_params(g, masks, theta), loss_trace, kl_trace, converged, stop_reason
 
 
 def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
@@ -714,8 +771,10 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     Runs ``config.restarts`` independently seeded gradient descents, stopping
     early once one reaches the true-KL threshold, and returns the best run by
     final KL(model || target).  Non-convergence is reported through the
-    ``converged`` flag, never raised.  ``plan`` optionally forces a custom
-    layering; every plan reaches the same optima.
+    ``converged`` flag, never raised; a restart whose model covariance or
+    gradient turns non-finite stops as ``"diverged"`` and the next one runs.
+    ``plan`` optionally forces a custom layering; every plan reaches the same
+    optima.
 
     Rank-deficient targets are admitted through the jitter ladder, but the
     divergence between singular Gaussians is infinite in the strict sense, so
@@ -735,7 +794,7 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
 
     sync = synchronize(g, plan=plan)
     masks = build_masks(sync)
-    vis_positions = visible_positions(sync)
+    engine = ENGINES[config.method](sync, masks)
 
     t0 = time.perf_counter()
     best = None
@@ -743,9 +802,9 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     for r in range(config.restarts):
         restarts_used += 1
         run_seed = derive_seed(config.seed, r)
+        theta = edge_vector(masks, init_weights(sync, masks, run_seed))
         params, loss_trace, kl_trace, converged, stop_reason = _run_single(
-            g, sync, masks, target.data, target_inv, target_logdet,
-            vis_positions, config, run_seed, iter_hook)
+            g, masks, engine, theta, target.data, target_inv, target_logdet, config, iter_hook)
         final_kl = kl_trace[-1] if kl_trace else math.inf
         if best is None or final_kl < best[0]:
             best = (final_kl, params, loss_trace, kl_trace, converged, stop_reason, run_seed)

@@ -28,7 +28,7 @@ class Synchronization:
     so a node's column position within a layer is stable.
     """
 
-    __slots__ = ("graph", "layers", "first_appearance")
+    __slots__ = ("graph", "layers", "first_appearance", "weight_shapes")
 
     def __init__(self, graph: PmDag, layers: Sequence[Sequence[int]]):
         self.graph = graph
@@ -38,6 +38,9 @@ class Synchronization:
             for idx in layer:
                 first.setdefault(idx, l)
         self.first_appearance = first
+        # (rows, cols) of each layer's weight matrix, checked on every engine call
+        self.weight_shapes = tuple(
+            (len(prev), len(cur)) for prev, cur in zip(self.layers, self.layers[1:]))
 
     @property
     def depth(self) -> int:

@@ -161,8 +161,9 @@ class TestIdentifyCommand:
         assert main(["identify", gpath, cpath, "--do", "X", "--effect", "Y"]) == 1
 
     @pytest.mark.parametrize("flags", [["--do", "X=nan"], ["--do", "X=0", "--iters", "0"],
-                                       ["--do", "X=0", "--retry-cap", "0"]],
-                             ids=["nan_value", "zero_iters", "zero_retry_cap"])
+                                       ["--do", "X=0", "--retry-cap", "0"],
+                                       ["--do", "X=1", "--do", "X=2"]],
+                             ids=["nan_value", "zero_iters", "zero_retry_cap", "repeated_target"])
     def test_bad_probe_settings_exit_1(self, tmp_path, capsys, flags):
         gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
         assert main(["identify", gpath, cpath, *flags, "--effect", "Y",

@@ -8,6 +8,7 @@ from pmdag.gauss import (
     CovMatrix,
     GaussError,
     GaussianDist,
+    NonFiniteEntries,
     NotPositiveDefinite,
     SingularQ,
     TooFewRows,
@@ -18,6 +19,7 @@ from pmdag.gauss import (
     kl_gaussian,
     load_cov_csv,
     log_err_bha,
+    loss_kernel,
     sample_covariance,
     save_cov_csv,
     spd_factor,
@@ -257,6 +259,15 @@ class TestSpdFactor:
     def test_jitter_rescues_semidefinite(self):
         lower, _ = spd_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
         np.testing.assert_allclose(lower @ lower.T, [[1.0, 1.0], [1.0, 1.0]], atol=1e-5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected_and_named(self, value):
+        # the upper triangle is not read by the factorization, but is still checked
+        sigma = np.array([[1.0, value], [0.0, 1.0]])
+        with pytest.raises(NonFiniteEntries):
+            spd_factor(sigma)
+        with pytest.raises(NonFiniteEntries, match="model covariance"):
+            loss_kernel("kl", sigma, np.eye(2), np.eye(2), 0.0)
 
 
 class TestCovCsv:

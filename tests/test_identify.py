@@ -37,6 +37,10 @@ class TestInterventionQuery:
         with pytest.raises(IdentifyError, match="finite"):
             InterventionQuery(("X",), (value,), ("Y",))
 
+    def test_duplicate_target_rejected(self):
+        with pytest.raises(IdentifyError, match="more than once"):
+            InterventionQuery(("X", "X"), (1.0, 2.0), ("Y",))
+
 
 class TestInterventionalDist:
     def params(self, bow, a=1.0, b=1.0, c=1.0):

@@ -10,15 +10,18 @@ assigned values at the targets' rows.
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pmdag.gauss import loss_kernel, target_terms
 from pmdag.generate import GenSpec, random_pmdag
 from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import (
     ENGINES,
+    LOSSES,
     METHODS,
     backward_cov,
+    edge_vector,
     forward_cov,
     joint_cov,
     root_loadings,
@@ -87,28 +90,67 @@ def test_interventional_dist_matches_mutilated_system(case, data):
     np.testing.assert_allclose(dist.cov.data, noise @ noise.T, rtol=1e-12, atol=1e-12)
 
 
-@PROPERTY
-@given(graph_and_rng())
-def test_every_engine_matches_joint_cov_and_backward_cov(case):
-    g, rng = case
+def engine_case(g, rng):
+    """Synchronization, masks, weight stack and edge vector theta at random weights."""
     params = random_params(g, rng)
     sync = synchronize(g)
     masks = build_masks(sync)
     weights = weights_from_params(g, masks, params)
+    return params, sync, masks, weights, edge_vector(masks, weights)
+
+
+@PROPERTY
+@given(graph_and_rng())
+def test_every_engine_matches_joint_cov_and_backward_cov(case):
+    g, rng = case
+    params, sync, masks, weights, theta = engine_case(g, rng)
     vis = visible_positions(sync)
     n_last = len(sync.layers[-1])
     half = rng.standard_normal((len(vis), len(vis)))
+    seed_vis = half + half.T
     seed = np.zeros((n_last, n_last))
-    seed[np.ix_(vis, vis)] = half + half.T
+    seed[np.ix_(vis, vis)] = seed_vis
     expected_cov = joint_cov(g, params).restrict(g.visible_names).data
     _sigma, lams, _ = forward_cov(sync, weights)
-    expected_grads = backward_cov(sync, masks, weights, lams, seed)
+    expected_grad = edge_vector(masks, backward_cov(sync, masks, weights, lams, seed))
 
     assert METHODS == tuple(ENGINES)
-    for method, engine in ENGINES.items():
-        sigma_vis, ctx = engine.forward(sync, masks, weights, vis)
+    for method, bind in ENGINES.items():
+        engine = bind(sync, masks)
+        sigma_vis, ctx = engine.forward(theta)
         np.testing.assert_allclose(sigma_vis, expected_cov, rtol=1e-10, atol=1e-10,
                                    err_msg=method)
-        grads = engine.backward(sync, masks, weights, ctx, seed)
-        for got, want in zip(grads, expected_grads, strict=True):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10, err_msg=method)
+        dtheta = engine.backward(ctx, seed_vis)
+        assert dtheta.shape == theta.shape
+        np.testing.assert_allclose(dtheta, expected_grad, rtol=1e-10, atol=1e-10,
+                                   err_msg=method)
+
+
+@PROPERTY
+@given(graph_and_rng(), st.sampled_from(LOSSES))
+def test_every_engine_gradient_matches_finite_differences(case, loss):
+    """d(theta) of each bound engine against central differences of the fit's loss kernel."""
+    g, rng = case
+    _params, sync, masks, _weights, theta = engine_case(g, rng)
+    k = len(g.visible_names)
+    a = rng.standard_normal((k, k))
+    target = a @ a.T + k * np.eye(k)
+    terms = target_terms(target)
+    for method, bind in ENGINES.items():
+        engine = bind(sync, masks)
+        sigma_vis, ctx = engine.forward(theta)
+        assume(np.linalg.cond(sigma_vis) < 1e6)
+        _err, seed_vis, _kl = loss_kernel(loss, sigma_vis, target, *terms)
+        dtheta = engine.backward(ctx, seed_vis)
+
+        def value(t):
+            return loss_kernel(loss, engine.forward(t)[0], target, *terms)[0]
+
+        h = 1e-6
+        numeric = np.empty_like(theta)
+        for i in range(len(theta)):
+            step = np.zeros_like(theta)
+            step[i] = h
+            numeric[i] = (value(theta + step) - value(theta - step)) / (2 * h)
+        np.testing.assert_allclose(dtheta, numeric, rtol=1e-4, atol=1e-5,
+                                   err_msg=f"{method} {loss}")

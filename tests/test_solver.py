@@ -17,6 +17,7 @@ from pmdag.solver import (
     backward_acc,
     backward_cov,
     backward_reduced,
+    edge_vector,
     edge_weight_map,
     extract_params,
     fit,
@@ -253,25 +254,25 @@ class TestBackward:
 
 class TestOptimizeStep:
     def test_sgd_definition(self):
-        new, state = optimize_step([np.array([[1.0]])], [np.array([[2.0]])], SgdState(lr=0.1))
-        assert new[0][0, 0] == pytest.approx(0.8)
+        new, state = optimize_step(np.array([1.0]), np.array([2.0]), SgdState(lr=0.1))
+        assert new[0] == pytest.approx(0.8)
 
     def test_adamax_first_step_moves_by_lr(self):
         state = AdamaxState(lr=1e-3)
-        new, state = optimize_step([np.array([[1.0]])], [np.array([[1.0]])], state)
-        assert new[0][0, 0] == pytest.approx(1.0 - 1e-3)
+        new, state = optimize_step(np.array([1.0]), np.array([1.0]), state)
+        assert new[0] == pytest.approx(1.0 - 1e-3)
         assert state.t == 1
 
     def test_zero_gradient_keeps_weights_and_advances_state(self):
         state = AdamaxState(lr=1e-3)
-        w = [np.array([[0.5]])]
-        new, state = optimize_step(w, [np.array([[0.0]])], state)
-        np.testing.assert_array_equal(new[0], w[0])
+        w = np.array([0.5])
+        new, state = optimize_step(w, np.array([0.0]), state)
+        np.testing.assert_array_equal(new, w)
         assert state.t == 1
 
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(NonFiniteGradient):
-            optimize_step([np.array([[1.0]])], [np.array([[math.nan]])], SgdState(lr=0.1))
+            optimize_step(np.array([1.0]), np.array([math.nan]), SgdState(lr=0.1))
 
 
 class TestJointCov:
@@ -416,6 +417,32 @@ class TestFit:
         assert not report.converged
         assert report.final_kl_model_target > 0.05
 
+    def test_diverging_restart_keeps_the_earlier_one(self):
+        # restart 1 of this SGD fit overflows; restart 0 (KL 0.040) must still be reported
+        from pmdag.generate import canonical, ground_truth
+        g = canonical("frontdoor")
+        _, target = ground_truth(g, seed=3)
+        config = FitConfig(optimizer="sgd", lr=1e-2, max_iters=300, restarts=2, seed=17)
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, report = fit(g, target, config)
+        assert report.restarts_used == 2
+        assert report.stop_reason == "max_iters" and not report.converged
+        assert report.final_kl_model_target == pytest.approx(0.0404, abs=1e-3)
+        assert all(np.isfinite(w).all() for w in params.weights.values())
+
+    def test_diverged_run_is_reported_not_raised(self):
+        from pmdag.generate import canonical, ground_truth
+        g = canonical("frontdoor")
+        _, target = ground_truth(g, seed=3)
+        config = FitConfig(optimizer="sgd", lr=1e-2, max_iters=300, restarts=1, seed=19)
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, report = fit(g, target, config)
+        assert report.stop_reason == "diverged" and not report.converged
+        assert report.iterations < 300
+        # the returned weights are the last iterate whose loss was recorded
+        assert all(np.isfinite(w).all() for w in params.weights.values())
+        assert np.isfinite(report.kl_trace).all()
+
     def test_custom_plan_reaches_same_optimum(self):
         g = validate(
             [("L1", "latent"), ("L2", "latent"), ("X", "visible"), ("Y", "visible")],
@@ -490,7 +517,7 @@ class TestExtractRoundTrip:
         sync = synchronize(g)
         masks = build_masks(sync)
         weights = weights_from_params(g, masks, params)
-        again = extract_params(g, masks, weights)
+        again = extract_params(g, masks, edge_vector(masks, weights))
         assert again == params
 
 
