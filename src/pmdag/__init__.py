@@ -68,7 +68,6 @@ from pmdag.identify import (
     FitBudgetExhausted,
     IdentVerdict,
     InterventionQuery,
-    check_fit,
     identify,
     interventional_dist,
 )

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,9 +24,43 @@ from pmdag.identify import InterventionQuery, divergence, interventional_dist
 from pmdag.solver import FitConfig, derive_seed, fit, save_trace_csv
 
 
+class SpecError(ValueError):
+    """A malformed experiment spec: unknown or missing keys, or a value of the wrong type or range."""
+
+
+def _spec_kwargs(cls, data, where: str) -> dict:
+    """Keyword arguments of dataclass ``cls`` from a JSON object, checked against its fields.
+
+    Unknown or missing keys and values not of the annotated type raise
+    ``SpecError``; an int is accepted for a float, a bool never for a number,
+    and a JSON object for a dataclass field is built recursively.
+    """
+    if not isinstance(data, dict):
+        raise SpecError(f"{where} must be a JSON object, not {type(data).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    missing = [name for name, f in fields.items() if name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if unknown or missing:
+        raise SpecError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        nested = [t for t in allowed if dataclasses.is_dataclass(t)]
+        if isinstance(value, dict) and nested:
+            value = nested[0](**_spec_kwargs(nested[0], value, key))
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise SpecError(f"{where} key {key!r} has the wrong type: {value!r}")
+        kwargs[key] = value
+    return kwargs
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """A named, fully seeded fit experiment."""
+    """A named, fully seeded fit experiment; a malformed one raises ``SpecError``."""
 
     graph: str | GenSpec  # canonical name, path to a graph JSON, or a GenSpec
     truth_seed: int = 0
@@ -35,6 +70,10 @@ class Experiment:
     do_effect: str | None = None
     hook_stride: int = 10
 
+    def __post_init__(self):
+        if self.repetitions < 1 or self.hook_stride < 1:
+            raise SpecError("repetitions and hook_stride must be at least 1")
+
     def resolve_graph(self) -> PmDag:
         if isinstance(self.graph, GenSpec):
             return random_pmdag(self.graph)
@@ -43,27 +82,11 @@ class Experiment:
         return canonical(self.graph)
 
     def to_dict(self) -> dict:
-        data = {
-            "graph": dataclasses.asdict(self.graph) if isinstance(self.graph, GenSpec) else self.graph,
-            "truth_seed": self.truth_seed,
-            "fit_config": dataclasses.asdict(self.fit_config),
-            "repetitions": self.repetitions,
-            "do_target": self.do_target,
-            "do_effect": self.do_effect,
-            "hook_stride": self.hook_stride,
-        }
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Experiment":
-        graph = data["graph"]
-        if isinstance(graph, dict):
-            graph = GenSpec(**graph)
-        cfg = FitConfig(**data.get("fit_config", {}))
-        return cls(graph=graph, truth_seed=data.get("truth_seed", 0), fit_config=cfg,
-                   repetitions=data.get("repetitions", 10),
-                   do_target=data.get("do_target"), do_effect=data.get("do_effect"),
-                   hook_stride=data.get("hook_stride", 10))
+    def from_dict(cls, data) -> "Experiment":
+        return cls(**_spec_kwargs(cls, data, "experiment"))
 
 
 def _finite_or_none(obj):
@@ -81,14 +104,23 @@ def json_text(data) -> str:
     return json.dumps(_finite_or_none(data), indent=2, allow_nan=False)
 
 
-def _deciles(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ragged traces (padded with their last value) and take 0.1/0.5/0.9 quantiles."""
+def _deciles(traces: list[np.ndarray]) -> np.ndarray:
+    """0.1/0.5/0.9 quantiles per iteration of ragged traces, each padded with its last value."""
     width = max(len(t) for t in traces)
     padded = np.vstack([
         np.concatenate([t, np.full(width - len(t), t[-1] if len(t) else math.nan)])
         for t in traces
     ])
-    return np.quantile(padded, [0.1, 0.5, 0.9], axis=0), padded
+    return np.quantile(padded, [0.1, 0.5, 0.9], axis=0)
+
+
+def _write_deciles(path: Path, rows) -> None:
+    """Decile CSV from (iteration, three quantiles) rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "decile_1", "decile_5", "decile_9"])
+        for iteration, qs in rows:
+            writer.writerow([iteration] + [repr(float(q)) for q in qs])
 
 
 def run_experiment(exp: Experiment, outdir) -> dict:
@@ -117,9 +149,9 @@ def run_experiment(exp: Experiment, outdir) -> dict:
 
         hook = None
         if query is not None:
-            def hook(i, params, _trace=do_trace):
+            def hook(i, get_params, _trace=do_trace):
                 if i % exp.hook_stride == 0 or i == 1:
-                    d = divergence(interventional_dist(g, params, query), truth_do)
+                    d = divergence(interventional_dist(g, get_params(), query), truth_do)
                     _trace.append((i, d))
 
         params, report = fit(g, target, cfg, iter_hook=hook)
@@ -140,24 +172,16 @@ def run_experiment(exp: Experiment, outdir) -> dict:
             do_traces.append(do_trace)
         reps.append(rep_entry)
 
-    quantiles, _ = _deciles(kl_traces)
-    with open(outdir / "kl_deciles.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "decile_1", "decile_5", "decile_9"])
-        for i in range(quantiles.shape[1]):
-            writer.writerow([i + 1] + [repr(float(q)) for q in quantiles[:, i]])
+    quantiles = _deciles(kl_traces)
+    _write_deciles(outdir / "kl_deciles.csv", zip(range(1, quantiles.shape[1] + 1), quantiles.T))
 
     if do_traces and all(len(t) for t in do_traces):
-        width = min(len(t) for t in do_traces)
-        with open(outdir / "do_deciles.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "decile_1", "decile_5", "decile_9"])
-            for k in range(width):
-                iteration = do_traces[0][k][0]
-                vals = np.array([t[k][1] for t in do_traces])
-                vals = np.where(np.isinf(vals), np.nan, vals)
-                qs = np.nanquantile(vals, [0.1, 0.5, 0.9])
-                writer.writerow([iteration] + [repr(float(q)) for q in qs])
+        rows = []
+        for k in range(min(len(t) for t in do_traces)):
+            vals = np.array([t[k][1] for t in do_traces])
+            vals = np.where(np.isinf(vals), np.nan, vals)
+            rows.append((do_traces[0][k][0], np.nanquantile(vals, [0.1, 0.5, 0.9])))
+        _write_deciles(outdir / "do_deciles.csv", rows)
 
     summary = {
         "experiment": exp.to_dict(),

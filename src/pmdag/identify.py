@@ -84,11 +84,6 @@ def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQ
     return GaussianDist(mu, cov)
 
 
-def check_fit(g: PmDag, target: CovMatrix, params: StructuralParams, tol_fit: float = 1e-5) -> bool:
-    """Whether the fitted system actually induces the target visible distribution."""
-    return fit_kl(g, target, params) <= tol_fit
-
-
 def divergence(a: GaussianDist, b: GaussianDist) -> float:
     """Symmetric max of the two KL directions; infinite on one-sided singularity."""
     try:
@@ -118,7 +113,9 @@ class IdentVerdict:
 
     ``not_identifiable`` carries a reproducible witness: the two fit seeds
     (replayable through ``fit``) and both parameter sets, plus their
-    interventional divergence.
+    interventional divergence.  ``not_inducible`` carries the stop reason of
+    the reference fit in ``ref_stop_reason``: with ``"max_iters"`` that fit
+    ran out of iterations, and a larger budget may still induce the target.
     """
 
     outcome: str
@@ -129,6 +126,7 @@ class IdentVerdict:
     witness_seeds: tuple[int, int] | None = None
     witness_params: tuple[StructuralParams, StructuralParams] | None = None
     fits_run: int = 0
+    ref_stop_reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -139,6 +137,7 @@ class IdentVerdict:
             "fit_kl": self.fit_kl,
             "witness_seeds": list(self.witness_seeds) if self.witness_seeds else None,
             "fits_run": self.fits_run,
+            "ref_stop_reason": self.ref_stop_reason,
         }
 
 
@@ -151,7 +150,6 @@ def identify(
     tol_fit: float = 1e-5,
     tol_id: float = 1e-2,
     retry_cap: int = 5,
-    all_pairs: bool = False,
     fn: Callable[[PmDag, CovMatrix, FitConfig], tuple[StructuralParams, FitReport]] = fit,
 ) -> IdentVerdict:
     """Probe whether the effect distribution is pinned down by graph and target.
@@ -169,40 +167,36 @@ def identify(
     master = fn_config.seed
 
     ref_seed = derive_seed(master, 0, 0)
-    ref_params, _ = fn(g, target, replace(fn_config, seed=ref_seed))
+    ref_params, ref_report = fn(g, target, replace(fn_config, seed=ref_seed))
     ref_kl = fit_kl(g, target, ref_params)
     fits_run = 1
     if ref_kl > tol_fit:
         return IdentVerdict(NOT_INDUCIBLE, iterations=iters, max_divergence=math.nan,
-                            fit_kl=float(ref_kl), fits_run=fits_run)
+                            fit_kl=float(ref_kl), fits_run=fits_run,
+                            ref_stop_reason=ref_report.stop_reason)
 
     ref_do = interventional_dist(g, ref_params, query)
-    seen: list[tuple[int, StructuralParams, GaussianDist]] = [(ref_seed, ref_params, ref_do)]
     divergences: list[float] = []
     for slot in range(1, iters + 1):
         for attempt in range(retry_cap):
             slot_seed = derive_seed(master, slot, attempt)
             params_i, _report = fn(g, target, replace(fn_config, seed=slot_seed))
             fits_run += 1
-            if check_fit(g, target, params_i, tol_fit):
+            if fit_kl(g, target, params_i) <= tol_fit:
                 break
         else:
             raise FitBudgetExhausted(
                 f"slot {slot}: no converged fit within {retry_cap} attempts")
-        do_i = interventional_dist(g, params_i, query)
-        others = seen if all_pairs else seen[:1]
-        for other_seed, other_params, other_do in others:
-            d = divergence(do_i, other_do)
-            divergences.append(float(d))
-            if d > tol_id:
-                return IdentVerdict(
-                    NOT_IDENTIFIABLE, iterations=iters,
-                    max_divergence=float(d), divergences=divergences,
-                    fit_kl=float(ref_kl),
-                    witness_seeds=(other_seed, slot_seed),
-                    witness_params=(other_params, params_i),
-                    fits_run=fits_run)
-        seen.append((slot_seed, params_i, do_i))
+        d = divergence(interventional_dist(g, params_i, query), ref_do)
+        divergences.append(float(d))
+        if d > tol_id:
+            return IdentVerdict(
+                NOT_IDENTIFIABLE, iterations=iters,
+                max_divergence=float(d), divergences=divergences,
+                fit_kl=float(ref_kl),
+                witness_seeds=(ref_seed, slot_seed),
+                witness_params=(ref_params, params_i),
+                fits_run=fits_run)
     return IdentVerdict(
         PRESUMED_IDENTIFIABLE, iterations=iters,
         max_divergence=max(divergences),

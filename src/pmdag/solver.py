@@ -99,43 +99,22 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 # --- layered forward / backward -------------------------------------------
 
 
-def forward_cov(sync: Synchronization, weights, check: bool = False):
+def forward_cov(sync: Synchronization, weights):
     """Propagate the layer covariance: Lambda_l = Sigma_{l-1} W_l, Sigma_l = W_l^T Lambda_l.
 
     Returns (final covariance, Lambda list, Sigma list incl. the identity at
-    layer 0).  With ``check=True``, asserts that persisting entries alternate
-    (lambda == sigma) and are preserved bitwise across layer boundaries.
+    layer 0).
     """
     _check_shapes(sync, weights)
     sigma = np.eye(len(sync.layers[0]))
     sigmas = [sigma]
     lams = []
-    for l in range(1, sync.depth):
-        w = weights[l - 1]
+    for w in weights:
         lam = sigma @ w
-        new_sigma = w.T @ lam
-        if check:
-            _check_preservation(sync, l, sigma, lam, new_sigma)
+        sigma = w.T @ lam
         lams.append(lam)
-        sigmas.append(new_sigma)
-        sigma = new_sigma
+        sigmas.append(sigma)
     return sigma, lams, sigmas
-
-
-def _check_preservation(sync, l, prev_sigma, lam, new_sigma):
-    prev = sync.layers[l - 1]
-    cur = sync.layers[l]
-    prev_pos = {idx: i for i, idx in enumerate(prev)}
-    cur_pos = {idx: i for i, idx in enumerate(cur)}
-    for p in prev:
-        if p not in cur_pos:
-            continue
-        for r in cur:
-            # alternation: a persisting row carries its covariance into Lambda
-            assert lam[prev_pos[p], cur_pos[r]] == new_sigma[cur_pos[p], cur_pos[r]]
-        for q in prev:
-            if q in cur_pos:
-                assert new_sigma[cur_pos[p], cur_pos[q]] == prev_sigma[prev_pos[p], prev_pos[q]]
 
 
 def forward_acc(sync: Synchronization, weights):
@@ -595,30 +574,25 @@ def root_loadings(g: PmDag, params: StructuralParams) -> np.ndarray:
     return np.column_stack([cols[name] for name in g.names])
 
 
-def joint_cov(g: PmDag, params: StructuralParams, root_variances: dict[str, float] | None = None) -> CovMatrix:
-    """Covariance over all nodes: the Gram matrix of the root loadings.
+def joint_cov(g: PmDag, params: StructuralParams) -> CovMatrix:
+    """Covariance over all nodes with standard-normal roots: the Gram matrix of the root loadings.
 
-    Roots are standard normal unless ``root_variances`` gives their variance.
     Serves as the brute-force reference for every forward method.
     """
     basis = root_loadings(g, params)
-    if root_variances is not None:
-        root_pos = {name: i for i, name in enumerate(g.roots)}
-        scale = np.ones(len(root_pos))
-        for name, var in root_variances.items():
-            if var < 0:
-                raise NegativeVariance(f"variance of root {name!r} is negative")
-            scale[root_pos[name]] = math.sqrt(var)
-        basis = scale[:, None] * basis
     return CovMatrix(g.names, basis.T @ basis)
+
+
+def _visible_laws(g: PmDag, target: CovMatrix, params: StructuralParams) -> tuple[GaussianDist, GaussianDist]:
+    """Zero-mean laws of the model and of the target on the visible margin."""
+    vis = g.visible_names
+    zero = np.zeros(len(vis))
+    return GaussianDist(zero, joint_cov(g, params).restrict(vis)), GaussianDist(zero, target.restrict(vis))
 
 
 def fit_kl(g: PmDag, target: CovMatrix, params: StructuralParams) -> float:
     """KL(model || target) on the visible margin: how well the params induce the target."""
-    vis = g.visible_names
-    model = joint_cov(g, params).restrict(vis)
-    zero = np.zeros(len(vis))
-    return kl_gaussian(GaussianDist(zero, model), GaussianDist(zero, target.restrict(vis)))
+    return kl_gaussian(*_visible_laws(g, target, params))
 
 
 def standardize(g: PmDag, params: StructuralParams, root_variances: dict[str, float]) -> StructuralParams:
@@ -744,7 +718,7 @@ def _run_single(g, masks, engine, theta, target, target_inv, target_logdet, conf
         loss_trace.append(err)
         kl_trace.append(kl_mt)
         if iter_hook is not None:
-            iter_hook(i, extract_params(g, masks, theta))
+            iter_hook(i, lambda theta=theta: extract_params(g, masks, theta))
         if kl_mt <= config.kl_tol:
             converged = True
             stop_reason = "kl_threshold"
@@ -769,8 +743,11 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     """Fit the structural weights so the induced visible covariance matches the target.
 
     Runs ``config.restarts`` independently seeded gradient descents, stopping
-    early once one reaches the true-KL threshold, and returns the best run by
-    final KL(model || target).  Non-convergence is reported through the
+    early once one reaches the true-KL threshold, and returns that run, or
+    else the run whose returned params have the lowest KL(model || target),
+    the earliest on ties.  ``iter_hook(i, get_params)``, when given, is called
+    after the loss of iteration ``i`` is recorded; ``get_params()`` builds the
+    structural params of that iteration.  Non-convergence is reported through the
     ``converged`` flag, never raised; a restart whose model covariance or
     gradient turns non-finite stops as ``"diverged"`` and the next one runs.
     ``plan`` optionally forces a custom layering; every plan reaches the same
@@ -799,25 +776,26 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     t0 = time.perf_counter()
     best = None
     restarts_used = 0
-    for r in range(config.restarts):
-        restarts_used += 1
-        run_seed = derive_seed(config.seed, r)
-        theta = edge_vector(masks, init_weights(sync, masks, run_seed))
-        params, loss_trace, kl_trace, converged, stop_reason = _run_single(
-            g, masks, engine, theta, target.data, target_inv, target_logdet, config, iter_hook)
-        final_kl = kl_trace[-1] if kl_trace else math.inf
-        if best is None or final_kl < best[0]:
-            best = (final_kl, params, loss_trace, kl_trace, converged, stop_reason, run_seed)
-        if converged:
-            break
+    # a diverging restart overflows before its non-finite covariance or
+    # gradient ends it as "diverged"; that report replaces numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(config.restarts):
+            restarts_used += 1
+            run_seed = derive_seed(config.seed, r)
+            theta = edge_vector(masks, init_weights(sync, masks, run_seed))
+            params, loss_trace, kl_trace, converged, stop_reason = _run_single(
+                g, masks, engine, theta, target.data, target_inv, target_logdet, config, iter_hook)
+            model, truth = _visible_laws(g, target, params)
+            kl_mt = kl_gaussian(model, truth)
+            if best is None or converged or kl_mt < best[0]:
+                best = (kl_mt, model, params, loss_trace, kl_trace, converged, stop_reason, run_seed)
+            if converged:
+                break
     wall = time.perf_counter() - t0
 
-    final_kl, params, loss_trace, kl_trace, converged, stop_reason, run_seed = best
-    kl_mt = fit_kl(g, target, params)
-    model = joint_cov(g, params).restrict(vis)
-    zero = np.zeros(len(vis))
+    kl_mt, model, params, loss_trace, kl_trace, converged, stop_reason, run_seed = best
     try:
-        kl_tm = kl_gaussian(GaussianDist(zero, target), GaussianDist(zero, model))
+        kl_tm = kl_gaussian(truth, model)
     except SingularQ:
         kl_tm = math.inf
     report = FitReport(

@@ -6,6 +6,7 @@ from pmdag.cli import main
 from pmdag.gauss import CovMatrix, save_cov_csv
 from pmdag.generate import canonical, ground_truth
 from pmdag.graph import load_graph, save_graph, validate
+from pmdag.solver import FitConfig
 
 
 @pytest.fixture
@@ -156,6 +157,16 @@ class TestIdentifyCommand:
         assert verdict["outcome"] == "not_inducible"
         assert verdict["max_divergence"] is None
 
+    def test_exhausted_budget_says_why(self, tmp_path, capsys):
+        # the reference fit only runs out of iterations; the verdict names that
+        gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=101)
+        code = main(["identify", gpath, cpath, "--do", "X=0", "--effect", "Y",
+                     "--epochs", "50", "--seed", "0"])
+        assert code == 2
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["outcome"] == "not_inducible"
+        assert verdict["ref_stop_reason"] == "max_iters"
+
     def test_malformed_do_exits_1(self, tmp_path):
         gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
         assert main(["identify", gpath, cpath, "--do", "X", "--effect", "Y"]) == 1
@@ -195,7 +206,6 @@ class TestExperimentCommand:
     def test_spec_round_trip(self):
         from pmdag.experiment import Experiment
         from pmdag.generate import GenSpec
-        from pmdag.solver import FitConfig
 
         exp = Experiment(graph=GenSpec(v=4, l_star=0.5, e_star=0.4, seed=2),
                          truth_seed=7, fit_config=FitConfig(max_iters=100, seed=3),
@@ -222,3 +232,37 @@ class TestExperimentCommand:
         assert (outdir / "trace_rep01.csv").exists()
         summary = json.loads((outdir / "summary.json").read_text())
         assert len(summary["repetitions"]) == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"graph": "bow", "fit_config": {"bogus": 1}},
+        {"fit_config": {}},
+        {"graph": {"v": 3, "zz": 1}},
+        {"graph": "bow", "repetitions": "2"},
+        {"graph": "bow", "fit_config": {"max_iters": 1.5}},
+        {"graph": "bow", "truth_seed": True},
+        {"graph": "bow", "repetitions": 0},
+        {"graph": "bow", "hook_stride": 0},
+        [1, 2],
+    ], ids=["unknown_fit_key", "missing_graph", "unknown_graph_key", "string_repetitions",
+            "float_iterations", "bool_seed", "zero_repetitions", "zero_stride", "not_an_object"])
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["experiment", str(spec_path), "-o", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_hook_builds_params_only_when_recording(self, tmp_path, monkeypatch):
+        from pmdag import solver
+        from pmdag.experiment import Experiment, run_experiment
+
+        calls = []
+        extract = solver.extract_params
+        monkeypatch.setattr(solver, "extract_params", lambda *a: calls.append(1) or extract(*a))
+        exp = Experiment(graph="bow", truth_seed=2, repetitions=1, do_target="X", do_effect="Y",
+                         fit_config=FitConfig(max_iters=500, restarts=1, seed=4, kl_tol=0.0),
+                         hook_stride=50)
+        summary = run_experiment(exp, tmp_path)
+        iterations = summary["repetitions"][0]["iterations"]
+        assert iterations > 100
+        # iteration 1 and every 50th are recorded, then the fit's result is built
+        assert len(calls) == iterations // 50 + 2

@@ -17,10 +17,12 @@ from pmdag.solver import (
     backward_acc,
     backward_cov,
     backward_reduced,
+    derive_seed,
     edge_vector,
     edge_weight_map,
     extract_params,
     fit,
+    fit_kl,
     fit_result_dict,
     forward_acc,
     forward_cov,
@@ -29,6 +31,7 @@ from pmdag.solver import (
     joint_cov,
     layered_entry_count,
     optimize_step,
+    root_loadings,
     save_trace_csv,
     standardize,
     weights_from_params,
@@ -90,10 +93,28 @@ class TestInitWeights:
         assert abs(draws.var() - 1.0) < 0.05
 
 
+def assert_alternation_and_preservation(sync, lams, sigmas):
+    """Persisting entries alternate (lambda == sigma) and are preserved bitwise across layers."""
+    for l in range(1, sync.depth):
+        prev, cur = sync.layers[l - 1], sync.layers[l]
+        prev_pos = {idx: i for i, idx in enumerate(prev)}
+        cur_pos = {idx: i for i, idx in enumerate(cur)}
+        lam, prev_sigma, new_sigma = lams[l - 1], sigmas[l - 1], sigmas[l]
+        for p in prev:
+            if p not in cur_pos:
+                continue
+            for r in cur:
+                assert lam[prev_pos[p], cur_pos[r]] == new_sigma[cur_pos[p], cur_pos[r]]
+            for q in prev:
+                if q in cur_pos:
+                    assert new_sigma[cur_pos[p], cur_pos[q]] == prev_sigma[prev_pos[p], prev_pos[q]]
+
+
 class TestForward:
     def test_bow_example(self, bow):
         sync, _, weights = bow_setup(bow)
-        sigma, lams, sigmas = forward_cov(sync, weights, check=True)
+        sigma, lams, sigmas = forward_cov(sync, weights)
+        assert_alternation_and_preservation(sync, lams, sigmas)
         np.testing.assert_allclose(sigma, [[1.0, 2.0], [2.0, 4.0]])
         assert len(lams) == 2 and len(sigmas) == 3
 
@@ -118,7 +139,8 @@ class TestForward:
             sync = synchronize(g)
             masks = build_masks(sync)
             weights = weights_from_params(g, masks, params)
-            sigma, _, _ = forward_cov(sync, weights, check=True)
+            sigma, lams, sigmas = forward_cov(sync, weights)
+            assert_alternation_and_preservation(sync, lams, sigmas)
             names = sync.layer_names(sync.depth - 1)
             oracle = joint_cov(g, params).restrict(names)
             np.testing.assert_allclose(sigma, oracle.data, atol=1e-12, rtol=1e-12)
@@ -138,7 +160,8 @@ class TestForward:
             sync = synchronize(g2)
             masks = build_masks(sync)
             weights = weights_from_params(g2, masks, params)
-            sigma, _, _ = forward_cov(sync, weights, check=True)
+            sigma, lams, sigmas = forward_cov(sync, weights)
+            assert_alternation_and_preservation(sync, lams, sigmas)
             names = sync.layer_names(sync.depth - 1)
             oracle = joint_cov(g2, params).restrict(names)
             np.testing.assert_allclose(sigma, oracle.data, atol=1e-12, rtol=1e-12)
@@ -330,10 +353,12 @@ class TestStandardize:
             params = random_params(g, rng)
             variances = {r: float(rng.uniform(0.1, 3.0)) for r in g.roots}
             out = standardize(g, params, variances)
-            vis = g.visible_names
-            before = joint_cov(g, params, root_variances=variances).restrict(vis)
-            after = joint_cov(g, out).restrict(vis)
-            np.testing.assert_allclose(after.data, before.data, atol=1e-12, rtol=1e-12)
+            basis = root_loadings(g, params)
+            scale = np.array([variances[r] for r in g.roots])
+            vis = [g.index(name) for name in g.visible_names]
+            before = (basis.T @ np.diag(scale) @ basis)[np.ix_(vis, vis)]
+            after = joint_cov(g, out).restrict(g.visible_names)
+            np.testing.assert_allclose(after.data, before, atol=1e-12, rtol=1e-12)
 
 
 class TestFit:
@@ -423,8 +448,7 @@ class TestFit:
         g = canonical("frontdoor")
         _, target = ground_truth(g, seed=3)
         config = FitConfig(optimizer="sgd", lr=1e-2, max_iters=300, restarts=2, seed=17)
-        with np.errstate(over="ignore", invalid="ignore"):
-            params, report = fit(g, target, config)
+        params, report = fit(g, target, config)
         assert report.restarts_used == 2
         assert report.stop_reason == "max_iters" and not report.converged
         assert report.final_kl_model_target == pytest.approx(0.0404, abs=1e-3)
@@ -435,13 +459,22 @@ class TestFit:
         g = canonical("frontdoor")
         _, target = ground_truth(g, seed=3)
         config = FitConfig(optimizer="sgd", lr=1e-2, max_iters=300, restarts=1, seed=19)
-        with np.errstate(over="ignore", invalid="ignore"):
-            params, report = fit(g, target, config)
+        params, report = fit(g, target, config)
         assert report.stop_reason == "diverged" and not report.converged
         assert report.iterations < 300
         # the returned weights are the last iterate whose loss was recorded
         assert all(np.isfinite(w).all() for w in params.weights.values())
         assert np.isfinite(report.kl_trace).all()
+
+    def test_restarts_ranked_on_the_reported_kl(self):
+        # KL before the last step ranks restart 2 first; after it, restart 1 is lower
+        from pmdag.generate import canonical, ground_truth
+        g = canonical("backdoor")
+        _, target = ground_truth(g, seed=1)
+        config = FitConfig(optimizer="sgd", lr=1e-2, max_iters=20, restarts=3, seed=17)
+        params, report = fit(g, target, config)
+        assert report.seed == derive_seed(17, 1)
+        assert report.final_kl_model_target == fit_kl(g, target, params)
 
     def test_custom_plan_reaches_same_optimum(self):
         g = validate(
