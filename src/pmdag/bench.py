@@ -53,6 +53,8 @@ def bench(
     seed: int = 0,
 ) -> list[BenchRow]:
     """Mean forward/backward seconds per method over freshly drawn random graphs."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     methods = tuple(methods)
     rows = []
     for v in v_values:

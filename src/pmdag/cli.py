@@ -23,7 +23,7 @@ from pmdag.identify import (
     InterventionQuery,
     identify,
 )
-from pmdag.solver import FitConfig, SolverError, fit, fit_result_dict, save_trace_csv
+from pmdag.solver import LOSSES, OPTIMIZERS, FitConfig, SolverError, fit, fit_result_dict, save_trace_csv
 from pmdag.sync import build_masks, synchronize
 
 EXIT_OK = 0
@@ -34,32 +34,35 @@ EXIT_NOT_IDENTIFIABLE = 3
 METHOD_ALIASES = {"cov": "covariance", "acc": "accumulation", "reduced": "reduced"}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PMDAG_SEED", "0"))
+def _seed(args) -> int:
+    """``--seed`` if given, else ``PMDAG_SEED``, else 0."""
+    return args.seed if args.seed is not None else int(os.environ.get("PMDAG_SEED", "0"))
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss", choices=["kl", "bha"], default="kl")
-    p.add_argument("--method", choices=sorted(METHOD_ALIASES), default="cov")
-    p.add_argument("--optimizer", choices=["sgd", "adamax"], default="adamax")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=12000, help="maximum iterations")
-    p.add_argument("--eps", type=float, default=1e-12, help="minimum loss improvement")
+    # defaults are read from FitConfig, their one home; the --method default is an
+    # engine name, which _fit_config passes through the alias lookup unchanged
+    p.add_argument("--loss", choices=LOSSES, default=FitConfig.loss)
+    p.add_argument("--method", choices=sorted(METHOD_ALIASES), default=FitConfig.method)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=FitConfig.optimizer)
+    p.add_argument("--lr", type=float, default=FitConfig.lr)
+    p.add_argument("--epochs", type=int, default=FitConfig.max_iters, help="maximum iterations")
+    p.add_argument("--eps", type=float, default=FitConfig.min_improvement,
+                   help="minimum loss improvement")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--kl-tol", type=float, default=1e-5)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p.add_argument("--kl-tol", type=float, default=FitConfig.kl_tol)
 
 
 def _fit_config(args) -> FitConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     return FitConfig(
         loss=args.loss,
-        method=METHOD_ALIASES[args.method],
+        method=METHOD_ALIASES.get(args.method, args.method),
         optimizer=args.optimizer,
         lr=args.lr,
         max_iters=args.epochs,
         min_improvement=args.eps,
-        seed=seed,
+        seed=_seed(args),
         restarts=args.restarts,
         kl_tol=args.kl_tol,
     )
@@ -80,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random graph")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--lstar", type=float, default=0.0)
-    p.add_argument("--estar", type=float, default=0.5)
+    p.add_argument("--lstar", type=float, default=GenSpec.l_star)
+    p.add_argument("--estar", type=float, default=GenSpec.e_star)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", help="write graph JSON here (default stdout)")
 
@@ -165,8 +168,7 @@ def _cmd_sync(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    g = random_pmdag(GenSpec(v=args.v, l_star=args.lstar, e_star=args.estar, seed=seed))
+    g = random_pmdag(GenSpec(v=args.v, l_star=args.lstar, e_star=args.estar, seed=_seed(args)))
     if args.output:
         save_graph(g, args.output)
         print(f"wrote {args.output}: {len(g.nodes)} nodes, {len(g.edges)} edges")
@@ -229,14 +231,13 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     rows = bench_mod.bench(
         v_values=[int(x) for x in args.v.split(",")],
         l_stars=[float(x) for x in args.lstar.split(",")],
         e_stars=[float(x) for x in args.estar.split(",")],
         methods=[METHOD_ALIASES.get(m.strip(), m.strip()) for m in args.methods.split(",")],
         repetitions=args.reps,
-        seed=seed,
+        seed=_seed(args),
     )
     bench_mod.write_bench_csv(rows, args.output)
     print(f"wrote {args.output}: {len(rows)} rows")

@@ -88,11 +88,17 @@ class CovMatrix:
     def restrict(self, labels) -> "CovMatrix":
         """Sub-matrix over the given labels, in the given order."""
         labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise GaussError("labels must be unique")
         try:
             idx = [self.labels.index(name) for name in labels]
         except ValueError as exc:
             raise LabelMismatch(str(exc)) from None
-        return CovMatrix(labels, self.data[np.ix_(idx, idx)])
+        # a principal sub-block of a valid covariance is valid: not checked again
+        sub = object.__new__(CovMatrix)
+        sub.labels, sub.data = labels, self.data[np.ix_(idx, idx)]
+        sub.data.setflags(write=False)
+        return sub
 
     def __repr__(self):
         return f"CovMatrix({self.labels}, dim={self.dim})"

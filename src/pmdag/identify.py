@@ -162,6 +162,8 @@ def identify(
     """
     if iters < 1 or retry_cap < 1:
         raise IdentifyError("iters and retry_cap must be at least 1")
+    if not all(math.isfinite(t) and t >= 0 for t in (tol_fit, tol_id)):
+        raise IdentifyError("tol_fit and tol_id must be finite and nonnegative")
     if fn_config is None:
         fn_config = FitConfig()
     master = fn_config.seed

@@ -33,7 +33,7 @@ from pmdag.graph import GraphError, PmDag, StructuralParams
 from pmdag.sync import MaskSet, Synchronization, build_masks, synchronize
 
 LOSSES = ("kl", "bha")
-OPTIMIZERS = ("adamax", "sgd")
+OPTIMIZERS = ("sgd", "adamax")
 
 
 class SolverError(ValueError):
@@ -739,7 +739,7 @@ def _run_single(g, masks, engine, theta, target, target_inv, target_logdet, conf
 
 
 def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
-        iter_hook: Callable | None = None, plan=None) -> tuple[StructuralParams, FitReport]:
+        iter_hook: Callable | None = None) -> tuple[StructuralParams, FitReport]:
     """Fit the structural weights so the induced visible covariance matches the target.
 
     Runs ``config.restarts`` independently seeded gradient descents, stopping
@@ -750,8 +750,6 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     structural params of that iteration.  Non-convergence is reported through the
     ``converged`` flag, never raised; a restart whose model covariance or
     gradient turns non-finite stops as ``"diverged"`` and the next one runs.
-    ``plan`` optionally forces a custom layering; every plan reaches the same
-    optima.
 
     Rank-deficient targets are admitted through the jitter ladder, but the
     divergence between singular Gaussians is infinite in the strict sense, so
@@ -769,7 +767,7 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     target = target.restrict(vis)
     target_inv, target_logdet = target_terms(target.data)
 
-    sync = synchronize(g, plan=plan)
+    sync = synchronize(g)
     masks = build_masks(sync)
     engine = ENGINES[config.method](sync, masks)
 

@@ -1,5 +1,10 @@
-import pytest
+import warnings
 
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+
+from pmdag.generate import GenSpec, random_pmdag
 from pmdag.graph import validate
 
 
@@ -21,12 +26,23 @@ def chain3():
     )
 
 
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def pmdags(draw, min_v=1, max_v=6):
+    """A hypothesis-drawn random strict graph, quiet about clamped edge budgets."""
+    spec = GenSpec(v=draw(st.integers(min_v, max_v)),
+                   l_star=draw(st.floats(0.0, 0.6)),
+                   e_star=draw(st.floats(0.1, 1.0)),
+                   seed=draw(st.integers(0, 2**31 - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return random_pmdag(spec)
+
+
 def random_small_graph(rng, max_v=4):
     """A small random strict graph, quiet about clamped edge budgets."""
-    import warnings
-
-    from pmdag.generate import GenSpec, random_pmdag
-
     v = int(rng.integers(2, max_v + 1))
     spec = GenSpec(v=v, l_star=float(rng.uniform(0.0, 0.6)),
                    e_star=float(rng.uniform(0.2, 1.0)), seed=int(rng.integers(2**31)))

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from pmdag.cli import main
+import pmdag
+from pmdag.cli import _fit_config, build_parser, main
 from pmdag.gauss import CovMatrix, save_cov_csv
 from pmdag.generate import canonical, ground_truth
 from pmdag.graph import load_graph, save_graph, validate
@@ -17,6 +20,23 @@ def single_edge_files(tmp_path):
     cpath = tmp_path / "cov.csv"
     save_cov_csv(CovMatrix(("V",), [[4.0]]), cpath)
     return str(gpath), str(cpath)
+
+
+class TestPublicSurface:
+    def test_readme_quickstart_names_the_package_api(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"from pmdag import \(([^)]*)\)", readme).group(1)
+        names = [name.strip() for name in block.split(",") if name.strip()]
+        assert sorted(names) == sorted(pmdag.__all__)
+        for name in names:
+            getattr(pmdag, name)
+
+    @pytest.mark.parametrize("argv", [["fit", "g.json", "c.csv"],
+                                      ["identify", "g.json", "c.csv", "--do", "X=0",
+                                       "--effect", "Y"]], ids=["fit", "identify"])
+    def test_fit_flag_defaults_are_fit_config_defaults(self, monkeypatch, argv):
+        monkeypatch.delenv("PMDAG_SEED", raising=False)
+        assert _fit_config(build_parser().parse_args(argv)) == FitConfig(seed=0)
 
 
 class TestValidateCommand:
@@ -173,8 +193,11 @@ class TestIdentifyCommand:
 
     @pytest.mark.parametrize("flags", [["--do", "X=nan"], ["--do", "X=0", "--iters", "0"],
                                        ["--do", "X=0", "--retry-cap", "0"],
-                                       ["--do", "X=1", "--do", "X=2"]],
-                             ids=["nan_value", "zero_iters", "zero_retry_cap", "repeated_target"])
+                                       ["--do", "X=1", "--do", "X=2"],
+                                       ["--do", "X=0", "--tol-id", "nan"],
+                                       ["--do", "X=0", "--tol-id", "-1"]],
+                             ids=["nan_value", "zero_iters", "zero_retry_cap", "repeated_target",
+                                  "nan_tol_id", "negative_tol_id"])
     def test_bad_probe_settings_exit_1(self, tmp_path, capsys, flags):
         gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
         assert main(["identify", gpath, cpath, *flags, "--effect", "Y",
@@ -200,6 +223,12 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "v,l_star,e_star,method,phase,mean_seconds"
         assert len(lines) == 1 + 4  # two methods x two phases
+
+    def test_zero_reps_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--v", "8", "--reps", "0", "-o", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentCommand:

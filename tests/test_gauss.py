@@ -8,6 +8,7 @@ from pmdag.gauss import (
     CovMatrix,
     GaussError,
     GaussianDist,
+    LabelMismatch,
     NonFiniteEntries,
     NotPositiveDefinite,
     SingularQ,
@@ -50,6 +51,25 @@ class TestCovMatrix:
         cov = CovMatrix(("a", "b", "c"), np.diag([1.0, 2.0, 3.0]))
         sub = cov.restrict(("c", "a"))
         np.testing.assert_array_equal(sub.data, np.diag([3.0, 1.0]))
+
+    def test_restrict_does_not_validate_again(self, monkeypatch):
+        cov = CovMatrix(("a", "b", "c"), [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+
+        def no_eigvalsh(_data):
+            raise AssertionError("restrict ran the eigenvalue check again")
+
+        monkeypatch.setattr("pmdag.gauss.la.eigvalsh", no_eigvalsh)
+        sub = cov.restrict(("c", "a"))
+        assert sub.labels == ("c", "a")
+        np.testing.assert_array_equal(sub.data, [[3.0, 0.1], [0.1, 2.0]])
+        assert not sub.data.flags.writeable
+
+    def test_restrict_rejects_repeated_and_unknown_labels(self):
+        cov = CovMatrix(("a", "b"), np.eye(2))
+        with pytest.raises(GaussError, match="unique"):
+            cov.restrict(("a", "a"))
+        with pytest.raises(LabelMismatch):
+            cov.restrict(("a", "z"))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmdag.graph import (
     CycleDetected,
@@ -28,7 +30,7 @@ from pmdag.graph import (
 )
 from pmdag.solver import joint_cov
 
-from conftest import demote_one_visible, random_params, random_small_graph
+from conftest import PROPERTY, demote_one_visible, pmdags, random_params, random_small_graph
 
 
 class TestValidate:
@@ -232,9 +234,14 @@ class TestMutilate:
         out, aux = mutilate(bow, set())
         assert out == bow and aux == {}
 
-    def test_idempotent_in_shape(self, bow):
-        once, _ = mutilate(bow, {"X"})
-        twice, _ = mutilate(once, {"X"})
+    @PROPERTY
+    @given(pmdags(), st.data())
+    def test_idempotent_in_shape(self, g, data):
+        vis = g.visible_names
+        targets = set(data.draw(st.lists(st.sampled_from(vis), min_size=1,
+                                         max_size=len(vis), unique=True)))
+        once, _ = mutilate(g, targets)
+        twice, _ = mutilate(once, targets)
         assert once == twice
 
     def test_latent_target_rejected(self, bow):
@@ -355,9 +362,11 @@ class TestExogenizeParams:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, bow):
-        again = PmDag.from_json(bow.to_json())
-        assert again == bow
+    @PROPERTY
+    @given(pmdags())
+    def test_json_round_trip(self, g):
+        again = PmDag.from_json(g.to_json())
+        assert again == g
 
     def test_dict_schema(self, bow):
         data = bow.to_dict()
@@ -372,10 +381,14 @@ class TestSerialization:
 
 
 class TestStructuralParams:
-    def test_edge_dict_round_trip(self, bow):
-        edge_w = {("A", "X"): 0.5, ("A", "Y"): -1.0, ("X", "Y"): 2.0}
-        params = StructuralParams.from_edge_dict(bow, edge_w)
-        assert params.to_edge_dict(bow) == edge_w
+    @PROPERTY
+    @given(pmdags(), st.data())
+    def test_edge_dict_round_trip(self, g, data):
+        weights = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(g.edges),
+                                     max_size=len(g.edges)))
+        edge_w = dict(zip(g.edges, weights))
+        params = StructuralParams.from_edge_dict(g, edge_w)
+        assert params.to_edge_dict(g) == edge_w
 
     def test_with_edge_weight(self, bow):
         params = StructuralParams.from_edge_dict(

@@ -237,6 +237,18 @@ class TestIdentify:
             identify(g, target, DO_X_ON_Y, QUICK, fn=lambda *a: calls.append(a), **kwargs)
         assert not calls  # rejected before any fit runs
 
+    @pytest.mark.parametrize("name", ["tol_fit", "tol_id"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_void_tolerance_rejected(self, name, value):
+        # a NaN tol_id never refutes, a negative one refutes every fit
+        g = canonical("bow")
+        _, target = ground_truth(g, seed=5)
+        calls = []
+        with pytest.raises(IdentifyError, match="finite and nonnegative"):
+            identify(g, target, DO_X_ON_Y, QUICK, fn=lambda *a: calls.append(a),
+                     **{name: value})
+        assert not calls
+
     def test_verdict_serialization(self):
         g = canonical("bow")
         _, target = ground_truth(g, seed=5)

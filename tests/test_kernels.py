@@ -7,14 +7,11 @@ u.  An intervention zeroes the targets' incoming columns of W and adds the
 assigned values at the targets' rows.
 """
 
-import warnings
-
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pmdag.gauss import loss_kernel, target_terms
-from pmdag.generate import GenSpec, random_pmdag
 from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import (
     ENGINES,
@@ -30,20 +27,12 @@ from pmdag.solver import (
 )
 from pmdag.sync import build_masks, synchronize
 
-from conftest import random_params
-
-PROPERTY = settings(max_examples=60, deadline=None)
+from conftest import PROPERTY, pmdags, random_params
 
 
 @st.composite
 def graph_and_rng(draw):
-    spec = GenSpec(v=draw(st.integers(2, 5)),
-                   l_star=draw(st.floats(0.0, 0.6)),
-                   e_star=draw(st.floats(0.1, 1.0)),
-                   seed=draw(st.integers(0, 2**31 - 1)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = random_pmdag(spec)
+    g = draw(pmdags(min_v=2, max_v=5))
     return g, np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
 
 
