@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or input error, 2 target not inducible,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -107,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--do", action="append", required=True, metavar="NODE=VALUE",
                    help="intervention assignment; repeatable")
     p.add_argument("--effect", action="append", required=True, help="effect node; repeatable")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--tol-id", type=float, default=1e-2)
-    p.add_argument("--tol-fit", type=float, default=1e-5)
-    p.add_argument("--retry-cap", type=int, default=5)
+    probe = inspect.signature(identify).parameters  # the one home of these defaults
+    p.add_argument("--iters", type=int, default=probe["iters"].default)
+    p.add_argument("--tol-id", type=float, default=probe["tol_id"].default)
+    p.add_argument("--retry-cap", type=int, default=probe["retry_cap"].default)
     _add_fit_flags(p)
     p.add_argument("-o", "--output", help="write the verdict JSON here (default stdout)")
 
@@ -118,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", default="16,32", help="comma-separated visible counts")
     p.add_argument("--lstar", default="0,0.5")
     p.add_argument("--estar", default="0,0.5,1.0")
-    p.add_argument("--methods", default="covariance,accumulation")
-    p.add_argument("--reps", type=int, default=5)
+    timing = inspect.signature(bench_mod.bench).parameters
+    p.add_argument("--methods", default=",".join(timing["methods"].default))
+    p.add_argument("--reps", type=int, default=timing["repetitions"].default)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", required=True, help="CSV output path")
 
@@ -219,8 +221,7 @@ def _cmd_identify(args) -> int:
     config = _fit_config(args)
     targets, values = _parse_do(args.do)
     query = InterventionQuery(targets, values, tuple(args.effect))
-    verdict = identify(g, target, query, config, iters=args.iters,
-                       tol_fit=args.tol_fit, tol_id=args.tol_id,
+    verdict = identify(g, target, query, config, iters=args.iters, tol_id=args.tol_id,
                        retry_cap=args.retry_cap)
     _emit(verdict.to_dict(), args.output)
     if verdict.outcome == NOT_INDUCIBLE:

@@ -66,13 +66,15 @@ class Experiment:
     truth_seed: int = 0
     fit_config: FitConfig = field(default_factory=FitConfig)
     repetitions: int = 10
-    do_target: str | None = None  # record interventional divergence traces when set
+    do_target: str | None = None  # with do_effect, record interventional divergence traces
     do_effect: str | None = None
     hook_stride: int = 10
 
     def __post_init__(self):
         if self.repetitions < 1 or self.hook_stride < 1:
             raise SpecError("repetitions and hook_stride must be at least 1")
+        if (self.do_target is None) != (self.do_effect is None):
+            raise SpecError("do_target and do_effect must be set together")
 
     def resolve_graph(self) -> PmDag:
         if isinstance(self.graph, GenSpec):
@@ -136,7 +138,7 @@ def run_experiment(exp: Experiment, outdir) -> dict:
 
     query = None
     truth_do = None
-    if exp.do_target is not None and exp.do_effect is not None:
+    if exp.do_target is not None:
         query = InterventionQuery((exp.do_target,), (0.0,), (exp.do_effect,))
         truth_do = interventional_dist(g, truth_params, query)
 

@@ -8,6 +8,7 @@ that transform pipelines are reproducible and serializable.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable
@@ -108,12 +109,14 @@ class PmDag:
     """Immutable acyclic graph whose every root node is latent.
 
     ``nodes`` is an ordered tuple; ``edges`` is a set of (parent, child) name
-    pairs.  Construction validates acyclicity and the latent-root condition.
-    The strict subclass condition (every latent is a root) is checked by
-    :func:`validate` with ``strict=True`` or via :attr:`is_strict`.
+    pairs.  Construction validates acyclicity and the latent-root condition
+    and stores the topological order and ``parent_index``: each node's
+    parents as node indices, in node-list order.  The strict subclass
+    condition (every latent is a root) is checked by :func:`validate` with
+    ``strict=True`` or via :attr:`is_strict`.
     """
 
-    __slots__ = ("nodes", "edges", "_index", "_parents", "_children")
+    __slots__ = ("nodes", "edges", "parent_index", "_index", "_parents", "_children", "_order")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple[str, str]]):
         nodes = tuple(_as_node(n) for n in nodes)
@@ -132,43 +135,45 @@ class PmDag:
                 raise CycleDetected((parent, child))
             edge_set.add((parent, child))
 
-        parents: dict[str, list[str]] = {n.name: [] for n in nodes}
-        children: dict[str, list[str]] = {n.name: [] for n in nodes}
+        parent_lists: list[list[int]] = [[] for _ in nodes]
+        child_lists: list[list[int]] = [[] for _ in nodes]
         for parent, child in edge_set:
-            parents[child].append(parent)
-            children[parent].append(child)
-        for adj in (parents, children):  # node-list order keeps adjacency deterministic
-            for lst in adj.values():
-                lst.sort(key=index.get)
+            p, c = index[parent], index[child]
+            parent_lists[c].append(p)
+            child_lists[p].append(c)
+        for lst in parent_lists + child_lists:  # node-list order keeps adjacency deterministic
+            lst.sort()
+        parent_index = tuple(map(tuple, parent_lists))
+        parents = {n.name: [nodes[p].name for p in pa] for n, pa in zip(nodes, parent_index)}
+        children = {n.name: [nodes[c].name for c in ch] for n, ch in zip(nodes, child_lists)}
 
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(edge_set))
+        object.__setattr__(self, "parent_index", parent_index)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_children", children)
 
-        self._check_acyclic()
+        # Kahn's algorithm taking the smallest ready index first, so ties break by node-list order
+        indegree = [len(pa) for pa in parent_index]
+        ready = [i for i, d in enumerate(indegree) if d == 0]
+        order = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(nodes[i].name)
+            for c in child_lists[i]:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    heapq.heappush(ready, c)
+        if len(order) < len(nodes):
+            raise CycleDetected(self._find_cycle({n.name for n, d in zip(nodes, indegree) if d > 0}))
+        object.__setattr__(self, "_order", tuple(order))
         for node in nodes:
             if node.is_visible and not parents[node.name]:
                 raise VisibleRoot(node.name)
 
     def __setattr__(self, key, value):
         raise AttributeError("PmDag is immutable")
-
-    def _check_acyclic(self):
-        indegree = {n.name: len(self._parents[n.name]) for n in self.nodes}
-        queue = [name for name, d in indegree.items() if d == 0]
-        seen = 0
-        while queue:
-            name = queue.pop()
-            seen += 1
-            for child in self._children[name]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    queue.append(child)
-        if seen < len(self.nodes):
-            leftover = {name for name, d in indegree.items() if d > 0}
-            raise CycleDetected(self._find_cycle(leftover))
 
     def _find_cycle(self, leftover):
         # Walk parents inside the leftover set until a node repeats.
@@ -248,18 +253,7 @@ class PmDag:
 
     def topological_order(self) -> tuple[str, ...]:
         """Node names in a topological order, ties broken by node-list order."""
-        indegree = {n.name: len(self._parents[n.name]) for n in self.nodes}
-        ready = [n.name for n in self.nodes if indegree[n.name] == 0]
-        order = []
-        while ready:
-            name = ready.pop(0)
-            order.append(name)
-            for child in self._children[name]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-            ready.sort(key=self._index.get)
-        return tuple(order)
+        return self._order
 
     # --- serialization -------------------------------------------------
 
@@ -369,10 +363,8 @@ class StructuralParams:
 def validate(nodes: Iterable, edges: Iterable[tuple[str, str]], strict: bool = False) -> PmDag:
     """Build a graph, raising on cycles, visible roots, and (if strict) non-root latents."""
     g = PmDag(nodes, edges)
-    if strict:
-        for node in g.nodes:
-            if node.is_latent and g.parents(node.name):
-                raise NonRootLatent(node.name)
+    if strict and not g.is_strict:
+        raise NonRootLatent(next(n.name for n, pa in zip(g.nodes, g.parent_index) if n.is_latent and pa))
     return g
 
 

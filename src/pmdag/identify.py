@@ -147,7 +147,6 @@ def identify(
     query: InterventionQuery,
     fn_config: FitConfig | None = None,
     iters: int = 10,
-    tol_fit: float = 1e-5,
     tol_id: float = 1e-2,
     retry_cap: int = 5,
     fn: Callable[[PmDag, CovMatrix, FitConfig], tuple[StructuralParams, FitReport]] = fit,
@@ -156,14 +155,16 @@ def identify(
 
     A first fit decides inducibility; ``iters`` further fits (fresh seeds,
     non-converged runs redrawn up to ``retry_cap`` attempts per slot) are
-    compared against it.  Any interventional divergence above ``tol_id``
-    refutes identifiability with a replayable witness; otherwise the verdict
-    is presumed identifiability with the largest observed divergence.
+    compared against it.  A fit counts as converged when its ``fit_kl`` is
+    at most ``fn_config.kl_tol``, the threshold the fit itself stops at.
+    Any interventional divergence above ``tol_id`` refutes identifiability
+    with a replayable witness; otherwise the verdict is presumed
+    identifiability with the largest observed divergence.
     """
     if iters < 1 or retry_cap < 1:
         raise IdentifyError("iters and retry_cap must be at least 1")
-    if not all(math.isfinite(t) and t >= 0 for t in (tol_fit, tol_id)):
-        raise IdentifyError("tol_fit and tol_id must be finite and nonnegative")
+    if not (math.isfinite(tol_id) and tol_id >= 0):
+        raise IdentifyError("tol_id must be finite and nonnegative")
     if fn_config is None:
         fn_config = FitConfig()
     master = fn_config.seed
@@ -172,7 +173,7 @@ def identify(
     ref_params, ref_report = fn(g, target, replace(fn_config, seed=ref_seed))
     ref_kl = fit_kl(g, target, ref_params)
     fits_run = 1
-    if ref_kl > tol_fit:
+    if ref_kl > fn_config.kl_tol:
         return IdentVerdict(NOT_INDUCIBLE, iterations=iters, max_divergence=math.nan,
                             fit_kl=float(ref_kl), fits_run=fits_run,
                             ref_stop_reason=ref_report.stop_reason)
@@ -184,7 +185,7 @@ def identify(
             slot_seed = derive_seed(master, slot, attempt)
             params_i, _report = fn(g, target, replace(fn_config, seed=slot_seed))
             fits_run += 1
-            if fit_kl(g, target, params_i) <= tol_fit:
+            if fit_kl(g, target, params_i) <= fn_config.kl_tol:
                 break
         else:
             raise FitBudgetExhausted(

@@ -204,7 +204,7 @@ class ReducedState:
     def __init__(self, sync: Synchronization, counter: AllocationCounter | None = None, verify: bool = False):
         g = sync.graph
         self.sync = sync
-        self.is_root = np.array([g.is_root(n.name) for n in g.nodes])
+        self.is_root = [not pa for pa in g.parent_index]
         nonroots = [i for i, r in enumerate(self.is_root) if not r]
         self.nonroot_col = {idx: c for c, idx in enumerate(nonroots)}
         n = len(g.nodes)
@@ -261,17 +261,14 @@ def forward_reduced(
     ``edge_weights`` maps (parent index, child index) to the edge weight; the
     tables replace the per-layer Sigma/Lambda stacks of the layered methods.
     """
-    g = sync.graph
+    parent_idx = sync.graph.parent_index
     state = ReducedState(sync, counter=counter, verify=verify)
     if counter is not None:
         counter.add(len(edge_weights))
-    parent_idx = {
-        g.index(name): [g.index(p) for p in g.parents(name)] for name in g.names
-    }
     for l in range(1, sync.depth):
         prev = sync.layers[l - 1]
         cur = sync.layers[l]
-        new_nodes = [j for j in cur if sync.first_appearance[j] == l]
+        new_nodes = sync.new[l]
         for j in new_nodes:
             pa = parent_idx[j]
             wj = [edge_weights[(p, j)] for p in pa]
@@ -308,10 +305,7 @@ def backward_reduced(
     gradient nor any kept entry of an earlier layer.
     """
     g = _check_seed(sync, dsigma)
-    graph = sync.graph
-    parent_idx = {
-        graph.index(name): [graph.index(p) for p in graph.parents(name)] for name in graph.names
-    }
+    parent_idx = sync.graph.parent_index
     is_root = state.is_root
 
     def pair(a, b):
@@ -338,7 +332,7 @@ def backward_reduced(
         prev = sync.layers[l - 1]
         cur = sync.layers[l]
         cur_set = set(cur)
-        new_nodes = [j for j in cur if sync.first_appearance[j] == l]
+        new_nodes = sync.new[l]
         new_children: dict[int, list[int]] = {}
         for j in new_nodes:
             for p in parent_idx[j]:

@@ -1,9 +1,10 @@
 """Layered form of a graph: the structure behind the feed-forward solver.
 
 A synchronization slices a graph into ordered layers by repeatedly peeling
-root sets off the remainder.  Within a layer, a node either appears for the
-first time (its layer-wise parents are its graph parents) or persists from
-the previous layer (its only layer-wise parent is itself, an identity carry).
+root sets off the remainder; a node first appears in the layer of the round
+that peels it.  Within a layer, a node either appears for the first time (its
+layer-wise parents are its graph parents) or persists from the previous
+layer (its only layer-wise parent is itself, an identity carry).
 The per-layer weight matrices of the solver are shaped by these layers, with
 a binary mask marking which entries are trainable.
 """
@@ -24,20 +25,29 @@ class InvalidCustomPlan(GraphError):
 class Synchronization:
     """Ordered layers of node references over a fixed graph.
 
-    Layers hold node indices (into the graph's node list) in node-list order,
-    so a node's column position within a layer is stable.
+    ``first_appearance[i]`` is the layer in which node ``i`` first appears.
+    Node ``i`` is in layer ``l`` iff it first appears there, or it appeared
+    earlier and is visible or has a child that first appears after ``l``.
+    Layers hold node indices (into the graph's node list) in node-list
+    order, so a node's column position within a layer is stable; ``new[l]``
+    holds the nodes that first appear in layer ``l``.
     """
 
-    __slots__ = ("graph", "layers", "first_appearance", "weight_shapes")
+    __slots__ = ("graph", "layers", "new", "first_appearance", "weight_shapes")
 
-    def __init__(self, graph: PmDag, layers: Sequence[Sequence[int]]):
+    def __init__(self, graph: PmDag, first_appearance: Sequence[int]):
+        first = tuple(first_appearance)
+        last_child = [0] * len(first)
+        for c, pa in enumerate(graph.parent_index):
+            for p in pa:
+                last_child[p] = max(last_child[p], first[c])
         self.graph = graph
-        self.layers = tuple(tuple(sorted(layer)) for layer in layers)
-        first = {}
-        for l, layer in enumerate(self.layers):
-            for idx in layer:
-                first.setdefault(idx, l)
         self.first_appearance = first
+        self.layers = tuple(
+            tuple(i for i, node in enumerate(graph.nodes)
+                  if first[i] == l or (first[i] < l and (node.is_visible or last_child[i] > l)))
+            for l in range(max(first, default=-1) + 1))
+        self.new = tuple(tuple(i for i in layer if first[i] == l) for l, layer in enumerate(self.layers))
         # (rows, cols) of each layer's weight matrix, checked on every engine call
         self.weight_shapes = tuple(
             (len(prev), len(cur)) for prev, cur in zip(self.layers, self.layers[1:]))
@@ -67,7 +77,7 @@ class Synchronization:
         if idx not in self.layers[l]:
             raise UnknownNode(self.graph.nodes[idx].name)
         if self.first_appearance[idx] == l:
-            return tuple(self.graph.index(p) for p in self.graph.parents(self.graph.nodes[idx].name))
+            return self.graph.parent_index[idx]
         return (idx,)
 
     def describe(self) -> str:
@@ -106,55 +116,36 @@ class Synchronization:
 
 
 def synchronize(g: PmDag, plan: Iterable[Iterable[str]] | None = None) -> Synchronization:
-    """Peel the graph into layers.
+    """Layer the graph by the round in which each node is peeled off as a root.
 
-    The first peel set is always the full root set.  Afterwards, the greedy
-    default peels every root of the remainder each round, which minimizes
-    depth; a custom ``plan`` may instead give the peel sets (as name
-    iterables) for rounds 1, 2, ... and must cover the whole graph.
+    Round 0 peels the full root set.  The greedy default then peels every
+    root of the remainder each round, which minimizes depth: a node's first
+    layer is its longest-path level.  A custom ``plan`` instead gives the
+    peel sets (as name iterables) for rounds 1, 2, ... and must cover the
+    whole graph.
     """
-    index = {n.name: i for i, n in enumerate(g.nodes)}
-    remaining = set(index.values())
-    visited: set[int] = set()
-    peel = {index[name] for name in g.roots}
-    plan_iter = iter(plan) if plan is not None else None
-    layers = []
+    if plan is None:
+        first = [0] * len(g.nodes)
+        for i in map(g.index, g.topological_order()):
+            first[i] = 1 + max((first[p] for p in g.parent_index[i]), default=-1)
+        return Synchronization(g, first)
 
-    while remaining:
-        remaining -= peel
-        # parents of anything still unvisited keep their latents alive
-        alive_parents = set()
-        for idx in remaining:
-            for p in g.parents(g.nodes[idx].name):
-                alive_parents.add(index[p])
-        layer = set(peel)
-        for idx in visited:
-            node = g.nodes[idx]
-            if node.is_visible or (node.is_latent and idx in alive_parents):
-                layer.add(idx)
-        layers.append(layer)
-        visited |= peel
-        if not remaining:
-            break
-        new_roots = {
-            idx for idx in remaining
-            if all(index[p] in visited for p in g.parents(g.nodes[idx].name))
-        }
-        if plan_iter is None:
-            peel = new_roots
-        else:
-            try:
-                chosen = {index.get(name) for name in next(plan_iter)}
-            except StopIteration:
-                raise InvalidCustomPlan("plan exhausted before the graph was covered") from None
-            if None in chosen:
-                raise InvalidCustomPlan("plan names a node outside the graph")
-            if not chosen or not chosen <= new_roots:
-                raise InvalidCustomPlan("each peel set must be a nonempty subset of the remainder's roots")
-            peel = chosen
-    if plan_iter is not None and next(plan_iter, None) is not None:
-        raise InvalidCustomPlan("plan has leftover peel sets after the graph was covered")
-    return Synchronization(g, layers)
+    first = [None if pa else 0 for pa in g.parent_index]
+    for rnd, names in enumerate(plan, start=1):
+        if None not in first:
+            raise InvalidCustomPlan("plan has leftover peel sets after the graph was covered")
+        chosen = {g.index(name) if name in g else None for name in names}
+        if None in chosen:
+            raise InvalidCustomPlan("plan names a node outside the graph")
+        # a root of the remainder is unpeeled, with every parent peeled in an earlier round
+        if not chosen or not all(first[i] is None and None not in [first[p] for p in g.parent_index[i]]
+                                 for i in chosen):
+            raise InvalidCustomPlan("each peel set must be a nonempty subset of the remainder's roots")
+        for i in chosen:
+            first[i] = rnd
+    if None in first:
+        raise InvalidCustomPlan("plan exhausted before the graph was covered")
+    return Synchronization(g, first)
 
 
 class MaskSet:
@@ -191,7 +182,7 @@ def build_masks(sync: Synchronization) -> MaskSet:
         const = np.zeros((len(rows), len(cols)))
         for c, col_idx in enumerate(cols):
             if sync.first_appearance[col_idx] == l:
-                for p in sync.layer_parents(l, col_idx):
+                for p in sync.graph.parent_index[col_idx]:
                     mask[row_pos[p], c] = 1.0
                     edges.append((p, col_idx, l, row_pos[p], c))
             else:

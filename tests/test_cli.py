@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -5,10 +6,12 @@ from pathlib import Path
 import pytest
 
 import pmdag
+from pmdag.bench import bench
 from pmdag.cli import _fit_config, build_parser, main
 from pmdag.gauss import CovMatrix, save_cov_csv
 from pmdag.generate import canonical, ground_truth
 from pmdag.graph import load_graph, save_graph, validate
+from pmdag.identify import identify
 from pmdag.solver import FitConfig
 
 
@@ -37,6 +40,17 @@ class TestPublicSurface:
     def test_fit_flag_defaults_are_fit_config_defaults(self, monkeypatch, argv):
         monkeypatch.delenv("PMDAG_SEED", raising=False)
         assert _fit_config(build_parser().parse_args(argv)) == FitConfig(seed=0)
+
+    def test_probe_and_bench_flag_defaults_are_signature_defaults(self):
+        probe = inspect.signature(identify).parameters
+        args = build_parser().parse_args(["identify", "g.json", "c.csv", "--do", "X=0",
+                                          "--effect", "Y"])
+        assert (args.iters, args.tol_id, args.retry_cap) == tuple(
+            probe[name].default for name in ("iters", "tol_id", "retry_cap"))
+        timing = inspect.signature(bench).parameters
+        args = build_parser().parse_args(["bench", "-o", "b.csv"])
+        assert tuple(args.methods.split(",")) == tuple(timing["methods"].default)
+        assert args.reps == timing["repetitions"].default
 
 
 class TestValidateCommand:
@@ -272,8 +286,11 @@ class TestExperimentCommand:
         {"graph": "bow", "repetitions": 0},
         {"graph": "bow", "hook_stride": 0},
         [1, 2],
+        {"graph": "bow", "do_target": "X"},
+        {"graph": "bow", "do_effect": "Y"},
     ], ids=["unknown_fit_key", "missing_graph", "unknown_graph_key", "string_repetitions",
-            "float_iterations", "bool_seed", "zero_repetitions", "zero_stride", "not_an_object"])
+            "float_iterations", "bool_seed", "zero_repetitions", "zero_stride", "not_an_object",
+            "do_target_alone", "do_effect_alone"])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps(spec))

@@ -211,6 +211,16 @@ class TestIdentify:
         assert verdict.outcome == NOT_INDUCIBLE
         assert verdict.fit_kl > 1e-5
 
+    def test_fit_threshold_is_the_fit_config_kl_tol(self):
+        # the reference fit stops at KL 9.98e-4 <= kl_tol, so the target is induced
+        g = canonical("backdoor")
+        _, target = ground_truth(g, seed=3)
+        verdict = identify(g, target, DO_X_ON_Y, FitConfig(seed=2024, kl_tol=1e-3, restarts=3),
+                           iters=2)
+        assert 1e-5 < verdict.fit_kl <= 1e-3
+        assert verdict.outcome == PRESUMED_IDENTIFIABLE
+        assert verdict.fits_run == 3
+
     def test_budget_exhausted_with_flaky_fitter(self):
         g = canonical("bow")
         truth, target = ground_truth(g, seed=5)
@@ -237,7 +247,7 @@ class TestIdentify:
             identify(g, target, DO_X_ON_Y, QUICK, fn=lambda *a: calls.append(a), **kwargs)
         assert not calls  # rejected before any fit runs
 
-    @pytest.mark.parametrize("name", ["tol_fit", "tol_id"])
+    @pytest.mark.parametrize("name", ["tol_id"])
     @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
     def test_void_tolerance_rejected(self, name, value):
         # a NaN tol_id never refutes, a negative one refutes every fit

@@ -1,10 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pmdag.graph import validate
+from pmdag.generate import canonical, canonical_names
+from pmdag.graph import PmDag, validate
 from pmdag.sync import InvalidCustomPlan, build_masks, synchronize
 
-from conftest import random_small_graph
+from conftest import PROPERTY, demote_one_visible, pmdags, random_small_graph
+
+# Greedy layers of the canonical graphs as the round-by-round peel produced them.
+CANONICAL_LAYERS = {
+    "backdoor": (("E_Z", "E_X", "E_Y"), ("E_X", "E_Y", "Z"), ("E_Y", "Z", "X"), ("Z", "X", "Y")),
+    "bad_m": (("U_XZ", "U_ZY", "U_XY", "E_X", "E_Z", "E_Y"), ("U_ZY", "U_XY", "E_Y", "X", "Z"),
+              ("X", "Z", "Y")),
+    "bow": (("U_XY", "E_X", "E_Y"), ("U_XY", "E_Y", "X"), ("X", "Y")),
+    "extended_bow": (("U_XZ", "E_X", "E_Z", "E_Y"), ("U_XZ", "E_Z", "E_Y", "X"), ("E_Y", "X", "Z"),
+                     ("X", "Z", "Y")),
+    "frontdoor": (("U_XY", "E_X", "E_M", "E_Y"), ("U_XY", "E_M", "E_Y", "X"),
+                  ("U_XY", "E_Y", "X", "M"), ("X", "M", "Y")),
+    "iv": (("U_XY", "E_Z", "E_X", "E_Y"), ("U_XY", "E_X", "E_Y", "Z"), ("U_XY", "E_Y", "Z", "X"),
+           ("Z", "X", "Y")),
+    "m": (("U_XZ", "U_ZY", "E_X", "E_Z", "E_Y"), ("U_ZY", "E_Y", "X", "Z"), ("X", "Z", "Y")),
+    "napkin": (("U_WX", "U_WY", "E_W", "E_R", "E_X", "E_Y"),
+               ("U_WX", "U_WY", "E_R", "E_X", "E_Y", "W"),
+               ("U_WX", "U_WY", "E_X", "E_Y", "W", "R"),
+               ("U_WY", "E_Y", "W", "R", "X"), ("W", "R", "X", "Y")),
+}
 
 
 class TestLayers:
@@ -89,6 +111,64 @@ class TestLayers:
             longest_edges = max(depth.values())
             assert synchronize(g).depth == longest_edges + 1
             assert synchronize(g).depth <= len(g.nodes)
+
+
+class TestCanonicalLayers:
+    def test_every_canonical_graph_pinned(self):
+        assert sorted(CANONICAL_LAYERS) == sorted(canonical_names())
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_LAYERS))
+    def test_greedy_layers(self, name):
+        sync = synchronize(canonical(name))
+        assert tuple(sync.layer_names(l) for l in range(sync.depth)) == CANONICAL_LAYERS[name]
+
+
+def longest_path_levels(g):
+    """Edges on the longest root-to-node path, by recursion over parents."""
+    level = {}
+
+    def visit(name):
+        if name not in level:
+            level[name] = 1 + max((visit(p) for p in g.parents(name)), default=-1)
+        return level[name]
+
+    return [visit(name) for name in g.names]
+
+
+class TestStructureProperties:
+    """Layers, first appearances and the topological order against their definitions."""
+
+    @PROPERTY
+    @given(pmdags(), st.data())
+    def test_strict_and_relabeled_graphs(self, g, data):
+        demoted = demote_one_visible(g, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        perm = data.draw(st.permutations(range(len(g.nodes))))
+        shuffled = PmDag([g.nodes[i] for i in perm], g.edges)
+        for graph in [g, shuffled] + ([demoted[0]] if demoted else []):
+            self.check_layers(graph)
+            self.check_order(graph)
+
+    def check_layers(self, g):
+        sync = synchronize(g)
+        first = list(sync.first_appearance)
+        assert first == longest_path_levels(g)
+        for l, layer in enumerate(sync.layers):
+            # first appears here, or stays while visible or a child is still to appear
+            assert layer == tuple(
+                i for i, node in enumerate(g.nodes)
+                if first[i] == l or (first[i] < l and (
+                    node.is_visible or any(sync.app(c) > l for c in g.children(node.name)))))
+            assert sync.new[l] == tuple(i for i in layer if first[i] == l)
+
+    def check_order(self, g):
+        assert g.parent_index == tuple(tuple(g.index(p) for p in g.parents(n)) for n in g.names)
+        order = g.topological_order()
+        assert sorted(order) == sorted(g.names)
+        done = set()
+        for name in order:
+            ready = [n for n in g.names if n not in done and set(g.parents(n)) <= done]
+            assert name == ready[0]  # the smallest ready index, since names are in node order
+            done.add(name)
 
 
 class TestMasks:
