@@ -7,17 +7,66 @@ inverse matrix by definition.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as la
 
 # The LAPACK routines behind ``scipy.linalg.cholesky``/``cho_solve``, resolved
 # once: the fit factors a small matrix every iteration, and the wrappers'
 # per-call checks and dispatch cost more than the factorization itself.
 _POTRF, _POTRS = la.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+
+@functools.cache
+def lapack_thread_count_funcs():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy, or None.
+
+    scipy wheels ship their own OpenBLAS under ``scipy.libs``, apart from the
+    copy numpy uses for its matrix products; the LAPACK calls above run on
+    it.  None when that library or its thread-count symbols are absent, as
+    with MKL or a system BLAS.
+    """
+    libdir = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_lapack_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore the caller's count.
+
+    A fit factors and solves a small matrix every iteration.  Threaded, those
+    calls wait on a thread pool that competes with numpy's own OpenBLAS pool
+    and run several times slower; on one thread they return the same bits.
+    A no-op when the bundled library is absent.
+    """
+    funcs = lapack_thread_count_funcs()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
 
 
 class GaussError(ValueError):

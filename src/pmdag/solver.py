@@ -11,6 +11,7 @@ learning rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from pmdag.gauss import (
     SingularQ,
     kl_gaussian,
     loss_kernel,
+    one_lapack_thread,
     target_terms,
 )
 from pmdag.graph import GraphError, PmDag, StructuralParams
@@ -191,55 +193,182 @@ class AllocationCounter:
         self.current -= n
 
 
+class _Block:
+    """Gather plan of sig(rows, cols), a block of the node covariance, from the sigma table.
+
+    Entries are read where the scalar ``ReducedState.sig`` reads them: a
+    non-root column from its own table column, a (non-root row, root column)
+    entry transposed, a pair of roots as 0 or 1.
+    """
+
+    __slots__ = ("shape", "_nr_cols", "_any_nr", "_nr_root_at", "_nr_root", "_root_root_at", "_ones")
+
+    def __init__(self, rows, cols, is_root, col_of):
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        root_row, root_col = np.array(is_root)[rows], np.array(is_root)[cols]
+        nr_rows, r_rows = np.flatnonzero(~root_row), np.flatnonzero(root_row)
+        nr_cols, r_cols = np.flatnonzero(~root_col), np.flatnonzero(root_col)
+        self.shape = (len(rows), len(cols))
+        self._nr_cols = nr_cols
+        self._any_nr = np.ix_(rows, col_of[cols[nr_cols]])
+        self._nr_root_at = np.ix_(nr_rows, r_cols)
+        self._nr_root = np.ix_(cols[r_cols], col_of[rows[nr_rows]])
+        self._root_root_at = np.ix_(r_rows, r_cols)
+        same = rows[r_rows][:, None] == cols[r_cols][None, :]
+        self._ones = (r_rows[same.nonzero()[0]], r_cols[same.nonzero()[1]])
+
+    def gather(self, sigma: np.ndarray) -> np.ndarray:
+        out = np.empty(self.shape)
+        out[:, self._nr_cols] = sigma[self._any_nr]
+        out[self._nr_root_at] = sigma[self._nr_root].T
+        out[self._root_root_at] = 0.0
+        out[self._ones] = 1.0
+        return out
+
+
+class _LayerPlan:
+    """Index arrays of one layer l >= 1 for the reduced forward and backward passes.
+
+    Per new node j, ``lam_cols`` gathers sig(prev, parents of j) and
+    ``edge_cols`` Lambda_l(cur, parents of j), whose rows of new nodes come
+    from the lam table.  The gradient tables are (layer node + pad) x (layer
+    non-root + pad), the pad row and column holding zeros; pairs of two roots
+    are not held.
+    """
+
+    def __init__(self, sync, l, is_root, col_of, edge_start, n_edges):
+        pa = sync.graph.parent_index
+        first = sync.first_appearance
+        prev, cur, new = sync.layers[l - 1], sync.layers[l], sync.new[l]
+        self.prev = np.array(prev, dtype=np.intp)
+        self.new = np.array(new, dtype=np.intp)
+        self.cnew = col_of[self.new]
+        edges = [slice(edge_start[j], edge_start[j] + len(pa[j])) for j in new]
+
+        # forward: lam(prev, j) per new node j, then sig(new, new) from the parents of the later node
+        self.lam_cols = [(int(col_of[j]), _Block(prev, pa[j], is_root, col_of), sl)
+                         for j, sl in zip(new, edges)]
+        self.pair_rows = [(np.ix_(np.array(pa[q], dtype=np.intp), self.cnew[:k + 1]), sl, int(col_of[q]))
+                          for k, (q, sl) in enumerate(zip(new, edges))]
+        stay = [u for u in cur if first[u] < l]
+        stay_nr = [u for u in stay if not is_root[u]]
+        self.stay = np.ix_(np.array(stay, dtype=np.intp), self.cnew)
+        self.new_by_stay = np.ix_(self.new, col_of[stay_nr])
+        self.stay_nr = np.ix_(np.array(stay_nr, dtype=np.intp), self.cnew)
+
+        # backward, edge gradients: Lambda_l(p, u) * G_l(u, j) summed over u in layer order
+        cur_nr = [u for u in cur if not is_root[u]]
+        new_at = np.array([cur.index(j) for j in new], dtype=np.intp)
+        self.n_cur = len(cur)
+        self.edge_cols = [(_Block(cur, pa[j], is_root, col_of), new_at,
+                           np.ix_(np.array(pa[j], dtype=np.intp), self.cnew), sl, cur_nr.index(j))
+                          for j, sl in zip(new, edges)]
+        if l == 1:
+            self.carry = None
+            return
+
+        # backward, previous-layer gradients over (prev node) x (prev non-root) cells
+        prev_nr = [u for u in prev if not is_root[u]]
+        cur_at = {u: k for k, u in enumerate(cur)}
+        nr_at = {u: k for k, u in enumerate(cur_nr)}
+        rows = np.array([cur_at.get(u, len(cur)) for u in prev], dtype=np.intp)
+        cols_new = np.array([nr_at[j] for j in new] + [len(cur_nr)], dtype=np.intp)
+        self.carry = np.ix_(rows, np.array([nr_at.get(u, len(cur_nr)) for u in prev_nr], dtype=np.intp))
+        self.g_new = np.ix_(rows, cols_new)
+        self.g_nn = np.ix_(np.array([cur_at[j] for j in new] + [len(cur)], dtype=np.intp), cols_new)
+        children = {u: [] for u in prev}
+        for k, j in enumerate(new):
+            for e, p in enumerate(pa[j], start=edge_start[j]):
+                children[p].append((k, e))
+        width = max(len(c) for c in children.values())
+        pad = [(len(new), n_edges)] * width
+        slots = np.array([(children[u] + pad)[:width] for u in prev], dtype=np.intp).reshape(len(prev), width, 2)
+        self.child_pos, self.child_theta = slots[:, :, 0], slots[:, :, 1]
+        self.prev_nr_pos = np.array([k for k, u in enumerate(prev) if not is_root[u]], dtype=np.intp)
+        self.child_pos_nr = self.child_pos[self.prev_nr_pos]
+        self.prev_nr = np.array(prev_nr, dtype=np.intp)
+        # roots placed after some non-root in node order: their cells (x, y) with x > y
+        self.late_roots = np.array([k for k, u in enumerate(prev) if is_root[u] and prev_nr and u > prev_nr[0]],
+                                   dtype=np.intp)
+
+
+class ReducedPlan:
+    """The reduced engine's index arrays for one layering, built once per bind."""
+
+    def __init__(self, sync: Synchronization):
+        g = sync.graph
+        self.is_root = [not pa for pa in g.parent_index]
+        nonroots = [i for i, r in enumerate(self.is_root) if not r]
+        self.col_of = np.full(len(g.nodes), -1, dtype=np.intp)
+        self.col_of[nonroots] = np.arange(len(nonroots))
+        self.table_shape = (len(g.nodes), len(nonroots))
+        # one theta entry per edge, ordered like ``build_masks(sync).edges``
+        self.edges = [(p, j) for l in range(1, sync.depth) for j in sync.new[l] for p in g.parent_index[j]]
+        edge_start = {}
+        for k, (_p, j) in enumerate(self.edges):
+            edge_start.setdefault(j, k)
+        self.layers = [_LayerPlan(sync, l, self.is_root, self.col_of, edge_start, len(self.edges))
+                       for l in range(1, sync.depth)]
+        vis = [i for i, node in enumerate(g.nodes) if node.is_visible]
+        self.visible = _Block(vis, vis, self.is_root, self.col_of)
+        last = sync.layers[-1]
+        self.last_nr = np.array([k for k, u in enumerate(last) if not self.is_root[u]], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=1)
+def _reduced_plan(sync: Synchronization) -> ReducedPlan:
+    """The plan of a layering, built on its first use and reused by the calls that follow.
+
+    A plan is a pure function of the layering, which nothing mutates.  A fit
+    binds one layering and calls the engine on it every iteration, so the
+    cache keeps the latest plan only, and with it that layering.
+    """
+    return ReducedPlan(sync)
+
+
 class ReducedState:
     """Global sigma and lambda tables keyed (any node, non-root node).
 
-    Entries are layer-independent once written; writes follow a
-    first-writer-wins discipline, and ``verify=True`` re-checks that a slot
-    is never rewritten.
+    Entries are layer-independent once written; each slot is written once,
+    and ``verify=True`` re-checks that a slot is never rewritten.
     """
 
-    __slots__ = ("sync", "nonroot_col", "is_root", "sigma", "lam", "verify")
+    __slots__ = ("plan", "sigma", "lam", "verify")
 
-    def __init__(self, sync: Synchronization, counter: AllocationCounter | None = None, verify: bool = False):
-        g = sync.graph
-        self.sync = sync
-        self.is_root = [not pa for pa in g.parent_index]
-        nonroots = [i for i, r in enumerate(self.is_root) if not r]
-        self.nonroot_col = {idx: c for c, idx in enumerate(nonroots)}
-        n = len(g.nodes)
-        m = len(nonroots)
-        self.sigma = np.full((n, m), np.nan)
-        self.lam = np.full((n, m), np.nan)
+    def __init__(self, plan: ReducedPlan, counter: AllocationCounter, verify: bool = False):
+        self.plan = plan
+        self.sigma = np.full(plan.table_shape, np.nan)
+        self.lam = np.full(plan.table_shape, np.nan)
         self.verify = verify
-        if counter is not None:
-            counter.add(2 * n * m)
+        counter.add(self.sigma.size + self.lam.size)
 
     def sig(self, p: int, q: int) -> float:
-        if self.is_root[p] and self.is_root[q]:
+        is_root, col_of = self.plan.is_root, self.plan.col_of
+        if is_root[p] and is_root[q]:
             return 1.0 if p == q else 0.0
-        if not self.is_root[q]:
-            return self.sigma[p, self.nonroot_col[q]]
-        return self.sigma[q, self.nonroot_col[p]]
+        if not is_root[q]:
+            return self.sigma[p, col_of[q]]
+        return self.sigma[q, col_of[p]]
 
-    def _write(self, table, row, col, value):
-        if self.verify and not np.isnan(table[row, col]):
+    def put(self, table: np.ndarray, where, values) -> None:
+        if self.verify and not np.isnan(table[where]).all():
             raise AssertionError("table slot written twice; preservation violated")
-        table[row, col] = value
-
-    def write_sigma(self, p: int, q: int, value: float) -> None:
-        if not self.is_root[q]:
-            self._write(self.sigma, p, self.nonroot_col[q], value)
-        if not self.is_root[p] and p != q:
-            self._write(self.sigma, q, self.nonroot_col[p], value)
+        table[where] = values
 
     def visible_cov(self) -> np.ndarray:
-        vis = [i for i, node in enumerate(self.sync.graph.nodes) if node.is_visible]
-        out = np.empty((len(vis), len(vis)))
-        for a, i in enumerate(vis):
-            for b, j in enumerate(vis):
-                out[a, b] = self.sig(i, j)
+        out = self.plan.visible.gather(self.sigma)
         return (out + out.T) / 2.0
+
+
+def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` left to right from +0.0, as Python's ``sum`` adds; overwrites ``terms``.
+
+    ``np.add.reduce`` sums pairwise and rounds differently; the running sum
+    of ``accumulate`` adds in order, and the final ``+ 0.0`` turns the one
+    result that can differ, a -0.0, into the +0.0 a sum from +0.0 gives.
+    """
+    np.add.accumulate(terms, axis=axis, out=terms)
+    return terms.take(-1, axis=axis) + 0.0
 
 
 def edge_weight_map(masks: MaskSet, weights) -> dict[tuple[int, int], float]:
@@ -250,44 +379,96 @@ def edge_weight_map(masks: MaskSet, weights) -> dict[tuple[int, int], float]:
     }
 
 
+def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, grad_tab: np.ndarray,
+                    counter: AllocationCounter) -> np.ndarray:
+    """The gradient table of layer l-1 from that of layer l.
+
+    For a pair a <= b (node order) the scalar order is: the carry, then b's
+    new children, then a's new children, then a's children outer and b's
+    inner.  Cells (x, y) are first summed taking a = x; a cell with x > y
+    then takes the value of (y, x) when x is a non-root, and a root x, which
+    has no column of its own, is summed again taking a = y.
+    """
+    rows, cols = lp.carry[0].shape[0], lp.carry[1].shape[1]
+    out = np.zeros((rows + 1, cols + 1))
+    counter.add(out.size)
+    up = out[:rows, :cols]
+    up[...] = grad_tab[lp.carry] + 0.0
+    g_new = grad_tab[lp.g_new]  # (prev, new + pad)
+    g_nn = grad_tab[lp.g_nn]  # (new + pad, new + pad)
+    counter.release(grad_tab.size)  # the layer-l table is not read again
+    g_new_nr = g_new[lp.prev_nr_pos]
+    w = theta_pad[lp.child_theta]
+    w_nr = w[lp.prev_nr_pos]
+    late = lp.late_roots
+    down = up[late]
+    held = down.size + g_new.size + g_nn.size + g_new_nr.size + w.size + w_nr.size
+    counter.add(held)
+    ch, ch_nr = lp.child_pos, lp.child_pos_nr
+    width = ch.shape[1]
+
+    def col_children(m, r=slice(None)):  # b = y: y's m-th child q, w_yq * g(x, q)
+        return g_new[r][:, ch_nr[:, m]] * w_nr[:, m]
+
+    def row_children(m, r=slice(None)):  # a = x: x's m-th child p, w_xp * g(p, y)
+        return (g_new_nr[:, ch[r, m]] * w[r, m]).T
+
+    def both(mx, my, r=slice(None)):  # (w_xp * w_yq) * g(p, q)
+        return np.multiply.outer(w[r, mx], w_nr[:, my]) * g_nn[ch[r, mx, None], ch_nr[:, my]]
+
+    for m in range(width):
+        up += col_children(m)
+    for m in range(width):
+        up += row_children(m)
+    for mx in range(width):
+        for my in range(width):
+            up += both(mx, my)
+    if late.size:
+        for m in range(width):
+            down += row_children(m, late)
+        for m in range(width):
+            down += col_children(m, late)
+        for my in range(width):
+            for mx in range(width):
+                down += both(mx, my, late)
+        up[late] = np.where(lp.prev[late, None] > lp.prev_nr, down, up[late])
+    square = up[lp.prev_nr_pos]
+    up[lp.prev_nr_pos] = np.where(np.tri(len(square), k=-1, dtype=bool), square.T, square)
+    counter.release(held)
+    return out
+
+
 def forward_reduced(
     sync: Synchronization,
     edge_weights: dict[tuple[int, int], float],
     counter: AllocationCounter | None = None,
     verify: bool = False,
 ) -> ReducedState:
-    """Fill the global covariance tables once per node pair.
+    """Fill the global covariance tables once per node pair, layer by layer.
 
     ``edge_weights`` maps (parent index, child index) to the edge weight; the
     tables replace the per-layer Sigma/Lambda stacks of the layered methods.
+    Every sum adds in the order of the scalar loop over node pairs.
     """
-    parent_idx = sync.graph.parent_index
-    state = ReducedState(sync, counter=counter, verify=verify)
-    if counter is not None:
-        counter.add(len(edge_weights))
-    for l in range(1, sync.depth):
-        prev = sync.layers[l - 1]
-        cur = sync.layers[l]
-        new_nodes = sync.new[l]
-        for j in new_nodes:
-            pa = parent_idx[j]
-            wj = [edge_weights[(p, j)] for p in pa]
-            col = state.nonroot_col[j]
-            for p in prev:
-                state._write(state.lam, p, col, sum(state.sig(p, u) * w for u, w in zip(pa, wj)))
-        for j in new_nodes:
-            colj = state.nonroot_col[j]
-            for q in cur:
-                if q == j:
-                    value = sum(edge_weights[(p, j)] * state.lam[p, colj] for p in parent_idx[j])
-                    state.write_sigma(j, j, value)
-                elif sync.first_appearance[q] == l:
-                    if q < j:
-                        continue  # unordered pair handled once
-                    value = sum(edge_weights[(p, q)] * state.lam[p, colj] for p in parent_idx[q])
-                    state.write_sigma(q, j, value)
-                else:
-                    state.write_sigma(q, j, state.lam[q, colj])
+    plan = _reduced_plan(sync)
+    theta = np.fromiter((edge_weights[e] for e in plan.edges), float, len(plan.edges))
+    counter = AllocationCounter() if counter is None else counter
+    state = ReducedState(plan, counter, verify)
+    sigma, lam = state.sigma, state.lam
+    counter.add(theta.size)
+    for lp in plan.layers:
+        for col, block, sl in lp.lam_cols:
+            terms = block.gather(sigma)
+            counter.add(terms.size)
+            terms *= theta[sl]
+            state.put(lam, (lp.prev, col), _ordered_sum(terms, 1))
+            counter.release(terms.size)
+        for k, (rows, sl, col) in enumerate(lp.pair_rows):
+            values = _ordered_sum(lam[rows] * theta[sl][:, None], 0)
+            state.put(sigma, (lp.new[k], lp.cnew[:k + 1]), values)
+            state.put(sigma, (lp.new[:k], col), values[:k])
+        state.put(sigma, lp.stay, lam[lp.stay])
+        state.put(sigma, lp.new_by_stay, lam[lp.stay_nr].T)
     return state
 
 
@@ -298,93 +479,36 @@ def backward_reduced(
     dsigma,
     counter: AllocationCounter | None = None,
 ) -> dict[tuple[int, int], float]:
-    """Per-edge gradients; covariance-gradient tables live one layer at a time.
+    """Per-edge gradients; the covariance-gradient table lives one layer at a time.
 
-    Pairs of two root nodes are skipped throughout: root rows persist as
-    identity carries, so such entries feed neither any trainable-weight
-    gradient nor any kept entry of an earlier layer.
+    Pairs of two root nodes are not held: root rows persist as identity
+    carries, so such entries feed neither any trainable-weight gradient nor
+    any kept entry of an earlier layer.
     """
     g = _check_seed(sync, dsigma)
-    parent_idx = sync.graph.parent_index
-    is_root = state.is_root
-
-    def pair(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    last = sync.layers[-1]
-    grad_sigma: dict[tuple[int, int], float] = {}
-    for i, a in enumerate(last):
-        for jj, b in enumerate(last[i:], start=i):
-            if is_root[a] and is_root[b]:
-                continue
-            grad_sigma[pair(a, b)] = g[i, jj]
-    if counter is not None:
-        counter.add(len(grad_sigma))
-
-    edge_grads = {key: 0.0 for key in edge_weights}
-    if counter is not None:
-        counter.add(len(edge_grads))
-
-    def gval(u, v):
-        return grad_sigma.get(pair(u, v), 0.0)
-
-    for l in range(sync.depth - 1, 0, -1):
-        prev = sync.layers[l - 1]
-        cur = sync.layers[l]
-        cur_set = set(cur)
-        new_nodes = sync.new[l]
-        new_children: dict[int, list[int]] = {}
-        for j in new_nodes:
-            for p in parent_idx[j]:
-                new_children.setdefault(p, []).append(j)
-
-        for j in new_nodes:
-            colj = state.nonroot_col[j]
-            for p in parent_idx[j]:
-                total = 0.0
-                for u in cur:
-                    if is_root[u] and is_root[j]:
-                        continue
-                    guj = gval(u, j)
-                    if guj == 0.0:
-                        continue
-                    if sync.first_appearance[u] == l:
-                        lam_pu = state.lam[p, state.nonroot_col[u]]
-                    else:
-                        lam_pu = state.sig(p, u)
-                    total += lam_pu * guj
-                edge_grads[(p, j)] += 2.0 * total
-
-        if l == 1:
+    plan = state.plan
+    counter = AllocationCounter() if counter is None else counter
+    grads = np.zeros(len(plan.edges))
+    # child slots past a node's last child read weight 0
+    theta_pad = np.array([edge_weights[e] for e in plan.edges] + [0.0])
+    n = g.shape[0]
+    grad_tab = np.zeros((n + 1, len(plan.last_nr) + 1))
+    grad_tab[:n, :-1] = g[:, plan.last_nr]
+    counter.add(grads.size + theta_pad.size + grad_tab.size)
+    for lp in reversed(plan.layers):
+        for block, new_at, lam_new, sl, col in lp.edge_cols:
+            g_col = grad_tab[:lp.n_cur, col]
+            terms = block.gather(state.sigma)
+            counter.add(terms.size)
+            terms[new_at] = state.lam[lam_new].T
+            terms *= g_col[:, None]
+            terms[g_col == 0.0] = 0.0  # a zero seed skips its term, even against an infinite factor
+            grads[sl] = 2.0 * _ordered_sum(terms, 0)
+            counter.release(terms.size)
+        if lp.carry is None:
             break
-
-        prev_grad: dict[tuple[int, int], float] = {}
-        for i, a in enumerate(prev):
-            a_new = new_children.get(a, ())
-            a_persists = a in cur_set
-            for b in prev[i:]:
-                if is_root[a] and is_root[b]:
-                    continue
-                total = 0.0
-                if a_persists and b in cur_set:
-                    total += gval(a, b)
-                if a_persists:
-                    for q in new_children.get(b, ()):
-                        total += edge_weights[(b, q)] * gval(a, q)
-                if b in cur_set:
-                    for p in a_new:
-                        total += edge_weights[(a, p)] * gval(p, b)
-                for p in a_new:
-                    w_ap = edge_weights[(a, p)]
-                    for q in new_children.get(b, ()):
-                        total += w_ap * edge_weights[(b, q)] * gval(p, q)
-                prev_grad[pair(a, b)] = total
-        if counter is not None:
-            counter.add(len(prev_grad))
-            counter.release(len(grad_sigma))
-        grad_sigma = prev_grad
-
-    return edge_grads
+        grad_tab = _previous_grads(lp, theta_pad, grad_tab, counter)
+    return dict(zip(plan.edges, grads.tolist()))
 
 
 # --- the engine table ---------------------------------------------------------
@@ -457,9 +581,9 @@ def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> E
 
 
 def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
-    """Bind the reduced engine: edge weights are read from theta, edge gradients returned as one."""
+    """Bind the reduced engine: its index plan is built here, once; edge gradients return as one vector."""
     _take, embed = _visible_block(sync)
-    keys = [(p, c) for (p, c, _l, _r, _col) in masks.edges]
+    keys = _reduced_plan(sync).edges  # ordered like ``masks.edges``
 
     def forward_theta(theta):
         edge_w = dict(zip(keys, theta.tolist()))
@@ -469,7 +593,7 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
     def backward_theta(ctx, seed_vis):
         edge_w, state = ctx
         grads = backward_reduced(sync, edge_w, state, embed(seed_vis))
-        return np.array([grads[key] for key in keys], dtype=float)
+        return np.fromiter(grads.values(), float, len(keys))
 
     return Engine(forward_theta, backward_theta)
 
@@ -770,7 +894,7 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     restarts_used = 0
     # a diverging restart overflows before its non-finite covariance or
     # gradient ends it as "diverged"; that report replaces numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with one_lapack_thread(), np.errstate(over="ignore", invalid="ignore"):
         for r in range(config.restarts):
             restarts_used += 1
             run_seed = derive_seed(config.seed, r)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pmdag.gauss import CovMatrix, err_kl, grad_err_kl
+from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs
 from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
     AdamaxState,
@@ -12,6 +12,7 @@ from pmdag.solver import (
     FitConfig,
     NegativeVariance,
     NonFiniteGradient,
+    ReducedPlan,
     SgdState,
     ShapeMismatch,
     backward_acc,
@@ -370,6 +371,33 @@ class TestFit:
         assert report.final_kl_model_target <= 1e-10
         assert report.converged and report.stop_reason == "kl_threshold"
 
+    def test_lapack_runs_on_one_thread_inside_fit_only(self):
+        funcs = lapack_thread_count_funcs()
+        if funcs is None:
+            pytest.skip("scipy's bundled OpenBLAS and its thread-count symbols are absent")
+        get, set_ = funcs
+        g = canonical_bow()
+        target = CovMatrix(("X", "Y"), [[1.0, 0.4], [0.4, 2.0]])
+        config = FitConfig(restarts=1, seed=0, max_iters=5)
+        original = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("the bundled OpenBLAS cannot run two threads here")
+            seen = []
+            fit(g, target, config, iter_hook=lambda i, _params: seen.append(get()))
+            assert seen == [1] * 5
+            assert get() == 2
+
+            def hook(i, _params):
+                raise RuntimeError("hook failed")
+
+            with pytest.raises(RuntimeError, match="hook failed"):
+                fit(g, target, config, iter_hook=hook)
+            assert get() == 2
+        finally:
+            set_(original)
+
     def test_methods_all_converge(self):
         g = canonical_bow()
         target = CovMatrix(("X", "Y"), [[1.0, 0.4], [0.4, 2.0]])
@@ -541,6 +569,30 @@ class TestExtractRoundTrip:
         weights = weights_from_params(g, masks, params)
         again = extract_params(g, masks, edge_vector(masks, weights))
         assert again == params
+
+
+class TestReducedPlan:
+    def test_edges_follow_the_mask_order(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            sync = synchronize(random_small_graph(rng, max_v=6))
+            masks = build_masks(sync)
+            assert ReducedPlan(sync).edges == [(p, c) for (p, c, _l, _r, _col) in masks.edges]
+
+    def test_zero_seed_entry_skips_an_infinite_factor(self):
+        # V1's variance is infinite; a seed that is zero on every pair with V1
+        # leaves the V2 edge's gradient finite, as the scalar sum skipped those terms
+        g = validate([("L1", "latent"), ("L2", "latent"), ("V1", "visible"), ("V2", "visible")],
+                     [("L1", "V1"), ("L2", "V2")])
+        sync = synchronize(g)
+        edge_w = {(g.index("L1"), g.index("V1")): math.inf, (g.index("L2"), g.index("V2")): 1.5}
+        seed = np.zeros((len(sync.layers[-1]),) * 2)
+        v2 = sync.layers[-1].index(g.index("V2"))
+        seed[v2, v2] = 0.25
+        with np.errstate(invalid="ignore", over="ignore"):
+            state = forward_reduced(sync, edge_w)
+            grads = backward_reduced(sync, edge_w, state, seed)
+        assert grads[(g.index("L2"), g.index("V2"))] == 2.0 * 1.5 * 0.25
 
 
 class TestReducedStorage:
