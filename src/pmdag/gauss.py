@@ -25,48 +25,65 @@ import scipy.linalg as la
 _POTRF, _POTRS = la.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
-@functools.cache
-def lapack_thread_count_funcs():
-    """(get, set) of the thread count of the OpenBLAS bundled with scipy, or None.
+# The thread-count symbols of the OpenBLAS each wheel bundles under
+# ``<package>.libs``: scipy's runs the LAPACK calls above, numpy's its matrix
+# products (an ILP64 build, hence the ``64_`` suffix).
+_OPENBLAS_THREAD_SYMBOLS = {
+    scipy: ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    np: ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+}
 
-    scipy wheels ship their own OpenBLAS under ``scipy.libs``, apart from the
-    copy numpy uses for its matrix products; the LAPACK calls above run on
-    it.  None when that library or its thread-count symbols are absent, as
-    with MKL or a system BLAS.
+
+@functools.cache
+def lapack_thread_count_funcs() -> dict:
+    """{package: (get, set)} of the thread count of each OpenBLAS bundled with scipy and numpy.
+
+    A package is left out when its library or the thread-count symbols are
+    absent, as with MKL or a system BLAS.
     """
-    libdir = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for path in sorted(libdir.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-        return get, set_
-    return None
+    found = {}
+    for module, (get_name, set_name) in _OPENBLAS_THREAD_SYMBOLS.items():
+        libdir = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            found[module.__name__] = (get, set_)
+            break
+    return found
 
 
 @contextlib.contextmanager
 def one_lapack_thread():
-    """Run the block with scipy's OpenBLAS on one thread, then restore the caller's count.
+    """Run the block with the bundled OpenBLAS copies on one thread, then restore the caller's counts.
 
-    A fit factors and solves a small matrix every iteration.  Threaded, those
-    calls wait on a thread pool that competes with numpy's own OpenBLAS pool
-    and run several times slower; on one thread they return the same bits.
-    A no-op when the bundled library is absent.
+    A fit factors a small matrix and multiplies small ones every iteration.
+    Threaded, those calls wait on thread pools that compete with each other
+    and run several times slower; on one thread their bits also stop
+    depending on how many threads the caller's pools have.  A no-op for a
+    library that is absent.
     """
-    funcs = lapack_thread_count_funcs()
-    if funcs is None:
-        yield
-        return
-    get, set_ = funcs
-    caller = get()
-    set_(1)
+    funcs = list(lapack_thread_count_funcs().values())
+    callers = [get() for get, _set in funcs]
+    for _get, set_ in funcs:
+        set_(1)
     try:
         yield
     finally:
-        set_(caller)
+        for (_get, set_), count in zip(funcs, callers):
+            set_(count)
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """A read-only n x n identity, built once per size."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 class GaussError(ValueError):
@@ -234,7 +251,7 @@ def _factor(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
 def target_terms(target: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of the target, the fixed inputs of ``loss_kernel``."""
     lower, logdet = _factor(target, "target covariance")
-    return _solve_spd(lower, np.eye(target.shape[0])), logdet
+    return _solve_spd(lower, _identity(target.shape[0])), logdet
 
 
 def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
@@ -249,7 +266,7 @@ def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
     """
     n = sigma.shape[0]
     lower, logdet_s = _factor(sigma, "model covariance")
-    eye = np.eye(n)
+    eye = _identity(n)
     sigma_inv = _solve_spd(lower, eye)
     trace = float((target_inv * sigma).sum())
     kl_mt = 0.5 * (trace - n + target_logdet - logdet_s)

@@ -99,16 +99,15 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 
 
 # --- layered forward / backward -------------------------------------------
+#
+# Each public kernel checks its arguments and then runs its pass.  A bound
+# engine runs the passes alone: its weights are views into one buffer, so
+# their shapes cannot change, and the seed the loss kernel returns is
+# symmetric, placed by the binding into a matrix of the last layer's size.
 
 
-def forward_cov(sync: Synchronization, weights):
-    """Propagate the layer covariance: Lambda_l = Sigma_{l-1} W_l, Sigma_l = W_l^T Lambda_l.
-
-    Returns (final covariance, Lambda list, Sigma list incl. the identity at
-    layer 0).
-    """
-    _check_shapes(sync, weights)
-    sigma = np.eye(len(sync.layers[0]))
+def _cov_forward(eye, weights):
+    sigma = eye
     sigmas = [sigma]
     lams = []
     for w in weights:
@@ -119,18 +118,58 @@ def forward_cov(sync: Synchronization, weights):
     return sigma, lams, sigmas
 
 
+def _cov_backward(weights, lams, g, out):
+    """Write Lambda_l G_l, the unmasked half-gradient of layer l, into ``out[l - 1]``."""
+    for l in range(len(weights), 0, -1):
+        np.matmul(lams[l - 1], g, out=out[l - 1])
+        if l > 1:
+            w = weights[l - 1]
+            g = w @ g @ w.T
+    return out
+
+
+def _acc_forward(eye, weights):
+    acc = eye
+    accs = [acc]
+    for w in weights:
+        acc = acc @ w
+        accs.append(acc)
+    return acc.T @ acc, accs
+
+
+def _acc_backward(weights, accs, g, out):
+    """Write A_{l-1}^T Omega_l, the unmasked half-gradient of layer l, into ``out[l - 1]``."""
+    omega = accs[-1] @ g
+    for l in range(len(weights), 0, -1):
+        np.matmul(accs[l - 1].T, omega, out=out[l - 1])
+        if l > 1:
+            omega = omega @ weights[l - 1].T
+    return out
+
+
+def _masked_grads(masks: MaskSet, weights, backward, ctx, g) -> list[np.ndarray]:
+    """The gradient stack 2 M_l o (pass output) of a layered backward pass."""
+    out = backward(weights, ctx, g, [np.empty(w.shape) for w in weights])
+    return [2.0 * mask * grad for mask, grad in zip(masks.trainable, out)]
+
+
+def forward_cov(sync: Synchronization, weights):
+    """Propagate the layer covariance: Lambda_l = Sigma_{l-1} W_l, Sigma_l = W_l^T Lambda_l.
+
+    Returns (final covariance, Lambda list, Sigma list incl. the identity at
+    layer 0).
+    """
+    _check_shapes(sync, weights)
+    return _cov_forward(np.eye(len(sync.layers[0])), weights)
+
+
 def forward_acc(sync: Synchronization, weights):
     """Accumulate weight products; the final covariance is acc^T acc.
 
     Returns (final covariance, accumulated list A_0..A_{L-1} with A_0 = I).
     """
     _check_shapes(sync, weights)
-    acc = np.eye(len(sync.layers[0]))
-    accs = [acc]
-    for w in weights:
-        acc = acc @ w
-        accs.append(acc)
-    return acc.T @ acc, accs
+    return _acc_forward(np.eye(len(sync.layers[0])), weights)
 
 
 def backward_cov(sync: Synchronization, masks: MaskSet, weights, lams, dsigma):
@@ -140,27 +179,13 @@ def backward_cov(sync: Synchronization, masks: MaskSet, weights, lams, dsigma):
     is dW_l = 2 M_l o (Lambda_l G_l) with G_{l-1} = W_l G_l W_l^T.
     """
     _check_shapes(sync, weights)
-    g = _check_seed(sync, dsigma)
-    grads = [None] * len(weights)
-    for l in range(sync.depth - 1, 0, -1):
-        w = weights[l - 1]
-        grads[l - 1] = 2.0 * masks.trainable[l - 1] * (lams[l - 1] @ g)
-        if l > 1:
-            g = w @ g @ w.T
-    return grads
+    return _masked_grads(masks, weights, _cov_backward, lams, _check_seed(sync, dsigma))
 
 
 def backward_acc(sync: Synchronization, masks: MaskSet, weights, accs, dsigma):
     """Weight gradients via the accumulated products: dW_l = 2 M_l o (A_{l-1}^T Omega_l)."""
     _check_shapes(sync, weights)
-    g = _check_seed(sync, dsigma)
-    omega = accs[-1] @ g
-    grads = [None] * len(weights)
-    for l in range(sync.depth - 1, 0, -1):
-        grads[l - 1] = 2.0 * masks.trainable[l - 1] * (accs[l - 1].T @ omega)
-        if l > 1:
-            omega = omega @ weights[l - 1].T
-    return grads
+    return _masked_grads(masks, weights, _acc_backward, accs, _check_seed(sync, dsigma))
 
 
 def layered_entry_count(sync: Synchronization) -> int:
@@ -438,21 +463,8 @@ def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, grad_tab: np.ndarray,
     return out
 
 
-def forward_reduced(
-    sync: Synchronization,
-    edge_weights: dict[tuple[int, int], float],
-    counter: AllocationCounter | None = None,
-    verify: bool = False,
-) -> ReducedState:
-    """Fill the global covariance tables once per node pair, layer by layer.
-
-    ``edge_weights`` maps (parent index, child index) to the edge weight; the
-    tables replace the per-layer Sigma/Lambda stacks of the layered methods.
-    Every sum adds in the order of the scalar loop over node pairs.
-    """
-    plan = _reduced_plan(sync)
-    theta = np.fromiter((edge_weights[e] for e in plan.edges), float, len(plan.edges))
-    counter = AllocationCounter() if counter is None else counter
+def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCounter,
+                     verify: bool) -> ReducedState:
     state = ReducedState(plan, counter, verify)
     sigma, lam = state.sigma, state.lam
     counter.add(theta.size)
@@ -472,25 +484,10 @@ def forward_reduced(
     return state
 
 
-def backward_reduced(
-    sync: Synchronization,
-    edge_weights: dict[tuple[int, int], float],
-    state: ReducedState,
-    dsigma,
-    counter: AllocationCounter | None = None,
-) -> dict[tuple[int, int], float]:
-    """Per-edge gradients; the covariance-gradient table lives one layer at a time.
-
-    Pairs of two root nodes are not held: root rows persist as identity
-    carries, so such entries feed neither any trainable-weight gradient nor
-    any kept entry of an earlier layer.
-    """
-    g = _check_seed(sync, dsigma)
-    plan = state.plan
-    counter = AllocationCounter() if counter is None else counter
+def _reduced_backward(plan: ReducedPlan, theta_pad: np.ndarray, state: ReducedState, g: np.ndarray,
+                      counter: AllocationCounter) -> np.ndarray:
+    """Edge gradients ordered like ``plan.edges``; ``theta_pad`` is theta with a trailing 0."""
     grads = np.zeros(len(plan.edges))
-    # child slots past a node's last child read weight 0
-    theta_pad = np.array([edge_weights[e] for e in plan.edges] + [0.0])
     n = g.shape[0]
     grad_tab = np.zeros((n + 1, len(plan.last_nr) + 1))
     grad_tab[:n, :-1] = g[:, plan.last_nr]
@@ -508,6 +505,45 @@ def backward_reduced(
         if lp.carry is None:
             break
         grad_tab = _previous_grads(lp, theta_pad, grad_tab, counter)
+    return grads
+
+
+def forward_reduced(
+    sync: Synchronization,
+    edge_weights: dict[tuple[int, int], float],
+    counter: AllocationCounter | None = None,
+    verify: bool = False,
+) -> ReducedState:
+    """Fill the global covariance tables once per node pair, layer by layer.
+
+    ``edge_weights`` maps (parent index, child index) to the edge weight; the
+    tables replace the per-layer Sigma/Lambda stacks of the layered methods.
+    Every sum adds in the order of the scalar loop over node pairs.
+    """
+    plan = _reduced_plan(sync)
+    theta = np.fromiter((edge_weights[e] for e in plan.edges), float, len(plan.edges))
+    return _reduced_forward(plan, theta, AllocationCounter() if counter is None else counter, verify)
+
+
+def backward_reduced(
+    sync: Synchronization,
+    edge_weights: dict[tuple[int, int], float],
+    state: ReducedState,
+    dsigma,
+    counter: AllocationCounter | None = None,
+) -> dict[tuple[int, int], float]:
+    """Per-edge gradients; the covariance-gradient table lives one layer at a time.
+
+    Pairs of two root nodes are not held: root rows persist as identity
+    carries, so such entries feed neither any trainable-weight gradient nor
+    any kept entry of an earlier layer.
+    """
+    g = _check_seed(sync, dsigma)
+    plan = state.plan
+    # child slots past a node's last child read weight 0
+    theta_pad = np.array([edge_weights[e] for e in plan.edges] + [0.0])
+    grads = _reduced_backward(plan, theta_pad, state, g,
+                              AllocationCounter() if counter is None else counter)
     return dict(zip(plan.edges, grads.tolist()))
 
 
@@ -534,9 +570,15 @@ class Engine:
 
 
 def _visible_block(sync: Synchronization):
-    """(take, embed): the visible block of a last-layer matrix, and a seed placed back into one."""
+    """(take, embed): the visible block of a last-layer matrix, and a seed placed back into one.
+
+    Both are the identity when the visible nodes fill the last layer in node
+    order, as on every canonical graph.
+    """
     vis = visible_positions(sync)
     n = len(sync.layers[-1])
+    if vis == list(range(n)):
+        return (lambda sigma: sigma), (lambda seed_vis: seed_vis)
     ix = np.ix_(vis, vis)
     full = np.zeros((n, n))  # entries outside the visible block stay zero
 
@@ -548,68 +590,67 @@ def _visible_block(sync: Synchronization):
 
 
 def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> Engine:
-    """Bind a weight-stack engine to theta through one flat buffer.
+    """Bind a weight-stack engine's passes to theta through one flat buffer.
 
-    ``forward(weights) -> (sigma, ctx)`` and ``backward(weights, ctx, seed)
-    -> masked gradient stack`` are the engine's kernels.  The weight matrices
-    are views into a buffer holding the constant pattern; one fancy-index
-    assignment writes theta into the trainable entries, and the gradient is
-    read back at the same positions.
+    ``forward(eye, weights) -> (sigma, ctx, ...)`` and ``backward(weights,
+    ctx, seed, out)`` are the engine's unchecked passes; the backward writes
+    its unmasked gradient stack into ``out``.  The weight matrices are views
+    into a buffer holding the constant pattern; one fancy-index assignment
+    writes theta into the trainable entries, and the gradient is read back
+    from a buffer of the same layout at the same positions.
     """
     take, embed = _visible_block(sync)
     buf = np.zeros(sum(const.size for const in masks.constants))
-    weights, offsets, off = [], [], 0
+    grad_buf = np.empty_like(buf)
+    weights, grads, offsets, off = [], [], [], 0
     for const in masks.constants:
         w = buf[off:off + const.size].reshape(const.shape)
         w[...] = const
         weights.append(w)
+        grads.append(grad_buf[off:off + const.size].reshape(const.shape))
         offsets.append(off)
         off += const.size
     pos = np.array([offsets[l - 1] + r * weights[l - 1].shape[1] + col
                     for (_p, _c, l, r, col) in masks.edges], dtype=np.intp)
+    eye = np.eye(len(sync.layers[0]))
 
     def forward_theta(theta):
         buf[pos] = theta
-        sigma, ctx = forward(weights)
-        return take(sigma), ctx
+        out = forward(eye, weights)
+        return take(out[0]), out[1]
 
     def backward_theta(ctx, seed_vis):
-        grads = backward(weights, ctx, embed(seed_vis))
-        return np.concatenate([grad.ravel() for grad in grads])[pos]
+        backward(weights, ctx, embed(seed_vis), grads)
+        return 2.0 * grad_buf[pos]  # pos holds only trainable cells, whose mask is 1
 
     return Engine(forward_theta, backward_theta)
 
 
 def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
-    """Bind the reduced engine: its index plan is built here, once; edge gradients return as one vector."""
+    """Bind the reduced engine's passes: its index plan is built here, once."""
     _take, embed = _visible_block(sync)
-    keys = _reduced_plan(sync).edges  # ordered like ``masks.edges``
+    plan = _reduced_plan(sync)  # its edges are ordered like ``masks.edges``
+    counter = AllocationCounter()  # required by the passes; nothing reads it here
 
     def forward_theta(theta):
-        edge_w = dict(zip(keys, theta.tolist()))
-        state = forward_reduced(sync, edge_w)
-        return state.visible_cov(), (edge_w, state)
+        state = _reduced_forward(plan, theta, counter, False)
+        return state.visible_cov(), (theta, state)
 
     def backward_theta(ctx, seed_vis):
-        edge_w, state = ctx
-        grads = backward_reduced(sync, edge_w, state, embed(seed_vis))
-        return np.fromiter(grads.values(), float, len(keys))
+        theta, state = ctx
+        # child slots past a node's last child read weight 0
+        return _reduced_backward(plan, np.append(theta, 0.0), state, embed(seed_vis), counter)
 
     return Engine(forward_theta, backward_theta)
 
 
 # Each entry binds a method to one fit's layering: ``ENGINES[method](sync,
-# masks) -> Engine``.  Bound engines call ``forward_cov`` etc. by module-level
-# name at call time, so a wrapper installed on a module attribute sees every call.
+# masks) -> Engine``.  Bound engines run the unchecked passes; the public
+# kernels (``forward_cov``, ``backward_cov`` etc.) check, then run the same
+# passes.
 ENGINES = {
-    "covariance": lambda sync, masks: _bind_layered(
-        sync, masks,
-        lambda w: forward_cov(sync, w)[:2],
-        lambda w, lams, seed: backward_cov(sync, masks, w, lams, seed)),
-    "accumulation": lambda sync, masks: _bind_layered(
-        sync, masks,
-        lambda w: forward_acc(sync, w),
-        lambda w, accs, seed: backward_acc(sync, masks, w, accs, seed)),
+    "covariance": lambda sync, masks: _bind_layered(sync, masks, _cov_forward, _cov_backward),
+    "accumulation": lambda sync, masks: _bind_layered(sync, masks, _acc_forward, _acc_backward),
     "reduced": _bind_reduced,
 }
 METHODS = tuple(ENGINES)
@@ -629,8 +670,10 @@ class SgdState:
     lr: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamaxState:
+    """Adamax settings and moments; ``optimize_step`` advances it in place."""
+
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -648,22 +691,26 @@ def make_optimizer_state(config: "FitConfig"):
 def optimize_step(theta, grad, state):
     """One optimizer update of the edge vector.
 
-    Returns (new theta, new state).  Raises NonFiniteGradient on nan/inf
-    gradients.
+    Returns (new theta, state); an Adamax state's step count and moments are
+    updated in place.  Raises NonFiniteGradient on nan/inf gradients, before
+    the state changes.
     """
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains nan or inf")
     if isinstance(state, SgdState):
         return theta - state.lr * grad, state
     if isinstance(state, AdamaxState):
-        t = state.t + 1
-        m0 = np.zeros_like(grad) if state.m is None else state.m
-        u0 = np.zeros_like(grad) if state.u is None else state.u
-        m = state.beta1 * m0 + (1.0 - state.beta1) * grad
-        u = np.maximum(state.beta2 * u0, np.abs(grad))
+        if state.m is None:
+            state.m, state.u = np.zeros_like(grad), np.zeros_like(grad)
+        state.t += 1
+        m, u = state.m, state.u
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        u *= state.beta2
+        np.maximum(u, np.abs(grad), out=u)
         live = u > 0.0
-        step = np.where(live, (state.lr / (1.0 - state.beta1 ** t)) * m / np.where(live, u, 1.0), 0.0)
-        return theta - step, AdamaxState(state.lr, state.beta1, state.beta2, t, m, u)
+        step = np.where(live, (state.lr / (1.0 - state.beta1 ** state.t)) * m / np.where(live, u, 1.0), 0.0)
+        return theta - step, state
     raise SolverError(f"unknown optimizer state {type(state).__name__}")
 
 

@@ -48,7 +48,7 @@ class Synchronization:
                   if first[i] == l or (first[i] < l and (node.is_visible or last_child[i] > l)))
             for l in range(max(first, default=-1) + 1))
         self.new = tuple(tuple(i for i in layer if first[i] == l) for l, layer in enumerate(self.layers))
-        # (rows, cols) of each layer's weight matrix, checked on every engine call
+        # (rows, cols) of each layer's weight matrix, checked by every public kernel call
         self.weight_shapes = tuple(
             (len(prev), len(cur)) for prev, cur in zip(self.layers, self.layers[1:]))
 

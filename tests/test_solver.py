@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs
+from pmdag.generate import GenSpec, ground_truth, random_pmdag
 from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
     AdamaxState,
@@ -92,6 +94,21 @@ class TestInitWeights:
         draws = np.asarray(draws[:10_000])
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
+
+
+def public_kernels(sync, masks, weights):
+    """Each public forward and backward kernel as ``kernel(weight stack, seed)``, its context from ``weights``."""
+    _, lams, _ = forward_cov(sync, weights)
+    _, accs = forward_acc(sync, weights)
+    edge_w = edge_weight_map(masks, weights)
+    state = forward_reduced(sync, edge_w)
+    return {
+        "forward_cov": lambda w, _seed: forward_cov(sync, w),
+        "forward_acc": lambda w, _seed: forward_acc(sync, w),
+        "backward_cov": lambda w, seed: backward_cov(sync, masks, w, lams, seed),
+        "backward_acc": lambda w, seed: backward_acc(sync, masks, w, accs, seed),
+        "backward_reduced": lambda _w, seed: backward_reduced(sync, edge_w, state, seed),
+    }
 
 
 def assert_alternation_and_preservation(sync, lams, sigmas):
@@ -190,11 +207,16 @@ class TestForward:
         assert state.sig(bow.index("X"), bow.index("Y")) == pytest.approx(2.0)
 
     def test_shape_mismatch(self, bow):
-        sync, _, weights = bow_setup(bow)
-        with pytest.raises(ShapeMismatch):
-            forward_cov(sync, weights[:1])
-        with pytest.raises(ShapeMismatch):
-            forward_cov(sync, [np.eye(3)] * 2)
+        # every public kernel checks its weight stack and its seed, whatever engine it serves
+        sync, masks, weights = bow_setup(bow)
+        kernels = public_kernels(sync, masks, weights)
+        for bad in (weights[:1], [np.eye(3)] * 2):
+            for name in ("forward_cov", "forward_acc", "backward_cov", "backward_acc"):
+                with pytest.raises(ShapeMismatch):
+                    kernels[name](bad, np.eye(2))
+        for name in ("backward_cov", "backward_acc", "backward_reduced"):
+            with pytest.raises(ShapeMismatch):
+                kernels[name](weights, np.eye(3))
 
 
 def loss_for_weights(sync, weights, vis_positions, target):
@@ -248,9 +270,10 @@ class TestBackward:
 
     def test_asymmetric_seed_rejected(self, bow):
         sync, masks, weights = bow_setup(bow)
-        _, lams, _ = forward_cov(sync, weights)
-        with pytest.raises(AsymmetricSeed):
-            backward_cov(sync, masks, weights, lams, np.asarray([[0.0, 1.0], [0.0, 0.0]]))
+        kernels = public_kernels(sync, masks, weights)
+        for name in ("backward_cov", "backward_acc", "backward_reduced"):
+            with pytest.raises(AsymmetricSeed):
+                kernels[name](weights, np.asarray([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_all_backends_agree(self):
         rng = np.random.default_rng(22)
@@ -373,30 +396,59 @@ class TestFit:
 
     def test_lapack_runs_on_one_thread_inside_fit_only(self):
         funcs = lapack_thread_count_funcs()
-        if funcs is None:
-            pytest.skip("scipy's bundled OpenBLAS and its thread-count symbols are absent")
-        get, set_ = funcs
+        if not funcs:
+            pytest.skip("no bundled OpenBLAS with thread-count symbols is loaded")
+
+        def counts():
+            return {package: get() for package, (get, _set) in funcs.items()}
+
         g = canonical_bow()
         target = CovMatrix(("X", "Y"), [[1.0, 0.4], [0.4, 2.0]])
         config = FitConfig(restarts=1, seed=0, max_iters=5)
-        original = get()
-        set_(2)
+        original = counts()
         try:
-            if get() != 2:
+            for _get, set_ in funcs.values():
+                set_(2)
+            if counts() != dict.fromkeys(funcs, 2):
                 pytest.skip("the bundled OpenBLAS cannot run two threads here")
             seen = []
-            fit(g, target, config, iter_hook=lambda i, _params: seen.append(get()))
-            assert seen == [1] * 5
-            assert get() == 2
+            fit(g, target, config, iter_hook=lambda i, _params: seen.append(counts()))
+            assert seen == [dict.fromkeys(funcs, 1)] * 5
+            assert counts() == dict.fromkeys(funcs, 2)
 
             def hook(i, _params):
                 raise RuntimeError("hook failed")
 
             with pytest.raises(RuntimeError, match="hook failed"):
                 fit(g, target, config, iter_hook=hook)
-            assert get() == 2
+            assert counts() == dict.fromkeys(funcs, 2)
+        finally:
+            for package, (_get, set_) in funcs.items():
+                set_(original[package])
+
+    def test_fit_bits_do_not_follow_the_callers_numpy_thread_count(self):
+        # v=32 is large enough for numpy's OpenBLAS to split its products
+        # over threads, which changes their rounding
+        funcs = lapack_thread_count_funcs().get("numpy")
+        if funcs is None:
+            pytest.skip("numpy's bundled OpenBLAS and its thread-count symbols are absent")
+        get, set_ = funcs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = random_pmdag(GenSpec(v=32, l_star=0.5, e_star=0.5, seed=32))
+        _, target = ground_truth(g, seed=32)
+        config = FitConfig(max_iters=35, restarts=1, seed=32)
+        original = get()
+        traces = {}
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                if get() != threads:
+                    pytest.skip("numpy's bundled OpenBLAS cannot run two threads here")
+                traces[threads] = fit(g, target, config)[1].kl_trace.tobytes()
         finally:
             set_(original)
+        assert traces[1] == traces[2]
 
     def test_methods_all_converge(self):
         g = canonical_bow()
