@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation or input error, 2 target not inducible,
-3 effect not identifiable.  ``PMDAG_SEED`` supplies the default seed.
+Exit codes: 0 success, 1 validation, input or usage error, 2 target not
+inducible, 3 effect not identifiable.  ``PMDAG_SEED`` supplies the default seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,16 @@ from pmdag.identify import (
     InterventionQuery,
     identify,
 )
-from pmdag.solver import LOSSES, OPTIMIZERS, FitConfig, SolverError, fit, fit_result_dict, save_trace_csv
+from pmdag.solver import (
+    LOSSES,
+    METHODS,
+    OPTIMIZERS,
+    FitConfig,
+    SolverError,
+    fit,
+    fit_result_dict,
+    save_trace_csv,
+)
 from pmdag.sync import build_masks, synchronize
 
 EXIT_OK = 0
@@ -32,7 +41,15 @@ EXIT_INVALID = 1
 EXIT_NOT_INDUCIBLE = 2
 EXIT_NOT_IDENTIFIABLE = 3
 
-METHOD_ALIASES = {"cov": "covariance", "acc": "accumulation", "reduced": "reduced"}
+METHOD_ALIASES = {"cov": "covariance", "acc": "accumulation", **{m: m for m in METHODS}}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2 (``EXIT_NOT_INDUCIBLE``)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _seed(args) -> int:
@@ -41,8 +58,7 @@ def _seed(args) -> int:
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    # defaults are read from FitConfig, their one home; the --method default is an
-    # engine name, which _fit_config passes through the alias lookup unchanged
+    # defaults are read from FitConfig, their one home
     p.add_argument("--loss", choices=LOSSES, default=FitConfig.loss)
     p.add_argument("--method", choices=sorted(METHOD_ALIASES), default=FitConfig.method)
     p.add_argument("--optimizer", choices=OPTIMIZERS, default=FitConfig.optimizer)
@@ -58,7 +74,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 def _fit_config(args) -> FitConfig:
     return FitConfig(
         loss=args.loss,
-        method=METHOD_ALIASES.get(args.method, args.method),
+        method=METHOD_ALIASES[args.method],
         optimizer=args.optimizer,
         lr=args.lr,
         max_iters=args.epochs,
@@ -70,7 +86,7 @@ def _fit_config(args) -> FitConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pmdag", description=__doc__)
+    parser = _Parser(prog="pmdag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a graph JSON file")

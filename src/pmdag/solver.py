@@ -11,7 +11,6 @@ learning rate.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -218,52 +217,20 @@ class AllocationCounter:
         self.current -= n
 
 
-class _Block:
-    """Gather plan of sig(rows, cols), a block of the node covariance, from the sigma table.
-
-    Entries are read where the scalar ``ReducedState.sig`` reads them: a
-    non-root column from its own table column, a (non-root row, root column)
-    entry transposed, a pair of roots as 0 or 1.
-    """
-
-    __slots__ = ("shape", "_nr_cols", "_any_nr", "_nr_root_at", "_nr_root", "_root_root_at", "_ones")
-
-    def __init__(self, rows, cols, is_root, col_of):
-        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-        root_row, root_col = np.array(is_root)[rows], np.array(is_root)[cols]
-        nr_rows, r_rows = np.flatnonzero(~root_row), np.flatnonzero(root_row)
-        nr_cols, r_cols = np.flatnonzero(~root_col), np.flatnonzero(root_col)
-        self.shape = (len(rows), len(cols))
-        self._nr_cols = nr_cols
-        self._any_nr = np.ix_(rows, col_of[cols[nr_cols]])
-        self._nr_root_at = np.ix_(nr_rows, r_cols)
-        self._nr_root = np.ix_(cols[r_cols], col_of[rows[nr_rows]])
-        self._root_root_at = np.ix_(r_rows, r_cols)
-        same = rows[r_rows][:, None] == cols[r_cols][None, :]
-        self._ones = (r_rows[same.nonzero()[0]], r_cols[same.nonzero()[1]])
-
-    def gather(self, sigma: np.ndarray) -> np.ndarray:
-        out = np.empty(self.shape)
-        out[:, self._nr_cols] = sigma[self._any_nr]
-        out[self._nr_root_at] = sigma[self._nr_root].T
-        out[self._root_root_at] = 0.0
-        out[self._ones] = 1.0
-        return out
-
-
 class _LayerPlan:
     """Index arrays of one layer l >= 1 for the reduced forward and backward passes.
 
-    Per new node j, ``lam_cols`` gathers sig(prev, parents of j) and
-    ``edge_cols`` Lambda_l(cur, parents of j), whose rows of new nodes come
-    from the lam table.  The gradient tables are (layer node + pad) x (layer
-    non-root + pad), the pad row and column holding zeros; pairs of two roots
-    are not held.
+    Per new node j, ``lam_cols`` holds the buffer positions of sig(prev,
+    parents of j) and ``edge_cols`` those of Lambda_l(cur, parents of j),
+    whose rows of new nodes point into the lam table.  The gradient tables
+    are (layer node + pad) x (layer non-root + pad), the pad row and column
+    holding zeros; pairs of two roots are not held.
     """
 
-    def __init__(self, sync, l, is_root, col_of, edge_start, n_edges):
+    def __init__(self, sync, l, plan, edge_start, n_edges):
         pa = sync.graph.parent_index
         first = sync.first_appearance
+        is_root, col_of = plan.is_root, plan.col_of
         prev, cur, new = sync.layers[l - 1], sync.layers[l], sync.new[l]
         self.prev = np.array(prev, dtype=np.intp)
         self.new = np.array(new, dtype=np.intp)
@@ -271,8 +238,7 @@ class _LayerPlan:
         edges = [slice(edge_start[j], edge_start[j] + len(pa[j])) for j in new]
 
         # forward: lam(prev, j) per new node j, then sig(new, new) from the parents of the later node
-        self.lam_cols = [(int(col_of[j]), _Block(prev, pa[j], is_root, col_of), sl)
-                         for j, sl in zip(new, edges)]
+        self.lam_cols = [(int(col_of[j]), plan.at(prev, pa[j]), sl) for j, sl in zip(new, edges)]
         self.pair_rows = [(np.ix_(np.array(pa[q], dtype=np.intp), self.cnew[:k + 1]), sl, int(col_of[q]))
                           for k, (q, sl) in enumerate(zip(new, edges))]
         stay = [u for u in cur if first[u] < l]
@@ -283,10 +249,8 @@ class _LayerPlan:
 
         # backward, edge gradients: Lambda_l(p, u) * G_l(u, j) summed over u in layer order
         cur_nr = [u for u in cur if not is_root[u]]
-        new_at = np.array([cur.index(j) for j in new], dtype=np.intp)
         self.n_cur = len(cur)
-        self.edge_cols = [(_Block(cur, pa[j], is_root, col_of), new_at,
-                           np.ix_(np.array(pa[j], dtype=np.intp), self.cnew), sl, cur_nr.index(j))
+        self.edge_cols = [(plan.at(cur, pa[j], lam_rows=new), sl, cur_nr.index(j))
                           for j, sl in zip(new, edges)]
         if l == 1:
             self.carry = None
@@ -318,62 +282,70 @@ class _LayerPlan:
 
 
 class ReducedPlan:
-    """The reduced engine's index arrays for one layering, built once per bind."""
+    """The reduced engine's index arrays for one layering, built once per bind.
+
+    A ``ReducedState`` holds its tables in one buffer: sigma, then lam, each
+    (node x non-root), then the constants 0.0 and 1.0.  ``at`` is the one
+    rule for where sig(p, q) sits in that buffer.
+    """
 
     def __init__(self, sync: Synchronization):
         g = sync.graph
-        self.is_root = [not pa for pa in g.parent_index]
-        nonroots = [i for i, r in enumerate(self.is_root) if not r]
+        self.is_root = np.array([not pa for pa in g.parent_index], dtype=bool)
+        nonroots = np.flatnonzero(~self.is_root)
         self.col_of = np.full(len(g.nodes), -1, dtype=np.intp)
         self.col_of[nonroots] = np.arange(len(nonroots))
         self.table_shape = (len(g.nodes), len(nonroots))
+        self.table_size = len(g.nodes) * len(nonroots)
         # one theta entry per edge, ordered like ``build_masks(sync).edges``
         self.edges = [(p, j) for l in range(1, sync.depth) for j in sync.new[l] for p in g.parent_index[j]]
         edge_start = {}
         for k, (_p, j) in enumerate(self.edges):
             edge_start.setdefault(j, k)
-        self.layers = [_LayerPlan(sync, l, self.is_root, self.col_of, edge_start, len(self.edges))
-                       for l in range(1, sync.depth)]
+        self.layers = [_LayerPlan(sync, l, self, edge_start, len(self.edges)) for l in range(1, sync.depth)]
         vis = [i for i, node in enumerate(g.nodes) if node.is_visible]
-        self.visible = _Block(vis, vis, self.is_root, self.col_of)
+        self.visible = self.at(vis, vis)
         last = sync.layers[-1]
         self.last_nr = np.array([k for k, u in enumerate(last) if not self.is_root[u]], dtype=np.intp)
 
+    def at(self, rows, cols, lam_rows=()) -> np.ndarray:
+        """Buffer positions of sig(rows, cols), a (rows x cols) array.
 
-@functools.lru_cache(maxsize=1)
-def _reduced_plan(sync: Synchronization) -> ReducedPlan:
-    """The plan of a layering, built on its first use and reused by the calls that follow.
-
-    A plan is a pure function of the layering, which nothing mutates.  A fit
-    binds one layering and calls the engine on it every iteration, so the
-    cache keeps the latest plan only, and with it that layering.
-    """
-    return ReducedPlan(sync)
+        A non-root column reads its own sigma column, a (non-root row, root
+        column) entry its transpose, and a pair of roots the 0.0 or 1.0 cell.
+        A row in ``lam_rows``, each a non-root, reads lam(col, row) instead.
+        """
+        rows, cols = np.array(rows, dtype=np.intp)[:, None], np.array(cols, dtype=np.intp)
+        n_nr, size = self.table_shape[1], self.table_size
+        from_lam = np.isin(rows, lam_rows)
+        at = np.where(self.is_root[cols] | from_lam, cols * n_nr + self.col_of[rows] + size * from_lam,
+                      rows * n_nr + self.col_of[cols])
+        return np.where(self.is_root[rows] & self.is_root[cols], 2 * size + (rows == cols), at)
 
 
 class ReducedState:
     """Global sigma and lambda tables keyed (any node, non-root node).
 
-    Entries are layer-independent once written; each slot is written once,
-    and ``verify=True`` re-checks that a slot is never rewritten.
+    Both are views of one buffer that ends in the constant cells 0.0 and 1.0
+    (see ``ReducedPlan.at``).  Entries are layer-independent once written;
+    each slot is written once, and ``verify=True`` re-checks that a slot is
+    never rewritten.
     """
 
-    __slots__ = ("plan", "sigma", "lam", "verify")
+    __slots__ = ("plan", "buf", "sigma", "lam", "verify")
 
     def __init__(self, plan: ReducedPlan, counter: AllocationCounter, verify: bool = False):
         self.plan = plan
-        self.sigma = np.full(plan.table_shape, np.nan)
-        self.lam = np.full(plan.table_shape, np.nan)
+        size = plan.table_size
+        self.buf = np.full(2 * size + 2, np.nan)
+        self.buf[-2:] = (0.0, 1.0)
+        self.sigma = self.buf[:size].reshape(plan.table_shape)
+        self.lam = self.buf[size:2 * size].reshape(plan.table_shape)
         self.verify = verify
-        counter.add(self.sigma.size + self.lam.size)
+        counter.add(self.buf.size)
 
     def sig(self, p: int, q: int) -> float:
-        is_root, col_of = self.plan.is_root, self.plan.col_of
-        if is_root[p] and is_root[q]:
-            return 1.0 if p == q else 0.0
-        if not is_root[q]:
-            return self.sigma[p, col_of[q]]
-        return self.sigma[q, col_of[p]]
+        return self.buf[self.plan.at([p], [q])[0, 0]]
 
     def put(self, table: np.ndarray, where, values) -> None:
         if self.verify and not np.isnan(table[where]).all():
@@ -381,7 +353,7 @@ class ReducedState:
         table[where] = values
 
     def visible_cov(self) -> np.ndarray:
-        out = self.plan.visible.gather(self.sigma)
+        out = self.buf.take(self.plan.visible)
         return (out + out.T) / 2.0
 
 
@@ -466,11 +438,11 @@ def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, grad_tab: np.ndarray,
 def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCounter,
                      verify: bool) -> ReducedState:
     state = ReducedState(plan, counter, verify)
-    sigma, lam = state.sigma, state.lam
+    buf, sigma, lam = state.buf, state.sigma, state.lam
     counter.add(theta.size)
     for lp in plan.layers:
-        for col, block, sl in lp.lam_cols:
-            terms = block.gather(sigma)
+        for col, at, sl in lp.lam_cols:
+            terms = buf.take(at)
             counter.add(terms.size)
             terms *= theta[sl]
             state.put(lam, (lp.prev, col), _ordered_sum(terms, 1))
@@ -493,11 +465,10 @@ def _reduced_backward(plan: ReducedPlan, theta_pad: np.ndarray, state: ReducedSt
     grad_tab[:n, :-1] = g[:, plan.last_nr]
     counter.add(grads.size + theta_pad.size + grad_tab.size)
     for lp in reversed(plan.layers):
-        for block, new_at, lam_new, sl, col in lp.edge_cols:
+        for at, sl, col in lp.edge_cols:
             g_col = grad_tab[:lp.n_cur, col]
-            terms = block.gather(state.sigma)
+            terms = state.buf.take(at)
             counter.add(terms.size)
-            terms[new_at] = state.lam[lam_new].T
             terms *= g_col[:, None]
             terms[g_col == 0.0] = 0.0  # a zero seed skips its term, even against an infinite factor
             grads[sl] = 2.0 * _ordered_sum(terms, 0)
@@ -520,7 +491,7 @@ def forward_reduced(
     tables replace the per-layer Sigma/Lambda stacks of the layered methods.
     Every sum adds in the order of the scalar loop over node pairs.
     """
-    plan = _reduced_plan(sync)
+    plan = ReducedPlan(sync)
     theta = np.fromiter((edge_weights[e] for e in plan.edges), float, len(plan.edges))
     return _reduced_forward(plan, theta, AllocationCounter() if counter is None else counter, verify)
 
@@ -629,7 +600,7 @@ def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> E
 def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
     """Bind the reduced engine's passes: its index plan is built here, once."""
     _take, embed = _visible_block(sync)
-    plan = _reduced_plan(sync)  # its edges are ordered like ``masks.edges``
+    plan = ReducedPlan(sync)  # its edges are ordered like ``masks.edges``
     counter = AllocationCounter()  # required by the passes; nothing reads it here
 
     def forward_theta(theta):

@@ -53,6 +53,26 @@ class TestPublicSurface:
         assert args.reps == timing["repetitions"].default
 
 
+class TestUsageErrors:
+    # argparse exits 2 on a usage error, which would read as EXIT_NOT_INDUCIBLE
+    @pytest.mark.parametrize("argv", [["identify", "g.json", "c.csv", "--do", "X=0", "--effect", "Y",
+                                       "--method", "bogus"],
+                                      ["fit", "g.json", "c.csv", "--epochs", "notanint"],
+                                      ["fit", "g.json"]],
+                             ids=["unknown_method", "non_integer_epochs", "missing_positional"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -127,10 +147,13 @@ class TestFitCommand:
 
     def test_fit_accepts_method_aliases(self, single_edge_files, capsys):
         gpath, cpath = single_edge_files
-        assert main(["fit", gpath, cpath, "--method", "acc", "--seed", "3",
-                     "--restarts", "1"]) == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["method"] == "accumulation"
+        for name, method in [("acc", "accumulation"), ("cov", "covariance"),
+                             ("accumulation", "accumulation"), ("covariance", "covariance"),
+                             ("reduced", "reduced")]:
+            assert main(["fit", gpath, cpath, "--method", name, "--seed", "3",
+                         "--restarts", "1"]) == 0
+            result = json.loads(capsys.readouterr().out)
+            assert result["method"] == method
 
     def test_fit_bad_target_exits_1(self, tmp_path, single_edge_files):
         gpath, _ = single_edge_files

@@ -150,3 +150,6 @@ def test_reduced_engine_matches_the_scalar_pair_loop_bitwise(g, seed, variant):
     assert bits(state.lam) == bits(ref.lam)
     assert bits(state.visible_cov()) == bits(scalar_visible_cov(sync, ref))
     assert bits(list(grads.values())) == bits([ref_grads[e] for e in grads])
+    # every ordered pair, roots with roots included, which the tables alone do not show
+    pairs = [(p, q) for p in range(len(g.nodes)) for q in range(len(g.nodes))]
+    assert bits([state.sig(p, q) for p, q in pairs]) == bits([ref.sig(p, q) for p, q in pairs])
