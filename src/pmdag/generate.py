@@ -15,19 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pmdag.gauss import CovMatrix, sample_covariance
-from pmdag.graph import (
-    LATENT,
-    VISIBLE,
-    GraphError,
-    Node,
-    PmDag,
-    StructuralParams,
-    augment,
-    exogenize,
-    validate,
-)
-from pmdag.solver import joint_cov, root_loadings
+from pmdag.gauss import CovMatrix
+from pmdag.graph import LATENT, VISIBLE, GraphError, Node, PmDag, StructuralParams, validate
+from pmdag.solver import joint_cov
 
 
 class InfeasibleBudget(UserWarning):
@@ -192,34 +182,15 @@ def canonical(name: str) -> PmDag:
     return CANONICAL_BUILDERS[key]()
 
 
-def premarginalize(g: PmDag) -> PmDag:
-    """Rebuild a graph in pre-marginalized form.
+def ground_truth(g: PmDag, seed: int) -> tuple[StructuralParams, CovMatrix]:
+    """Standard-normal random edge weights and the exact induced visible covariance.
 
-    Gives every node an auxiliary root parent, then folds each original
-    latent into its children; the result is strict, has the same visible set,
-    and induces the same visible Gaussian family.
-    """
-    original_latents = g.latent_names
-    augmented, _ = augment(g, g.names)
-    return exogenize(augmented, original_latents, mode="deterministic")
-
-
-def ground_truth(g: PmDag, seed: int, samples: int | None = None) -> tuple[StructuralParams, CovMatrix]:
-    """Standard-normal random edge weights and the induced visible covariance.
-
-    The covariance is exact by default, isolating optimization error from
-    sampling error; pass ``samples`` to substitute a biased sample covariance
-    from that many Monte Carlo draws instead.
+    The covariance is exact, not sampled, so a fit's error is optimization
+    error alone.
     """
     rng = np.random.default_rng(seed)
     weights = {}
     for name in g.nonroots:
         weights[name] = rng.standard_normal(len(g.parents(name)))
     params = StructuralParams(weights)
-    vis = g.visible_names
-    if samples is None:
-        return params, joint_cov(g, params).restrict(vis)
-
-    draws = np.column_stack([rng.standard_normal(samples) for _ in g.roots])
-    obs = draws @ root_loadings(g, params)[:, [g.index(name) for name in vis]]
-    return params, sample_covariance(obs, vis)
+    return params, joint_cov(g, params).restrict(g.visible_names)

@@ -2,8 +2,8 @@
 
 A graph here is an immutable value: node order is significant (parent lists
 and weight vectors index against it) and every transformation returns a new
-graph.  Auxiliary nodes introduced by transforms get deterministic names so
-that transform pipelines are reproducible and serializable.
+graph.  The intervention nodes that mutilation adds get deterministic names,
+so transformed graphs are reproducible and serializable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 VISIBLE = "visible"
 LATENT = "latent"
 
-AUX_PREFIX = "__aux_"
 MUT_PREFIX = "__mut_"
 
 
@@ -59,13 +58,7 @@ class NotLatent(GraphError):
 class RootTarget(GraphError):
     def __init__(self, node):
         self.node = node
-        super().__init__(f"node {node!r} is a root; deterministic exogenization needs a non-root target")
-
-
-class NotLatentRoot(GraphError):
-    def __init__(self, node):
-        self.node = node
-        super().__init__(f"node {node!r} is not a latent root")
+        super().__init__(f"node {node!r} is a root; exogenization needs a non-root target")
 
 
 class NotVisible(GraphError):
@@ -103,6 +96,10 @@ def _as_node(spec) -> Node:
         return Node(spec["name"], spec["role"])
     name, role = spec
     return Node(name, role)
+
+
+def _is_name_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
 
 
 class PmDag:
@@ -267,7 +264,17 @@ class PmDag:
     def from_dict(cls, data: dict) -> "PmDag":
         if not isinstance(data, dict) or not {"nodes", "edges"} <= data.keys():
             raise GraphError("a graph needs an object with 'nodes' and 'edges'")
-        return cls(data["nodes"], [tuple(e) for e in data["edges"]])
+        nodes, edges = data["nodes"], data["edges"]
+        if not isinstance(nodes, list) or not isinstance(edges, list):
+            raise GraphError("a graph's 'nodes' and 'edges' must be lists")
+        for node in nodes:
+            fields = [node.get("name"), node.get("role")] if isinstance(node, dict) else node
+            if not _is_name_pair(fields):
+                raise GraphError(f"node {node!r} must be an object or a pair with string 'name' and 'role'")
+        for edge in edges:
+            if not _is_name_pair(edge):
+                raise GraphError(f"edge {edge!r} must be a pair of node names")
+        return cls(nodes, [tuple(e) for e in edges])
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -368,10 +375,6 @@ def validate(nodes: Iterable, edges: Iterable[tuple[str, str]], strict: bool = F
     return g
 
 
-def aux_name(target: str) -> str:
-    return AUX_PREFIX + target
-
-
 def mut_name(target: str) -> str:
     return MUT_PREFIX + target
 
@@ -383,47 +386,14 @@ def _ordered_targets(g: PmDag, targets: Iterable[str]) -> list[str]:
     return sorted(targets, key=g.index)
 
 
-def augment(g: PmDag, targets: Iterable[str]) -> tuple[PmDag, dict[str, str]]:
-    """Add a fresh latent parent per target node.
-
-    Returns the augmented graph and the map target -> auxiliary node name.
-    Targets are processed in node-list order; aux nodes are appended to the
-    node list in that order.
-    """
-    ordered = _ordered_targets(g, targets)
-    aux_map = {}
-    nodes = list(g.nodes)
-    edges = set(g.edges)
-    for t in ordered:
-        aux = aux_name(t)
-        if aux in g or aux in aux_map.values():
-            raise GraphError(f"auxiliary name {aux!r} already taken")
-        aux_map[t] = aux
-        nodes.append(Node(aux, LATENT))
-        edges.add((aux, t))
-    return PmDag(nodes, edges), aux_map
-
-
-def exogenize(g: PmDag, targets: Iterable[str], mode: str = "deterministic") -> PmDag:
-    """Remove latent targets, rewiring each target's parents to its children.
-
-    ``deterministic`` requires non-root latent targets and removes them
-    outright.  ``indeterministic`` first gives the target an auxiliary root
-    parent, so the fresh root takes the target's place pointing at its
-    children; node count is preserved.
-    """
-    if mode not in ("deterministic", "indeterministic"):
-        raise GraphError(f"unknown exogenization mode {mode!r}")
-    ordered = _ordered_targets(g, targets)
+def exogenize(g: PmDag, targets: Iterable[str]) -> PmDag:
+    """Remove non-root latent targets, rewiring each target's parents to its children."""
     out = g
-    for t in ordered:
+    for t in _ordered_targets(g, targets):
         if not out.node(t).is_latent:
             raise NotLatent(t)
-        if mode == "deterministic":
-            if out.is_root(t):
-                raise RootTarget(t)
-        else:
-            out, _ = augment(out, {t})
+        if out.is_root(t):
+            raise RootTarget(t)
         out = _exogenize_one(out, t)
     return out
 
@@ -435,30 +405,6 @@ def _exogenize_one(g: PmDag, target: str) -> PmDag:
     edges = {(p, c) for p, c in g.edges if target not in (p, c)}
     edges.update((p, c) for p in pa for c in ch)
     return PmDag(nodes, edges)
-
-
-def coalesce(g: PmDag, targets: Iterable[str]) -> PmDag:
-    """Drop each latent-root target whose child set is covered by another root's.
-
-    A target survives when no other current root points to a superset of its
-    children.  Targets are processed one at a time in node-list order.
-    """
-    ordered = _ordered_targets(g, targets)
-    out = g
-    for t in ordered:
-        node = out.node(t)
-        if not node.is_latent or not out.is_root(t):
-            raise NotLatentRoot(t)
-        ch = set(out.children(t))
-        covered = any(
-            r != t and ch <= set(out.children(r))
-            for r in out.roots
-        )
-        if covered:
-            nodes = [n for n in out.nodes if n.name != t]
-            edges = {(p, c) for p, c in out.edges if p != t}
-            out = PmDag(nodes, edges)
-    return out
 
 
 def mutilate(g: PmDag, targets: Iterable[str]) -> tuple[PmDag, dict[str, str]]:
@@ -487,37 +433,6 @@ def mutilate(g: PmDag, targets: Iterable[str]) -> tuple[PmDag, dict[str, str]]:
     return PmDag(nodes, edges), aux_map
 
 
-def is_mdag(g: PmDag) -> bool:
-    """True iff every latent is a root and the roots' child sets form an anti-chain."""
-    if not g.is_strict:
-        return False
-    roots = g.roots
-    child_sets = {r: set(g.children(r)) for r in roots}
-    for a in roots:
-        for b in roots:
-            if a != b and child_sets[a] <= child_sets[b]:
-                return False
-    return True
-
-
-def is_correlation_scenario(g: PmDag) -> bool:
-    """True iff every visible node's parents are all latent roots."""
-    for name in g.visible_names:
-        for p in g.parents(name):
-            if not (g.node(p).is_latent and g.is_root(p)):
-                return False
-    return True
-
-
-def is_subdag(g1: PmDag, g2: PmDag) -> bool:
-    """True iff g1 and g2 share the visible set, and g1's latents and edges embed in g2's."""
-    if set(g1.visible_names) != set(g2.visible_names):
-        return False
-    if not set(g1.latent_names) <= set(g2.latent_names):
-        return False
-    return g1.edges <= g2.edges
-
-
 def exogenize_params(g: PmDag, params: StructuralParams, latent: str) -> tuple[PmDag, StructuralParams]:
     """Deterministically exogenize one non-root latent, composing its weights into its children.
 
@@ -531,7 +446,7 @@ def exogenize_params(g: PmDag, params: StructuralParams, latent: str) -> tuple[P
         raise RootTarget(latent)
     params.validate_for(g)
 
-    new_graph = exogenize(g, {latent}, mode="deterministic")
+    new_graph = exogenize(g, {latent})
     edge_w = params.to_edge_dict(g)
     composed = {}
     for child in g.children(latent):

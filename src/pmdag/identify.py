@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from pmdag.gauss import CovMatrix, GaussianDist, SingularQ, kl_gaussian
-from pmdag.graph import NotVisible, PmDag, StructuralParams, UnknownNode, mutilate
+from pmdag.graph import NotVisible, PmDag, StructuralParams, mutilate
 from pmdag.solver import FitConfig, FitReport, derive_seed, fit, fit_kl, root_loadings
 
 
@@ -52,6 +52,13 @@ class InterventionQuery:
             raise IdentifyError("an intervention target is given more than once")
 
 
+def _check_query_nodes(g: PmDag, query: InterventionQuery) -> None:
+    """Raise unless every target and effect of the query is a visible node of ``g``."""
+    for name in query.targets + query.effects:
+        if not g.node(name).is_visible:
+            raise NotVisible(name)
+
+
 def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQuery) -> GaussianDist:
     """Exact Gaussian law of the effects under do(targets = values).
 
@@ -60,11 +67,7 @@ def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQ
     are generally nonzero when the assigned values are.
     """
     params.validate_for(g)
-    for name in query.targets + query.effects:
-        if name not in g:
-            raise UnknownNode(name)
-        if not g.node(name).is_visible:
-            raise NotVisible(name)
+    _check_query_nodes(g, query)
 
     cut, aux_map = mutilate(g, query.targets)
     assigned = {aux_map[t]: v for t, v in zip(query.targets, query.values)}
@@ -165,6 +168,7 @@ def identify(
         raise IdentifyError("iters and retry_cap must be at least 1")
     if not (math.isfinite(tol_id) and tol_id >= 0):
         raise IdentifyError("tol_id must be finite and nonnegative")
+    _check_query_nodes(g, query)
     if fn_config is None:
         fn_config = FitConfig()
     master = fn_config.seed

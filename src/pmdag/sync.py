@@ -11,15 +11,11 @@ a binary mask marking which entries are trainable.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from pmdag.graph import GraphError, PmDag, UnknownNode
-
-
-class InvalidCustomPlan(GraphError):
-    """A custom layer plan chose an empty or non-root peel set."""
 
 
 class Synchronization:
@@ -115,36 +111,16 @@ class Synchronization:
         return "\n".join(lines)
 
 
-def synchronize(g: PmDag, plan: Iterable[Iterable[str]] | None = None) -> Synchronization:
+def synchronize(g: PmDag) -> Synchronization:
     """Layer the graph by the round in which each node is peeled off as a root.
 
-    Round 0 peels the full root set.  The greedy default then peels every
-    root of the remainder each round, which minimizes depth: a node's first
-    layer is its longest-path level.  A custom ``plan`` instead gives the
-    peel sets (as name iterables) for rounds 1, 2, ... and must cover the
-    whole graph.
+    Round 0 peels the full root set, and every later round peels every root
+    of the remainder, which minimizes depth: a node's first layer is its
+    longest-path level.
     """
-    if plan is None:
-        first = [0] * len(g.nodes)
-        for i in map(g.index, g.topological_order()):
-            first[i] = 1 + max((first[p] for p in g.parent_index[i]), default=-1)
-        return Synchronization(g, first)
-
-    first = [None if pa else 0 for pa in g.parent_index]
-    for rnd, names in enumerate(plan, start=1):
-        if None not in first:
-            raise InvalidCustomPlan("plan has leftover peel sets after the graph was covered")
-        chosen = {g.index(name) if name in g else None for name in names}
-        if None in chosen:
-            raise InvalidCustomPlan("plan names a node outside the graph")
-        # a root of the remainder is unpeeled, with every parent peeled in an earlier round
-        if not chosen or not all(first[i] is None and None not in [first[p] for p in g.parent_index[i]]
-                                 for i in chosen):
-            raise InvalidCustomPlan("each peel set must be a nonempty subset of the remainder's roots")
-        for i in chosen:
-            first[i] = rnd
-    if None in first:
-        raise InvalidCustomPlan("plan exhausted before the graph was covered")
+    first = [0] * len(g.nodes)
+    for i in map(g.index, g.topological_order()):
+        first[i] = 1 + max((first[p] for p in g.parent_index[i]), default=-1)
     return Synchronization(g, first)
 
 

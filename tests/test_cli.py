@@ -73,6 +73,9 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
+LX_NODES = [{"name": "L", "role": "latent"}, {"name": "X", "role": "visible"}]
+
+
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -84,7 +87,14 @@ class TestValidateCommand:
         {"nodes": [{"name": "X", "role": "visible"}], "edges": []},
         {"nodes": [{"name": "L", "role": "latent"}]},
         {"nodes": [{"name": "L", "role": "latent"}, {"name": "X"}], "edges": [["L", "X"]]},
-    ], ids=["visible_root", "no_edges", "no_role"])
+        {"nodes": LX_NODES, "edges": 5},
+        {"nodes": 5, "edges": []},
+        {"nodes": LX_NODES, "edges": [["L", ["X"]]]},
+        {"nodes": [{"name": ["L"], "role": "latent"}], "edges": []},
+        {"nodes": LX_NODES + [None], "edges": [["L", "X"]]},
+        {"nodes": LX_NODES, "edges": [["L", "X", "X"]]},
+    ], ids=["visible_root", "no_edges", "no_role", "int_edges", "int_nodes", "list_in_edge",
+            "list_node_name", "null_node", "edge_triple"])
     def test_invalid_graph_exits_1(self, tmp_path, capsys, graph):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(graph))
@@ -213,6 +223,14 @@ class TestIdentifyCommand:
         verdict = json.loads(out.read_text(), parse_constant=reject)
         assert verdict["outcome"] == "not_inducible"
         assert verdict["max_divergence"] is None
+
+    def test_unknown_effect_exits_1_before_fitting(self, tmp_path, capsys):
+        # five epochs leave the reference fit short of kl_tol, which would answer not_inducible
+        gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
+        code = main(["identify", gpath, cpath, "--do", "X=1", "--effect", "Q",
+                     "--epochs", "5", "--restarts", "1"])
+        assert code == 1
+        assert "unknown node 'Q'" in capsys.readouterr().err
 
     def test_exhausted_budget_says_why(self, tmp_path, capsys):
         # the reference fit only runs out of iterations; the verdict names that

@@ -11,7 +11,6 @@ from pmdag.generate import (
     edge_budget,
     ground_truth,
     latent_count,
-    premarginalize,
     random_pmdag,
 )
 from pmdag.graph import GraphError, validate
@@ -111,25 +110,6 @@ class TestCanonical:
         assert canonical("Extended-Bow") == canonical("extended_bow")
 
 
-class TestPremarginalize:
-    def latent_child_sets(self, g):
-        return sorted(sorted(g.children(l)) for l in g.latent_names)
-
-    def test_recipe_reproduces_bow_shape(self, bow):
-        rebuilt = premarginalize(bow)
-        reference = canonical("bow")
-        assert set(rebuilt.visible_names) == set(reference.visible_names)
-        assert len(rebuilt.latent_names) == len(reference.latent_names)
-        assert self.latent_child_sets(rebuilt) == self.latent_child_sets(reference)
-        visible_edges = {(p, c) for p, c in rebuilt.edges
-                         if rebuilt.node(p).is_visible}
-        assert visible_edges == {("X", "Y")}
-
-    def test_result_is_strict(self, chain3):
-        out = premarginalize(chain3)
-        validate(out.nodes, out.edges, strict=True)
-
-
 class TestGroundTruth:
     def test_deterministic(self):
         g = canonical("backdoor")
@@ -145,11 +125,3 @@ class TestGroundTruth:
         assert eigs.min() >= -1e-10 * np.trace(cov.data)
         expected = joint_cov(g, params).restrict(g.visible_names)
         np.testing.assert_allclose(cov.data, expected.data, atol=1e-12)
-
-    def test_sampled_covariance_close_to_exact(self):
-        g = canonical("bow")
-        params, exact = ground_truth(g, seed=2)
-        _, sampled = ground_truth(g, seed=2, samples=200_000)
-        d = np.diag(exact.data)
-        se = np.sqrt((np.outer(d, d) + exact.data ** 2) / 200_000)
-        assert np.all(np.abs(sampled.data - exact.data) <= 5 * se)

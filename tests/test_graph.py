@@ -11,20 +11,14 @@ from pmdag.graph import (
     Node,
     NonRootLatent,
     NotLatent,
-    NotLatentRoot,
     NotVisible,
     PmDag,
     RootTarget,
     StructuralParams,
     UnknownNode,
     VisibleRoot,
-    augment,
-    coalesce,
     exogenize,
     exogenize_params,
-    is_correlation_scenario,
-    is_mdag,
-    is_subdag,
     mutilate,
     validate,
 )
@@ -98,33 +92,6 @@ class TestQuery:
                 method("Q")
 
 
-class TestAugment:
-    def test_bow_both_visibles(self, bow):
-        out, aux = augment(bow, {"X", "Y"})
-        assert len(out.nodes) == 5
-        assert aux == {"X": "__aux_X", "Y": "__aux_Y"}
-        assert ("__aux_X", "X") in out.edges
-        assert bow.edges <= out.edges
-
-    def test_empty_targets_is_identity(self, bow):
-        out, aux = augment(bow, set())
-        assert out == bow
-        assert aux == {}
-
-    def test_roots_grow(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            g = random_small_graph(rng)
-            targets = set(g.names[: len(g.names) // 2])
-            out, aux = augment(g, targets)
-            # an augmented root stops being one (it gains the aux parent), but
-            # the root count never shrinks and non-targets keep their status
-            assert len(out.roots) >= len(g.roots)
-            assert set(g.roots) - targets <= set(out.roots)
-            assert set(aux.values()) <= set(out.roots)
-            assert set(out.visible_names) == set(g.visible_names)
-
-
 def fork_graph():
     """Latents L1, L2 feed a latent hub A that feeds visibles X, Y."""
     return validate(
@@ -138,37 +105,23 @@ def fork_graph():
 class TestExogenize:
     def test_deterministic_rewires_and_removes(self):
         g = fork_graph()
-        out = exogenize(g, {"A"}, mode="deterministic")
+        out = exogenize(g, {"A"})
         assert "A" not in out
         for p in ("L1", "L2"):
             for c in ("X", "Y"):
                 assert (p, c) in out.edges
         assert len(out.nodes) == len(g.nodes) - 1
 
-    def test_indeterministic_preserves_node_count(self):
-        g = fork_graph()
-        out = exogenize(g, {"A"}, mode="indeterministic")
-        assert "A" not in out
-        assert "__aux_A" in out
-        assert len(out.nodes) == len(g.nodes)
-        assert out.is_root("__aux_A")
-        assert set(out.children("__aux_A")) == {"X", "Y"}
-
     def test_empty_targets_is_identity(self, bow):
-        assert exogenize(bow, set(), mode="deterministic") == bow
+        assert exogenize(bow, set()) == bow
 
     def test_root_target_rejected_deterministically(self, bow):
         with pytest.raises(RootTarget):
-            exogenize(bow, {"A"}, mode="deterministic")
-
-    def test_indeterministic_accepts_root_target(self, bow):
-        out = exogenize(bow, {"A"}, mode="indeterministic")
-        assert "__aux_A" in out
-        assert len(out.nodes) == 3
+            exogenize(bow, {"A"})
 
     def test_visible_target_rejected(self, bow):
         with pytest.raises(NotLatent):
-            exogenize(bow, {"X"}, mode="deterministic")
+            exogenize(bow, {"X"})
 
     def test_order_independent(self):
         g = validate(
@@ -176,50 +129,11 @@ class TestExogenize:
              ("X", "visible")],
             [("R1", "A"), ("R2", "B"), ("A", "X"), ("B", "X"), ("A", "B")],
         )
-        out = exogenize(g, {"A", "B"}, mode="deterministic")
+        out = exogenize(g, {"A", "B"})
         # manual reversed order
-        step = exogenize(g, {"B"}, mode="deterministic")
-        other = exogenize(step, {"A"}, mode="deterministic")
+        step = exogenize(g, {"B"})
+        other = exogenize(step, {"A"})
         assert out == other
-
-
-class TestCoalesce:
-    def test_covered_root_removed(self):
-        g = validate(
-            [("L1", "latent"), ("L2", "latent"), ("X", "visible"), ("Y", "visible")],
-            [("L1", "X"), ("L1", "Y"), ("L2", "X")],
-        )
-        out = coalesce(g, {"L2"})
-        assert "L2" not in out
-        assert out.edges == frozenset({("L1", "X"), ("L1", "Y")})
-
-    def test_uncovered_root_kept(self):
-        g = validate(
-            [("L1", "latent"), ("L2", "latent"), ("X", "visible"), ("Y", "visible")],
-            [("L1", "X"), ("L2", "Y")],
-        )
-        assert coalesce(g, {"L2"}) == g
-
-    def test_non_root_target_rejected(self):
-        g = fork_graph()
-        with pytest.raises(NotLatentRoot):
-            coalesce(g, {"A"})
-
-    def test_visible_target_rejected(self, bow):
-        with pytest.raises(NotLatentRoot):
-            coalesce(bow, {"X"})
-
-    def test_exhaustive_coalescence_yields_mdag(self):
-        rng = np.random.default_rng(31)
-        for _ in range(15):
-            g = random_small_graph(rng)
-            while True:
-                latent_roots = [r for r in g.roots if g.node(r).is_latent]
-                out = coalesce(g, latent_roots)
-                if out == g:
-                    break
-                g = out
-            assert is_mdag(g)
 
 
 class TestMutilate:
@@ -256,66 +170,6 @@ class TestMutilate:
             out, aux = mutilate(g, targets)
             for t in targets:
                 assert out.parents(t) == (aux[t],)
-
-
-class TestClassChecks:
-    def test_antichain_is_mdag(self):
-        g = validate(
-            [("L1", "latent"), ("L2", "latent"),
-             ("X", "visible"), ("Y", "visible"), ("Z", "visible")],
-            [("L1", "X"), ("L1", "Y"), ("L2", "Y"), ("L2", "Z")],
-        )
-        assert is_mdag(g)
-
-    def test_contained_children_not_mdag(self):
-        g = validate(
-            [("L1", "latent"), ("L2", "latent"), ("X", "visible"), ("Y", "visible")],
-            [("L1", "X"), ("L1", "Y"), ("L2", "X")],
-        )
-        assert not is_mdag(g)
-
-    def test_single_root_is_mdag(self):
-        g = validate([("L", "latent"), ("X", "visible")], [("L", "X")])
-        assert is_mdag(g)
-
-    def test_non_strict_not_mdag(self, chain3):
-        assert not is_mdag(chain3)
-
-    def test_correlation_scenario(self):
-        g = validate(
-            [("P", "latent"), ("E1", "latent"), ("E2", "latent"),
-             ("X", "visible"), ("Y", "visible")],
-            [("P", "X"), ("P", "Y"), ("E1", "X"), ("E2", "Y")],
-        )
-        assert is_correlation_scenario(g)
-
-    def test_bow_not_correlation_scenario(self, bow):
-        assert not is_correlation_scenario(bow)
-
-    def test_subdag_reflexive(self, bow):
-        assert is_subdag(bow, bow)
-
-    def test_subdag_with_extra_latent(self, bow):
-        bigger = PmDag(list(bow.nodes) + [Node("B", "latent")],
-                       set(bow.edges) | {("B", "X")})
-        assert is_subdag(bow, bigger)
-        assert not is_subdag(bigger, bow)
-
-    def test_subdag_different_visibles(self, bow):
-        other = validate([("L", "latent"), ("X", "visible")], [("L", "X")])
-        assert not is_subdag(bow, other)
-
-    def test_subdag_transitive_on_randoms(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            g = random_small_graph(rng)
-            edges = sorted(g.edges)
-            keep = max(len(edges) - 2, len(g.visible_names))
-            # drop non-auxiliary edges to build a nested pair
-            sub_edges = set(edges[:keep]) | {(f"L{i}", f"V{i}") for i in range(len(g.visible_names))}
-            sub = PmDag(g.nodes, sub_edges & set(g.edges))
-            assert is_subdag(sub, g)
-            assert is_subdag(sub, sub)
 
 
 class TestExogenizeParams:

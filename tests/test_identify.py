@@ -259,6 +259,18 @@ class TestIdentify:
                      **{name: value})
         assert not calls
 
+    @pytest.mark.parametrize("query, error", [
+        (InterventionQuery(("X",), (0.0,), ("Q",)), UnknownNode),
+        (InterventionQuery(("U_XY",), (0.0,), ("Y",)), NotVisible),
+    ], ids=["unknown_effect", "latent_target"])
+    def test_bad_query_rejected_before_any_fit(self, query, error):
+        g = canonical("bow")
+        _, target = ground_truth(g, seed=5)
+        calls = []
+        with pytest.raises(error):
+            identify(g, target, query, QUICK, fn=lambda *a: calls.append(a))
+        assert not calls
+
     def test_verdict_serialization(self):
         g = canonical("bow")
         _, target = ground_truth(g, seed=5)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pmdag.generate import canonical, canonical_names
 from pmdag.graph import PmDag, validate
-from pmdag.sync import InvalidCustomPlan, build_masks, synchronize
+from pmdag.sync import build_masks, synchronize
 
 from conftest import PROPERTY, demote_one_visible, pmdags, random_small_graph
 
@@ -210,95 +210,6 @@ class TestMasks:
         masks = build_masks(synchronize(g))
         for m, c in zip(masks.trainable, masks.constants):
             assert not np.any((m > 0) & (c > 0))
-
-
-class TestCustomPlans:
-    def diamond(self):
-        return validate(
-            [("L1", "latent"), ("L2", "latent"), ("X", "visible"), ("Y", "visible")],
-            [("L1", "X"), ("L2", "Y"), ("L1", "Y"), ("L2", "X")],
-        )
-
-    def test_plan_changes_layering_not_trainables(self):
-        g = self.diamond()
-        greedy = synchronize(g)
-        custom = synchronize(g, plan=[["X"], ["Y"]])
-        assert greedy.depth == 2 and custom.depth == 3
-        assert build_masks(greedy).n_trainable == build_masks(custom).n_trainable
-
-    def test_plan_preserves_final_covariance(self):
-        from pmdag.solver import forward_cov, weights_from_params
-        from conftest import random_params
-
-        rng = np.random.default_rng(15)
-        g = self.diamond()
-        params = random_params(g, rng)
-        results = []
-        for plan in (None, [["X"], ["Y"]], [["Y"], ["X"]]):
-            sync = synchronize(g, plan=plan)
-            masks = build_masks(sync)
-            weights = weights_from_params(g, masks, params)
-            sigma, _, _ = forward_cov(sync, weights)
-            names = sync.layer_names(sync.depth - 1)
-            pos = [names.index(v) for v in g.visible_names]
-            results.append(sigma[np.ix_(pos, pos)])
-        np.testing.assert_allclose(results[1], results[0], atol=1e-12)
-        np.testing.assert_allclose(results[2], results[0], atol=1e-12)
-
-    def test_empty_peel_rejected(self):
-        with pytest.raises(InvalidCustomPlan):
-            synchronize(self.diamond(), plan=[[], ["X", "Y"]])
-
-    def test_non_root_peel_rejected(self, bow):
-        # Y still depends on the unpeeled X
-        with pytest.raises(InvalidCustomPlan):
-            synchronize(bow, plan=[["Y"], ["X"]])
-
-    def test_unknown_name_rejected(self, bow):
-        with pytest.raises(InvalidCustomPlan):
-            synchronize(bow, plan=[["Q"], ["X", "Y"]])
-
-    def test_exhausted_plan_rejected(self, bow):
-        with pytest.raises(InvalidCustomPlan):
-            synchronize(bow, plan=[["X"]])
-
-    def test_leftover_plan_rejected(self, bow):
-        with pytest.raises(InvalidCustomPlan):
-            synchronize(bow, plan=[["X"], ["Y"], ["Y"]])
-
-    def test_random_plans_equivalent_to_greedy(self):
-        # peel random nonempty root subsets; layer count grows but nothing else
-        from pmdag.solver import forward_cov, weights_from_params
-        from conftest import random_params, random_small_graph
-
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            g = random_small_graph(rng)
-            params = random_params(g, rng)
-            greedy = synchronize(g)
-
-            plan = []
-            visited = set(g.roots)
-            remaining = set(g.names) - visited
-            while remaining:
-                ready = [n for n in remaining if set(g.parents(n)) <= visited]
-                take = max(1, int(rng.integers(1, len(ready) + 1)))
-                picked = list(rng.choice(ready, size=take, replace=False))
-                plan.append(picked)
-                visited |= set(picked)
-                remaining -= set(picked)
-            custom = synchronize(g, plan=plan)
-            assert build_masks(custom).n_trainable == build_masks(greedy).n_trainable
-
-            def visible_cov(sync):
-                weights = weights_from_params(g, build_masks(sync), params)
-                sigma, _, _ = forward_cov(sync, weights)
-                names = sync.layer_names(sync.depth - 1)
-                pos = [names.index(v) for v in g.visible_names]
-                return sigma[np.ix_(pos, pos)]
-
-            np.testing.assert_allclose(visible_cov(custom), visible_cov(greedy),
-                                       atol=1e-10, rtol=1e-10)
 
 
 class TestNonStrictGraphs:
