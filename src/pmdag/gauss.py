@@ -90,6 +90,10 @@ class GaussError(ValueError):
     """Base class for covariance and divergence errors."""
 
 
+class TooFewRows(GaussError):
+    pass
+
+
 class SingularQ(GaussError):
     """The reference (second-argument) covariance is not invertible."""
 
@@ -178,6 +182,15 @@ class GaussianDist:
         if mean.shape != (self.cov.dim,):
             raise GaussError("mean dimension does not match covariance dimension")
         object.__setattr__(self, "mean", mean)
+
+
+def sample_covariance(observations, labels) -> CovMatrix:
+    """Biased sample covariance (normalized by the row count) of row observations."""
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim != 2 or obs.shape[0] < 2:
+        raise TooFewRows("need a 2-d array with at least two rows")
+    centered = obs - obs.mean(axis=0)
+    return CovMatrix(labels, centered.T @ centered / obs.shape[0])
 
 
 def spd_factor(sigma: np.ndarray) -> tuple[np.ndarray, float]:

@@ -53,6 +53,10 @@ class NonFiniteGradient(SolverError):
     pass
 
 
+class NegativeVariance(SolverError):
+    pass
+
+
 def derive_seed(*parts: int) -> int:
     """Stable 63-bit seed derived from integer parts; index-based, not order-of-execution."""
     state = np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0]
@@ -725,6 +729,23 @@ def _visible_laws(g: PmDag, target: CovMatrix, params: StructuralParams) -> tupl
 def fit_kl(g: PmDag, target: CovMatrix, params: StructuralParams) -> float:
     """KL(model || target) on the visible margin: how well the params induce the target."""
     return kl_gaussian(*_visible_laws(g, target, params))
+
+
+def standardize(g: PmDag, params: StructuralParams, root_variances: dict[str, float]) -> StructuralParams:
+    """Fold root variances into the outgoing weights so every root is standard normal."""
+    params.validate_for(g)
+    for name, var in root_variances.items():
+        if var < 0:
+            raise NegativeVariance(f"variance of root {name!r} is negative")
+    roots = set(g.roots)
+    edge_w = params.to_edge_dict(g)
+    out = {}
+    for (p, c), w in edge_w.items():
+        if p in roots:
+            out[(p, c)] = w * math.sqrt(root_variances.get(p, 1.0))
+        else:
+            out[(p, c)] = w
+    return StructuralParams.from_edge_dict(g, out)
 
 
 # --- the fit loop ------------------------------------------------------------

@@ -12,6 +12,7 @@ from pmdag.gauss import (
     NonFiniteEntries,
     NotPositiveDefinite,
     SingularQ,
+    TooFewRows,
     err_bha,
     err_kl,
     grad_err_bha,
@@ -20,6 +21,7 @@ from pmdag.gauss import (
     load_cov_csv,
     log_err_bha,
     loss_kernel,
+    sample_covariance,
     save_cov_csv,
     spd_factor,
 )
@@ -77,6 +79,31 @@ class TestCovMatrix:
     def test_get(self):
         cov = CovMatrix(("a", "b"), [[2.0, 0.5], [0.5, 1.0]])
         assert cov.get("a", "b") == 0.5
+
+
+class TestSampleCovariance:
+    def test_two_point_example(self):
+        cov = sample_covariance([[1.0, -1.0], [-1.0, 1.0]], ("X", "Y"))
+        np.testing.assert_allclose(cov.data, [[1.0, -1.0], [-1.0, 1.0]])
+
+    def test_constant_rows_zero(self):
+        cov = sample_covariance([[3.0, 3.0]] * 4, ("X", "Y"))
+        np.testing.assert_array_equal(cov.data, np.zeros((2, 2)))
+
+    def test_too_few_rows(self):
+        with pytest.raises(TooFewRows):
+            sample_covariance([[1.0, 2.0]], ("X", "Y"))
+
+    def test_monte_carlo_recovers_truth(self):
+        rng = np.random.default_rng(0)
+        truth = np.array([[2.0, 0.6], [0.6, 1.0]])
+        chol = np.linalg.cholesky(truth)
+        m = 1_000_000
+        obs = rng.standard_normal((m, 2)) @ chol.T
+        cov = sample_covariance(obs, ("X", "Y")).data
+        # standard error of a covariance entry from Gaussian fourth moments
+        se = np.sqrt((np.outer(np.diag(truth), np.diag(truth)) + truth ** 2) / m)
+        assert np.all(np.abs(cov - truth) < 4 * se)
 
 
 class TestKlGaussian:

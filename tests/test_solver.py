@@ -12,6 +12,7 @@ from pmdag.solver import (
     AllocationCounter,
     AsymmetricSeed,
     FitConfig,
+    NegativeVariance,
     NonFiniteGradient,
     ReducedPlan,
     SgdState,
@@ -33,7 +34,9 @@ from pmdag.solver import (
     joint_cov,
     layered_entry_count,
     optimize_step,
+    root_loadings,
     save_trace_csv,
+    standardize,
     weights_from_params,
 )
 from pmdag.sync import build_masks, synchronize
@@ -345,6 +348,41 @@ class TestJointCov:
         sample = obs.T @ obs / m
         se = np.sqrt((np.outer(np.diag(truth), np.diag(truth)) + truth ** 2) / m)
         assert np.all(np.abs(sample - truth) <= 4 * se)
+
+
+class TestStandardize:
+    def test_single_edge_rescale(self):
+        g = validate([("L", "latent"), ("V", "visible")], [("L", "V")])
+        params = StructuralParams.from_edge_dict(g, {("L", "V"): 1.0})
+        out = standardize(g, params, {"L": 4.0})
+        assert out.edge_weight(g, "L", "V") == pytest.approx(2.0)
+        assert joint_cov(g, out).get("V", "V") == pytest.approx(4.0)
+
+    def test_unit_variances_are_identity(self, bow):
+        params = StructuralParams.from_edge_dict(
+            bow, {("A", "X"): 1.5, ("A", "Y"): -0.5, ("X", "Y"): 2.0})
+        out = standardize(bow, params, {"A": 1.0})
+        assert out == params
+
+    def test_negative_variance_rejected(self, bow):
+        params = StructuralParams.from_edge_dict(
+            bow, {("A", "X"): 1.0, ("A", "Y"): 1.0, ("X", "Y"): 1.0})
+        with pytest.raises(NegativeVariance):
+            standardize(bow, params, {"A": -1.0})
+
+    def test_visible_covariance_invariant(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            g = random_small_graph(rng)
+            params = random_params(g, rng)
+            variances = {r: float(rng.uniform(0.1, 3.0)) for r in g.roots}
+            out = standardize(g, params, variances)
+            basis = root_loadings(g, params)
+            scale = np.array([variances[r] for r in g.roots])
+            vis = [g.index(name) for name in g.visible_names]
+            before = (basis.T @ np.diag(scale) @ basis)[np.ix_(vis, vis)]
+            after = joint_cov(g, out).restrict(g.visible_names)
+            np.testing.assert_allclose(after.data, before, atol=1e-12, rtol=1e-12)
 
 
 class TestFit:
