@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation, input or usage error, 2 target not
-inducible, 3 effect not identifiable.  ``PMDAG_SEED`` supplies the default seed.
+inducible, 3 effect not identifiable.  ``--seed`` defaults to 0.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 
 from pmdag import bench as bench_mod
@@ -52,11 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _seed(args) -> int:
-    """``--seed`` if given, else ``PMDAG_SEED``, else 0."""
-    return args.seed if args.seed is not None else int(os.environ.get("PMDAG_SEED", "0"))
-
-
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     # defaults are read from FitConfig, their one home
     p.add_argument("--loss", choices=LOSSES, default=FitConfig.loss)
@@ -66,7 +60,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=FitConfig.max_iters, help="maximum iterations")
     p.add_argument("--eps", type=float, default=FitConfig.min_improvement,
                    help="minimum loss improvement")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.add_argument("--restarts", type=int, default=FitConfig.restarts)
     p.add_argument("--kl-tol", type=float, default=FitConfig.kl_tol)
 
@@ -79,7 +73,7 @@ def _fit_config(args) -> FitConfig:
         lr=args.lr,
         max_iters=args.epochs,
         min_improvement=args.eps,
-        seed=_seed(args),
+        seed=args.seed,
         restarts=args.restarts,
         kl_tol=args.kl_tol,
     )
@@ -102,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--lstar", type=float, default=GenSpec.l_star)
     p.add_argument("--estar", type=float, default=GenSpec.e_star)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=GenSpec.seed)
     p.add_argument("-o", "--output", help="write graph JSON here (default stdout)")
 
     p = sub.add_parser("canon", help="emit one of the canonical benchmark graphs")
@@ -138,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     timing = inspect.signature(bench_mod.bench).parameters
     p.add_argument("--methods", default=",".join(timing["methods"].default))
     p.add_argument("--reps", type=int, default=timing["repetitions"].default)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=timing["seed"].default)
     p.add_argument("-o", "--output", required=True, help="CSV output path")
 
     p = sub.add_parser("experiment", help="run a serialized experiment JSON")
@@ -186,7 +180,7 @@ def _cmd_sync(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = random_pmdag(GenSpec(v=args.v, l_star=args.lstar, e_star=args.estar, seed=_seed(args)))
+    g = random_pmdag(GenSpec(v=args.v, l_star=args.lstar, e_star=args.estar, seed=args.seed))
     if args.output:
         save_graph(g, args.output)
         print(f"wrote {args.output}: {len(g.nodes)} nodes, {len(g.edges)} edges")
@@ -254,7 +248,7 @@ def _cmd_bench(args) -> int:
         e_stars=[float(x) for x in args.estar.split(",")],
         methods=[METHOD_ALIASES.get(m.strip(), m.strip()) for m in args.methods.split(",")],
         repetitions=args.reps,
-        seed=_seed(args),
+        seed=args.seed,
     )
     bench_mod.write_bench_csv(rows, args.output)
     print(f"wrote {args.output}: {len(rows)} rows")

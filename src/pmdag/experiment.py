@@ -73,6 +73,8 @@ class Experiment:
     def __post_init__(self):
         if self.repetitions < 1 or self.hook_stride < 1:
             raise SpecError("repetitions and hook_stride must be at least 1")
+        if self.truth_seed < 0:
+            raise SpecError(f"truth_seed must be nonnegative, got {self.truth_seed}")
         if (self.do_target is None) != (self.do_effect is None):
             raise SpecError("do_target and do_effect must be set together")
 

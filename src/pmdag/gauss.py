@@ -90,10 +90,6 @@ class GaussError(ValueError):
     """Base class for covariance and divergence errors."""
 
 
-class TooFewRows(GaussError):
-    pass
-
-
 class SingularQ(GaussError):
     """The reference (second-argument) covariance is not invertible."""
 
@@ -184,15 +180,6 @@ class GaussianDist:
         object.__setattr__(self, "mean", mean)
 
 
-def sample_covariance(observations, labels) -> CovMatrix:
-    """Biased sample covariance (normalized by the row count) of row observations."""
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 2 or obs.shape[0] < 2:
-        raise TooFewRows("need a 2-d array with at least two rows")
-    centered = obs - obs.mean(axis=0)
-    return CovMatrix(labels, centered.T @ centered / obs.shape[0])
-
-
 def spd_factor(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor and log-determinant, escalating diagonal jitter if needed.
 
@@ -259,7 +246,7 @@ def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
     """Surrogate loss, covariance-gradient seed, and KL(model || target) from one factorization.
 
     ``loss="kl"`` is tr(target^-1 sigma) - ln|sigma| with seed
-    target^-1 - sigma^-1; ``loss="bha"`` is ln err_bha with seed
+    target^-1 - sigma^-1; ``loss="bha"`` is log_err_bha with seed
     (sigma + target)^-1 - sigma^-1 / 2.  The seed is symmetrized; it is the
     entrywise derivative of the loss in sigma.  Raises NotPositiveDefinite
     or NonFiniteEntries naming the matrix that could not be factored.
@@ -295,21 +282,16 @@ def grad_err_kl(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _kernel("kl", sigma, target)[1]
 
 
-def err_bha(sigma: np.ndarray, target: np.ndarray) -> float:
-    """(1/2)^n |sigma + target| / |sigma|^(1/2): the Bhattacharyya-style surrogate."""
-    return float(np.exp(log_err_bha(sigma, target)))
-
-
 def log_err_bha(sigma: np.ndarray, target: np.ndarray) -> float:
-    """ln err_bha; the solver optimizes the logarithm for numerical range."""
+    """ln((1/2)^n |sigma + target| / |sigma|^(1/2)), the Bhattacharyya-style surrogate's log."""
     return _kernel("bha", sigma, target)[0]
 
 
 def grad_err_bha(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """(sigma + target)^-1 - sigma^-1 / 2: the gradient of ln err_bha in sigma.
+    """(sigma + target)^-1 - sigma^-1 / 2: the gradient of log_err_bha in sigma.
 
-    This matches err_bha's own gradient up to the positive factor err_bha
-    itself, which the learning rate absorbs.
+    This matches the unlogged surrogate's gradient up to the positive factor
+    of the surrogate itself, which the learning rate absorbs.
     """
     return _kernel("bha", sigma, target)[1]
 

@@ -45,6 +45,8 @@ class GenSpec:
             raise GraphError("l_star must lie in [0, 1)")
         if not 0.0 <= self.e_star <= 1.0:
             raise GraphError("e_star must lie in [0, 1]")
+        if self.seed < 0:
+            raise GraphError(f"seed must be nonnegative, got {self.seed}")
 
 
 def latent_count(v: int, l_star: float) -> int:
@@ -188,6 +190,8 @@ def ground_truth(g: PmDag, seed: int) -> tuple[StructuralParams, CovMatrix]:
     The covariance is exact, not sampled, so a fit's error is optimization
     error alone.
     """
+    if seed < 0:
+        raise GraphError(f"ground-truth seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     weights = {}
     for name in g.nonroots:

@@ -232,10 +232,6 @@ class PmDag:
         return tuple(n.name for n in self.nodes if n.is_visible)
 
     @property
-    def latent_names(self) -> tuple[str, ...]:
-        return tuple(n.name for n in self.nodes if n.is_latent)
-
-    @property
     def roots(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.nodes if not self._parents[n.name])
 
@@ -278,21 +274,6 @@ class PmDag:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PmDag":
-        return cls.from_dict(json.loads(text))
-
-    def to_dot(self) -> str:
-        """Graphviz text; latent nodes are boxes, visible nodes ellipses."""
-        lines = ["digraph g {"]
-        for n in self.nodes:
-            shape = "box" if n.is_latent else "ellipse"
-            lines.append(f'  "{n.name}" [shape={shape}];')
-        for p, c in sorted(self.edges):
-            lines.append(f'  "{p}" -> "{c}";')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def load_graph(path) -> PmDag:

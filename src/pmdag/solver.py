@@ -53,10 +53,6 @@ class NonFiniteGradient(SolverError):
     pass
 
 
-class NegativeVariance(SolverError):
-    pass
-
-
 def derive_seed(*parts: int) -> int:
     """Stable 63-bit seed derived from integer parts; index-based, not order-of-execution."""
     state = np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0]
@@ -76,8 +72,6 @@ def init_weights(sync: Synchronization, masks: MaskSet, seed: int) -> list[np.nd
 
 
 def _check_shapes(sync: Synchronization, weights) -> None:
-    if tuple(w.shape for w in weights) == sync.weight_shapes:
-        return
     if len(weights) != sync.depth - 1:
         raise ShapeMismatch(f"expected {sync.depth - 1} weight matrices, got {len(weights)}")
     for l in range(1, sync.depth):
@@ -656,7 +650,7 @@ class AdamaxState:
 def make_optimizer_state(config: "FitConfig"):
     if config.optimizer == "sgd":
         return SgdState(lr=config.lr)
-    return AdamaxState(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
+    return AdamaxState(lr=config.lr)
 
 
 def optimize_step(theta, grad, state):
@@ -731,23 +725,6 @@ def fit_kl(g: PmDag, target: CovMatrix, params: StructuralParams) -> float:
     return kl_gaussian(*_visible_laws(g, target, params))
 
 
-def standardize(g: PmDag, params: StructuralParams, root_variances: dict[str, float]) -> StructuralParams:
-    """Fold root variances into the outgoing weights so every root is standard normal."""
-    params.validate_for(g)
-    for name, var in root_variances.items():
-        if var < 0:
-            raise NegativeVariance(f"variance of root {name!r} is negative")
-    roots = set(g.roots)
-    edge_w = params.to_edge_dict(g)
-    out = {}
-    for (p, c), w in edge_w.items():
-        if p in roots:
-            out[(p, c)] = w * math.sqrt(root_variances.get(p, 1.0))
-        else:
-            out[(p, c)] = w
-    return StructuralParams.from_edge_dict(g, out)
-
-
 # --- the fit loop ------------------------------------------------------------
 
 
@@ -759,8 +736,6 @@ class FitConfig:
     method: str = "covariance"
     optimizer: str = "adamax"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     max_iters: int = 12000
     min_improvement: float = 1e-12
     seed: int = 0
@@ -776,12 +751,12 @@ class FitConfig:
             raise SolverError(f"optimizer must be one of {OPTIMIZERS}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise SolverError("learning rate must be positive and finite")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise SolverError("beta1 and beta2 must lie in [0, 1)")
         if self.max_iters < 1:
             raise SolverError("max_iters must be at least 1")
         if not (math.isfinite(self.min_improvement) and self.min_improvement >= 0):
             raise SolverError("min_improvement must be nonnegative and finite")
+        if self.seed < 0:
+            raise SolverError(f"seed must be nonnegative, got {self.seed}")
         if self.restarts < 1:
             raise SolverError("restarts must be at least 1")
         if not (math.isfinite(self.kl_tol) and self.kl_tol >= 0):

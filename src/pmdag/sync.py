@@ -2,16 +2,16 @@
 
 A synchronization slices a graph into ordered layers by repeatedly peeling
 root sets off the remainder; a node first appears in the layer of the round
-that peels it.  Within a layer, a node either appears for the first time (its
-layer-wise parents are its graph parents) or persists from the previous
-layer (its only layer-wise parent is itself, an identity carry).
-The per-layer weight matrices of the solver are shaped by these layers, with
-a binary mask marking which entries are trainable.
+that peels it, which is its longest-path level.  The class computes these
+levels itself from the graph, so no caller can hand in a layering that
+disagrees with the graph's edges.  Within a layer, a node either appears for
+the first time (its layer-wise parents are its graph parents) or persists
+from the previous layer (its only layer-wise parent is itself, an identity
+carry).  The per-layer weight matrices of the solver are shaped by these
+layers, with a binary mask marking which entries are trainable.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -19,34 +19,35 @@ from pmdag.graph import GraphError, PmDag, UnknownNode
 
 
 class Synchronization:
-    """Ordered layers of node references over a fixed graph.
+    """Ordered layers of node references over a fixed graph, of minimal depth.
 
-    ``first_appearance[i]`` is the layer in which node ``i`` first appears.
-    Node ``i`` is in layer ``l`` iff it first appears there, or it appeared
-    earlier and is visible or has a child that first appears after ``l``.
-    Layers hold node indices (into the graph's node list) in node-list
-    order, so a node's column position within a layer is stable; ``new[l]``
-    holds the nodes that first appear in layer ``l``.
+    Round 0 peels the full root set, and every later round peels every root
+    of the remainder: ``first_appearance[i]``, the layer in which node ``i``
+    first appears, is its longest-path level.  Node ``i`` is in layer ``l``
+    iff it first appears there, or it appeared earlier and is visible or has
+    a child that first appears after ``l``.  Layers hold node indices (into
+    the graph's node list) in node-list order, so a node's column position
+    within a layer is stable; ``new[l]`` holds the nodes that first appear in
+    layer ``l``.
     """
 
-    __slots__ = ("graph", "layers", "new", "first_appearance", "weight_shapes")
+    __slots__ = ("graph", "layers", "new", "first_appearance")
 
-    def __init__(self, graph: PmDag, first_appearance: Sequence[int]):
-        first = tuple(first_appearance)
+    def __init__(self, graph: PmDag):
+        first = [0] * len(graph.nodes)
+        for i in map(graph.index, graph.topological_order()):
+            first[i] = 1 + max((first[p] for p in graph.parent_index[i]), default=-1)
         last_child = [0] * len(first)
         for c, pa in enumerate(graph.parent_index):
             for p in pa:
                 last_child[p] = max(last_child[p], first[c])
         self.graph = graph
-        self.first_appearance = first
+        self.first_appearance = tuple(first)
         self.layers = tuple(
             tuple(i for i, node in enumerate(graph.nodes)
                   if first[i] == l or (first[i] < l and (node.is_visible or last_child[i] > l)))
             for l in range(max(first, default=-1) + 1))
         self.new = tuple(tuple(i for i in layer if first[i] == l) for l, layer in enumerate(self.layers))
-        # (rows, cols) of each layer's weight matrix, checked by every public kernel call
-        self.weight_shapes = tuple(
-            (len(prev), len(cur)) for prev, cur in zip(self.layers, self.layers[1:]))
 
     @property
     def depth(self) -> int:
@@ -57,11 +58,6 @@ class Synchronization:
 
     def layer_names(self, l: int) -> tuple[str, ...]:
         return tuple(self.graph.nodes[i].name for i in self.layers[l])
-
-    def app(self, name: str) -> int:
-        """Index of the lowest layer on which the node appears."""
-        idx = self.graph.index(name)
-        return self.first_appearance[idx]
 
     def layer_parents(self, l: int, idx: int) -> tuple[int, ...]:
         """Layer-wise parents of node ``idx`` in layer ``l`` (a subset of layer l-1).
@@ -112,16 +108,8 @@ class Synchronization:
 
 
 def synchronize(g: PmDag) -> Synchronization:
-    """Layer the graph by the round in which each node is peeled off as a root.
-
-    Round 0 peels the full root set, and every later round peels every root
-    of the remainder, which minimizes depth: a node's first layer is its
-    longest-path level.
-    """
-    first = [0] * len(g.nodes)
-    for i in map(g.index, g.topological_order()):
-        first[i] = 1 + max((first[p] for p in g.parent_index[i]), default=-1)
-    return Synchronization(g, first)
+    """The graph's layered form: ``Synchronization(g)``, which computes the levels."""
+    return Synchronization(g)
 
 
 class MaskSet:

@@ -37,8 +37,7 @@ class TestPublicSurface:
     @pytest.mark.parametrize("argv", [["fit", "g.json", "c.csv"],
                                       ["identify", "g.json", "c.csv", "--do", "X=0",
                                        "--effect", "Y"]], ids=["fit", "identify"])
-    def test_fit_flag_defaults_are_fit_config_defaults(self, monkeypatch, argv):
-        monkeypatch.delenv("PMDAG_SEED", raising=False)
+    def test_fit_flag_defaults_are_fit_config_defaults(self, argv):
         assert _fit_config(build_parser().parse_args(argv)) == FitConfig(seed=0)
 
     def test_probe_and_bench_flag_defaults_are_signature_defaults(self):
@@ -113,14 +112,6 @@ class TestGenAndCanon:
         g = load_graph(out)
         assert len(g.visible_names) == 5
 
-    def test_gen_seed_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PMDAG_SEED", "12")
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        assert main(["gen", "--v", "4", "-o", str(out1)]) == 0
-        assert main(["gen", "--v", "4", "--seed", "12", "-o", str(out2)]) == 0
-        assert load_graph(out1) == load_graph(out2)
-
     def test_canon_with_ground_truth(self, tmp_path):
         out = tmp_path / "bow.json"
         assert main(["canon", "bow", "-o", str(out), "--ground-truth-seed", "5"]) == 0
@@ -164,6 +155,11 @@ class TestFitCommand:
                          "--restarts", "1"]) == 0
             result = json.loads(capsys.readouterr().out)
             assert result["method"] == method
+
+    def test_fit_negative_seed_exits_1(self, single_edge_files, capsys):
+        gpath, cpath = single_edge_files
+        assert main(["fit", gpath, cpath, "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_fit_bad_target_exits_1(self, tmp_path, single_edge_files):
         gpath, _ = single_edge_files
@@ -296,6 +292,12 @@ class TestExperimentCommand:
                          repetitions=3, do_target="V0", do_effect="V1")
         again = Experiment.from_dict(exp.to_dict())
         assert again == exp
+
+    def test_negative_truth_seed_is_a_spec_error(self):
+        from pmdag.experiment import Experiment, SpecError
+
+        with pytest.raises(SpecError, match="truth_seed"):
+            Experiment.from_dict({"graph": "bow", "truth_seed": -2})
 
     def test_runs_from_spec(self, tmp_path):
         spec = {

@@ -12,16 +12,12 @@ from pmdag.gauss import (
     NonFiniteEntries,
     NotPositiveDefinite,
     SingularQ,
-    TooFewRows,
-    err_bha,
     err_kl,
     grad_err_bha,
     grad_err_kl,
     kl_gaussian,
     load_cov_csv,
-    log_err_bha,
     loss_kernel,
-    sample_covariance,
     save_cov_csv,
     spd_factor,
 )
@@ -79,31 +75,6 @@ class TestCovMatrix:
     def test_get(self):
         cov = CovMatrix(("a", "b"), [[2.0, 0.5], [0.5, 1.0]])
         assert cov.get("a", "b") == 0.5
-
-
-class TestSampleCovariance:
-    def test_two_point_example(self):
-        cov = sample_covariance([[1.0, -1.0], [-1.0, 1.0]], ("X", "Y"))
-        np.testing.assert_allclose(cov.data, [[1.0, -1.0], [-1.0, 1.0]])
-
-    def test_constant_rows_zero(self):
-        cov = sample_covariance([[3.0, 3.0]] * 4, ("X", "Y"))
-        np.testing.assert_array_equal(cov.data, np.zeros((2, 2)))
-
-    def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
-            sample_covariance([[1.0, 2.0]], ("X", "Y"))
-
-    def test_monte_carlo_recovers_truth(self):
-        rng = np.random.default_rng(0)
-        truth = np.array([[2.0, 0.6], [0.6, 1.0]])
-        chol = np.linalg.cholesky(truth)
-        m = 1_000_000
-        obs = rng.standard_normal((m, 2)) @ chol.T
-        cov = sample_covariance(obs, ("X", "Y")).data
-        # standard error of a covariance entry from Gaussian fourth moments
-        se = np.sqrt((np.outer(np.diag(truth), np.diag(truth)) + truth ** 2) / m)
-        assert np.all(np.abs(cov - truth) < 4 * se)
 
 
 class TestKlGaussian:
@@ -249,16 +220,6 @@ class TestGradients:
             rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
             worst = max(worst, float(rel.max()))
         assert worst < 1e-6
-
-
-class TestErrBha:
-    def test_identity_example(self):
-        assert err_bha(np.eye(2), np.eye(2)) == pytest.approx(1.0)
-
-    def test_log_form_consistent(self):
-        rng = np.random.default_rng(6)
-        sigma, target = random_spd(rng, 3), random_spd(rng, 3)
-        assert math.log(err_bha(sigma, target)) == pytest.approx(log_err_bha(sigma, target))
 
 
 class TestSpdFactor:

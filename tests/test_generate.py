@@ -35,6 +35,8 @@ class TestSizeFormulas:
             GenSpec(v=4, l_star=1.0)
         with pytest.raises(GraphError):
             GenSpec(v=4, e_star=1.5)
+        with pytest.raises(GraphError, match="seed"):
+            GenSpec(v=4, seed=-1)
 
 
 class TestRandomPmdag:
@@ -80,7 +82,7 @@ class TestCanonical:
     def test_bow_structure(self):
         g = canonical("bow")
         assert set(g.visible_names) == {"X", "Y"}
-        assert set(g.latent_names) == {"U_XY", "E_X", "E_Y"}
+        assert {n.name for n in g.nodes if n.is_latent} == {"U_XY", "E_X", "E_Y"}
         assert g.edges == frozenset({
             ("U_XY", "X"), ("U_XY", "Y"), ("E_X", "X"), ("E_Y", "Y"), ("X", "Y")})
 
@@ -117,6 +119,10 @@ class TestGroundTruth:
         p2, c2 = ground_truth(g, seed=4)
         assert p1 == p2
         np.testing.assert_array_equal(c1.data, c2.data)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(GraphError, match="seed"):
+            ground_truth(canonical("bow"), -1)
 
     def test_covariance_is_psd_and_matches_params(self):
         g = canonical("napkin")

@@ -219,7 +219,7 @@ class TestSerialization:
     @PROPERTY
     @given(pmdags())
     def test_json_round_trip(self, g):
-        again = PmDag.from_json(g.to_json())
+        again = PmDag.from_dict(json.loads(g.to_json()))
         assert again == g
 
     def test_dict_schema(self, bow):
@@ -227,11 +227,6 @@ class TestSerialization:
         assert data["nodes"][0] == {"name": "A", "role": "latent"}
         assert ["A", "X"] in data["edges"]
         json.dumps(data)
-
-    def test_dot_mentions_every_node(self, bow):
-        dot = bow.to_dot()
-        for name in bow.names:
-            assert f'"{name}"' in dot
 
 
 class TestStructuralParams:

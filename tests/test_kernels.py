@@ -143,3 +143,47 @@ def test_every_engine_gradient_matches_finite_differences(case, loss):
             numeric[i] = (value(theta + step) - value(theta - step)) / (2 * h)
         np.testing.assert_allclose(dtheta, numeric, rtol=1e-4, atol=1e-5,
                                    err_msg=f"{method} {loss}")
+
+
+def visible_jacobian(g, masks, theta):
+    """Sigma_vis and J[k, i, j] = dSigma_ij / dtheta_k in closed form, over the visible i, j.
+
+    With W[p, c] = theta_k for edge k = (p, c) of ``masks.edges`` and
+    A = (I - W)^-1, the root loadings are A's root rows and Sigma their Gram
+    matrix, so dSigma_ij / dw_pc = A[c, i] Sigma[p, j] + Sigma[i, p] A[c, j].
+    """
+    n = len(g.nodes)
+    par = np.array([p for p, *_ in masks.edges], dtype=np.intp)
+    chi = np.array([c for _, c, *_ in masks.edges], dtype=np.intp)
+    w = np.zeros((n, n))
+    w[par, chi] = theta
+    a = np.linalg.inv(np.eye(n) - w)
+    lam = a[[g.index(r) for r in g.roots]]
+    sigma = lam.T @ lam
+    vis = [g.index(v) for v in g.visible_names]
+    half = a[np.ix_(chi, vis)][:, :, None] * sigma[np.ix_(par, vis)][:, None, :]
+    return sigma[np.ix_(vis, vis)], half + half.transpose(0, 2, 1)
+
+
+def assert_close_rel(actual, expected, what, rtol=1e-12):
+    """Largest entrywise error within ``rtol`` of the largest expected entry."""
+    scale = max(1.0, float(np.abs(expected).max()))
+    err = float(np.abs(actual - expected).max())
+    assert err <= rtol * scale, f"{what}: error {err:.3g} against scale {scale:.3g}"
+
+
+@PROPERTY
+@given(graph_and_rng())
+def test_every_engine_matches_closed_form_jacobian(case):
+    """Forward against Sigma_vis and backward against J^T seed: no engine and no differences in the oracle."""
+    g, rng = case
+    _params, sync, masks, _weights, theta = engine_case(g, rng)
+    sigma_vis, jac = visible_jacobian(g, masks, theta)
+    half = rng.standard_normal(sigma_vis.shape)
+    seed_vis = half + half.T
+    expected_grad = np.einsum("kij,ij->k", jac, seed_vis)
+    for method, bind in ENGINES.items():
+        engine = bind(sync, masks)
+        got_sigma, ctx = engine.forward(theta)
+        assert_close_rel(got_sigma, sigma_vis, f"{method} forward")
+        assert_close_rel(engine.backward(ctx, seed_vis), expected_grad, f"{method} backward")

@@ -54,9 +54,9 @@ class TestLayers:
 
     def test_first_appearance_bow(self, bow):
         sync = synchronize(bow)
-        assert sync.app("A") == 0
-        assert sync.app("X") == 1
-        assert sync.app("Y") == 2
+        assert sync.first_appearance[bow.index("A")] == 0
+        assert sync.first_appearance[bow.index("X")] == 1
+        assert sync.first_appearance[bow.index("Y")] == 2
 
     def test_every_visible_in_last_layer(self):
         rng = np.random.default_rng(5)
@@ -72,7 +72,7 @@ class TestLayers:
             sync = synchronize(g)
             assert sync.layer_names(0) == g.roots
             for r in g.roots:
-                assert sync.app(r) == 0
+                assert sync.first_appearance[g.index(r)] == 0
 
     def test_appearance_strictly_increases_along_edges(self):
         rng = np.random.default_rng(7)
@@ -80,8 +80,8 @@ class TestLayers:
             g = random_small_graph(rng)
             sync = synchronize(g)
             for p, c in g.edges:
-                assert sync.app(c) > sync.app(p)
-                assert sync.app(c) > 0
+                assert sync.first_appearance[g.index(c)] > sync.first_appearance[g.index(p)]
+                assert sync.first_appearance[g.index(c)] > 0
 
     def test_presence_is_contiguous(self):
         rng = np.random.default_rng(8)
@@ -157,7 +157,7 @@ class TestStructureProperties:
             assert layer == tuple(
                 i for i, node in enumerate(g.nodes)
                 if first[i] == l or (first[i] < l and (
-                    node.is_visible or any(sync.app(c) > l for c in g.children(node.name)))))
+                    node.is_visible or any(first[g.index(c)] > l for c in g.children(node.name)))))
             assert sync.new[l] == tuple(i for i in layer if first[i] == l)
 
     def check_order(self, g):
