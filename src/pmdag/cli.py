@@ -190,6 +190,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_canon(args) -> int:
+    if args.ground_truth_seed is not None and not args.output:
+        raise ValueError("--ground-truth-seed needs -o/--output: the covariance is written to "
+                         "<output>.cov.csv")
     g = canonical(args.name)
     if args.output:
         save_graph(g, args.output)

@@ -11,27 +11,41 @@ import contextlib
 import csv
 import ctypes
 import functools
+import importlib.util
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
-import scipy.linalg as la
-
-# The LAPACK routines behind ``scipy.linalg.cholesky``/``cho_solve``, resolved
-# once: the fit factors a small matrix every iteration, and the wrappers'
-# per-call checks and dispatch cost more than the factorization itself.
-_POTRF, _POTRS = la.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
-
 
 # The thread-count symbols of the OpenBLAS each wheel bundles under
-# ``<package>.libs``: scipy's runs the LAPACK calls above, numpy's its matrix
+# ``<package>.libs``: scipy's runs the LAPACK calls below, numpy's its matrix
 # products (an ILP64 build, hence the ``64_`` suffix).
 _OPENBLAS_THREAD_SYMBOLS = {
-    scipy: ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    np: ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    "scipy": ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    "numpy": ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
 }
+
+
+def _bundled_functions(package: str, names) -> list | None:
+    """The named functions of the OpenBLAS bundled under ``<package>.libs``, or None.
+
+    The directory is found from the package's import spec, which does not
+    run the package's ``__init__``.  None when the library or one of the
+    names is absent, as with MKL, Accelerate or a system BLAS.
+    """
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    libdir = Path(list(spec.submodule_search_locations)[0]).resolve().parent / f"{package}.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return [getattr(lib, name) for name in names]
+        except (OSError, AttributeError):
+            continue
+    return None
 
 
 @functools.cache
@@ -42,18 +56,14 @@ def lapack_thread_count_funcs() -> dict:
     absent, as with MKL or a system BLAS.
     """
     found = {}
-    for module, (get_name, set_name) in _OPENBLAS_THREAD_SYMBOLS.items():
-        libdir = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
-        for path in sorted(libdir.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            except (OSError, AttributeError):
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            found[module.__name__] = (get, set_)
-            break
+    for package, names in _OPENBLAS_THREAD_SYMBOLS.items():
+        funcs = _bundled_functions(package, names)
+        if funcs is None:
+            continue
+        get, set_ = funcs
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        found[package] = (get, set_)
     return found
 
 
@@ -76,14 +86,6 @@ def one_lapack_thread():
     finally:
         for (_get, set_), count in zip(funcs, callers):
             set_(count)
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """A read-only n x n identity, built once per size."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 class GaussError(ValueError):
@@ -133,7 +135,7 @@ class CovMatrix:
             raise GaussError("matrix is not symmetric")
         data = (data + data.T) / 2.0
         if data.size:
-            min_eig = float(la.eigvalsh(data).min())
+            min_eig = float(np.linalg.eigvalsh(data).min())
             if min_eig < -1e-10 * max(float(np.trace(data)), 1.0):
                 raise NotPositiveDefinite(f"minimum eigenvalue {min_eig:g} is too negative")
         self.labels = labels
@@ -180,31 +182,165 @@ class GaussianDist:
         object.__setattr__(self, "mean", mean)
 
 
+# --- LAPACK ------------------------------------------------------------------
+#
+# Cholesky factorizations and solves call ``dpotrf``/``dpotrs`` with the lower
+# triangle ("L") straight from the OpenBLAS that scipy's wheel bundles, through
+# ctypes: ``scipy.linalg`` is never imported, which keeps it out of start-up time
+# and memory.  These are the routines behind ``scipy.linalg.cholesky`` and
+# ``cho_solve``, so the bits are those of scipy's own wrappers.  Where the wheel
+# bundles no such library (MKL or Accelerate builds), scipy's wrappers are
+# imported on first use instead.  numpy's bundled LAPACK is not used: its
+# results differ from scipy's in the last bits.
+
+_LAPACK_SYMBOLS = ("scipy_dpotrf_", "scipy_dpotrs_")
+_LOWER = ctypes.c_char(b"L")
+_CHAR_LEN = ctypes.c_size_t(1)  # the hidden length argument of Fortran's character "L"
+
+
+@functools.cache
+def _bundled_lapack() -> list | None:
+    """[dpotrf, dpotrs] of scipy's bundled OpenBLAS, or None where it is absent."""
+    funcs = _bundled_functions("scipy", _LAPACK_SYMBOLS)
+    if funcs is not None:
+        for func in funcs:
+            func.restype = None
+    return funcs
+
+
+@functools.cache
+def _scipy_lapack():
+    """(potrf, potrs) as scipy's f2py wrappers: the fallback, imported on first use."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+
+def _int_ref(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _storing_info(info: ctypes.c_int, func, *args, **kwargs):
+    """A no-argument call of an f2py wrapper that stores the LAPACK info it returns in ``info``."""
+
+    def run():
+        info.value = func(*args, **kwargs)[1]
+
+    return run
+
+
+class _Workspace:
+    """Fortran-ordered buffers for n x n factors and solves, with the LAPACK calls bound to them.
+
+    ``lower`` holds the last factor (its upper triangle keeps the input's)
+    and ``solution`` the last solve; each is overwritten by the next call,
+    so a caller copies what it keeps.  ``potrf()`` factors ``lower`` in
+    place, ``potrs_matrix()`` and ``potrs_vector()`` solve in place against
+    all of ``solution`` or its first column; each sets ``info``.  The call
+    arguments are built here, once, with their exact C types and pointing
+    into buffers this object owns: built per call they cost several times
+    the factorization of a small matrix.  For the same reason the foreign
+    functions declare no ``argtypes``, whose per-call checks more than
+    double the cost of a small solve.
+    """
+
+    def __init__(self, n: int):
+        self.lower = np.zeros((n, n), order="F")
+        self.solution = np.zeros((n, n), order="F")
+        self.column = self.solution.ravel(order="F")[:n]
+        self.diagonal = self.lower.diagonal()
+        self.logs = np.empty(n)
+        self.upper = np.triu_indices(n, 1)
+        self.eye = np.eye(n)
+        self.eye.setflags(write=False)
+        self.info = info = ctypes.c_int()
+        bundled = _bundled_lapack()
+        if bundled is None:
+            potrf, potrs = _scipy_lapack()
+            self.potrf = _storing_info(info, potrf, self.lower, lower=1, overwrite_a=1)
+            self.potrs_matrix, self.potrs_vector = (
+                _storing_info(info, potrs, self.lower, rhs, lower=1, overwrite_b=1)
+                for rhs in (self.solution, self.column))
+        else:
+            potrf, potrs = bundled
+            uplo, size, lda = ctypes.byref(_LOWER), _int_ref(n), _int_ref(max(n, 1))
+            lower = ctypes.c_void_p(self.lower.ctypes.data)
+            solution = ctypes.c_void_p(self.solution.ctypes.data)
+            info_ref = ctypes.byref(info)
+            self.potrf = functools.partial(potrf, uplo, size, lower, lda, info_ref, _CHAR_LEN)
+            self.potrs_matrix, self.potrs_vector = (
+                functools.partial(potrs, uplo, size, _int_ref(nrhs), lower, lda, solution, lda,
+                                  info_ref, _CHAR_LEN)
+                for nrhs in (n, 1))
+
+    def factor(self, matrix, what: str) -> float:
+        """Lower Cholesky factor of ``matrix`` into ``lower``; returns the log-determinant.
+
+        Jitter on the diagonal starts at 1e-12 * trace/n and grows tenfold up
+        to 1e-6 * trace/n before giving up; sample covariances are routinely
+        semidefinite at round-off scale.  Raises NonFiniteEntries, then
+        NotPositiveDefinite, naming the matrix as ``what``.
+        """
+        if matrix.shape != self.lower.shape:
+            raise GaussError(f"{what} of shape {matrix.shape} is not square")
+        # the ufunc reductions behind .all() and .sum(), called without their
+        # Python-level wrappers: the same results, a little cheaper per call
+        if not np.logical_and.reduce(np.isfinite(matrix), axis=None):
+            raise NonFiniteEntries(f"{what} has non-finite entries")
+        self.lower[...] = matrix
+        self.potrf()
+        if self.info.value:
+            n = self.eye.shape[0]
+            base = max(float(np.trace(matrix)), 0.0) / max(n, 1)
+            jitter = 1e-12 * base
+            while self.info.value and 0.0 < jitter <= 1e-6 * base:
+                self.lower[...] = matrix + jitter * np.eye(n)
+                self.potrf()
+                jitter *= 10.0
+            if self.info.value:
+                raise NotPositiveDefinite(f"{what} is not positive definite, even with maximum jitter")
+        return 2.0 * float(np.add.reduce(np.log(self.diagonal, out=self.logs)))
+
+    def solve(self, rhs) -> np.ndarray:
+        """x with (lower lower^T) x = rhs, for an n-vector or n x n rhs, in ``solution``."""
+        if rhs.ndim == 1:
+            self.column[...] = rhs
+            self.potrs_vector()
+            return self.column
+        self.solution[...] = rhs
+        self.potrs_matrix()
+        return self.solution
+
+
+class _BySize(dict):
+    def __missing__(self, n: int) -> _Workspace:
+        work = self[n] = _Workspace(n)
+        return work
+
+
+class _ThreadWorkspaces(threading.local):
+    """Each thread's workspaces, ``by_size[n]``: threads never share buffers."""
+
+    def __init__(self):
+        self.by_size = _BySize()
+
+
+_WORKSPACES = _ThreadWorkspaces()
+
+
 def spd_factor(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor and log-determinant, escalating diagonal jitter if needed.
 
-    Jitter starts at 1e-12 * trace/n and grows tenfold up to 1e-6 * trace/n
-    before giving up; sample covariances are routinely semidefinite at
-    round-off scale.  Non-finite entries raise NonFiniteEntries.
+    The factor is a new Fortran-ordered lower-triangular array.  Jitter
+    starts at 1e-12 * trace/n and grows tenfold up to 1e-6 * trace/n before
+    giving up.  Non-finite entries raise NonFiniteEntries.
     """
     sigma = np.asarray(sigma, dtype=float)
-    _require_finite(sigma)
-    n = sigma.shape[0]
-    lower, info = _POTRF(sigma, lower=1)
-    if info:
-        base = max(float(np.trace(sigma)), 0.0) / max(n, 1)
-        jitter = 1e-12 * base
-        while info and 0.0 < jitter <= 1e-6 * base:
-            lower, info = _POTRF(sigma + jitter * np.eye(n), lower=1)
-            jitter *= 10.0
-        if info:
-            raise NotPositiveDefinite("matrix is not positive definite, even with maximum jitter")
-    return lower, 2.0 * float(np.log(lower.diagonal()).sum())
-
-
-def _solve_spd(lower, rhs):
-    """Solve sigma x = rhs from the lower Cholesky factor of sigma."""
-    return _POTRS(lower, rhs, lower=1)[0]
+    work = _WORKSPACES.by_size[sigma.shape[0]]
+    logdet = work.factor(sigma, "matrix")
+    lower = work.lower.copy(order="F")
+    lower[work.upper] = 0.0
+    return lower, logdet
 
 
 def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
@@ -212,8 +348,9 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     if p.cov.dim != q.cov.dim:
         raise GaussError("dimension mismatch")
     n = p.cov.dim
+    work = _WORKSPACES.by_size[n]
     try:
-        lq, logdet_q = spd_factor(q.cov.data)
+        logdet_q = work.factor(q.cov.data, "matrix")
     except NotPositiveDefinite as exc:
         raise SingularQ(str(exc)) from None
     sign_p, logdet_p = np.linalg.slogdet(p.cov.data)
@@ -221,24 +358,16 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
         return math.inf
     diff = q.mean - p.mean
     _require_finite(diff)
-    trace = float(np.trace(_solve_spd(lq, p.cov.data)))
-    maha = float(diff @ _solve_spd(lq, diff))
+    trace = float(np.trace(work.solve(p.cov.data)))
+    maha = float(diff @ work.solve(diff))
     return 0.5 * (trace + maha - n + logdet_q - logdet_p)
-
-
-def _factor(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    try:
-        return spd_factor(matrix)
-    except NotPositiveDefinite:
-        raise NotPositiveDefinite(f"{what} is not positive definite, even with maximum jitter") from None
-    except NonFiniteEntries:
-        raise NonFiniteEntries(f"{what} has non-finite entries") from None
 
 
 def target_terms(target: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of the target, the fixed inputs of ``loss_kernel``."""
-    lower, logdet = _factor(target, "target covariance")
-    return _solve_spd(lower, _identity(target.shape[0])), logdet
+    work = _WORKSPACES.by_size[target.shape[0]]
+    logdet = work.factor(target, "target covariance")
+    return work.solve(work.eye).copy(order="F"), logdet
 
 
 def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
@@ -252,18 +381,19 @@ def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
     or NonFiniteEntries naming the matrix that could not be factored.
     """
     n = sigma.shape[0]
-    lower, logdet_s = _factor(sigma, "model covariance")
-    eye = _identity(n)
-    sigma_inv = _solve_spd(lower, eye)
-    trace = float((target_inv * sigma).sum())
+    work = _WORKSPACES.by_size[n]
+    logdet_s = work.factor(sigma, "model covariance")
+    sigma_inv = work.solve(work.eye)
+    trace = float(np.add.reduce(target_inv * sigma, axis=None))
     kl_mt = 0.5 * (trace - n + target_logdet - logdet_s)
     if loss == "kl":
         err = trace - logdet_s
         seed = target_inv - sigma_inv
     else:
-        lsum, logdet_sum = _factor(sigma + target, "model plus target covariance")
+        half_inv = 0.5 * sigma_inv  # read before the next solve overwrites sigma_inv
+        logdet_sum = work.factor(sigma + target, "model plus target covariance")
         err = n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
-        seed = _solve_spd(lsum, eye) - 0.5 * sigma_inv
+        seed = work.solve(work.eye) - half_inv
     seed = (seed + seed.T) / 2.0
     return err, seed, kl_mt
 

@@ -635,13 +635,16 @@ class SgdState:
     lr: float
 
 
+# Adamax's moment decay rates, the published constants (Kingma & Ba, ICLR 2015)
+ADAMAX_BETA1 = 0.9
+ADAMAX_BETA2 = 0.999
+
+
 @dataclass
 class AdamaxState:
-    """Adamax settings and moments; ``optimize_step`` advances it in place."""
+    """Adamax learning rate and moments; ``optimize_step`` advances it in place."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
     t: int = 0
     m: np.ndarray | None = None
     u: np.ndarray | None = None
@@ -669,12 +672,12 @@ def optimize_step(theta, grad, state):
             state.m, state.u = np.zeros_like(grad), np.zeros_like(grad)
         state.t += 1
         m, u = state.m, state.u
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        u *= state.beta2
+        m *= ADAMAX_BETA1
+        m += (1.0 - ADAMAX_BETA1) * grad
+        u *= ADAMAX_BETA2
         np.maximum(u, np.abs(grad), out=u)
         live = u > 0.0
-        step = np.where(live, (state.lr / (1.0 - state.beta1 ** state.t)) * m / np.where(live, u, 1.0), 0.0)
+        step = np.where(live, (state.lr / (1.0 - ADAMAX_BETA1 ** state.t)) * m / np.where(live, u, 1.0), 0.0)
         return theta - step, state
     raise SolverError(f"unknown optimizer state {type(state).__name__}")
 

@@ -121,6 +121,12 @@ class TestGenAndCanon:
     def test_canon_unknown_name(self):
         assert main(["canon", "nonesuch"]) == 1
 
+    def test_canon_ground_truth_seed_without_output_exits_1(self, capsys):
+        assert main(["canon", "bow", "--ground-truth-seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "--ground-truth-seed" in captured.err
+        assert captured.out == ""
+
 
 class TestSyncCommand:
     def test_prints_layers_and_masks(self, tmp_path, capsys):

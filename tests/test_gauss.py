@@ -54,7 +54,7 @@ class TestCovMatrix:
         def no_eigvalsh(_data):
             raise AssertionError("restrict ran the eigenvalue check again")
 
-        monkeypatch.setattr("pmdag.gauss.la.eigvalsh", no_eigvalsh)
+        monkeypatch.setattr("pmdag.gauss.np.linalg.eigvalsh", no_eigvalsh)
         sub = cov.restrict(("c", "a"))
         assert sub.labels == ("c", "a")
         np.testing.assert_array_equal(sub.data, [[3.0, 0.1], [0.1, 2.0]])
@@ -236,6 +236,10 @@ class TestSpdFactor:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(GaussError, match="square"):
+            spd_factor(np.ones((3, 1)))
 
     def test_jitter_rescues_semidefinite(self):
         lower, _ = spd_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))

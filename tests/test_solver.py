@@ -549,21 +549,23 @@ class TestFit:
 
 
 class TestFitConfigValidation:
+    # Each case has a fixed id, so deleting one does not rename the others; the
+    # ids keep the positional names the suite reported before they were fixed.
     @pytest.mark.parametrize("kwargs", [
-        {"loss": "emd"},
-        {"method": "magic"},
-        {"optimizer": "lbfgs"},
-        {"lr": 0.0},
-        {"max_iters": 0},
-        {"min_improvement": -1.0},
-        {"restarts": 0},
-        {"lr": float("nan")},
-        {"lr": float("inf")},
-        {"min_improvement": float("nan")},
-        {"seed": -1},
-        {"kl_tol": -1.0},
-        {"kl_tol": float("nan")},
-        {"kl_tol": float("inf")},
+        pytest.param({"loss": "emd"}, id="kwargs0"),
+        pytest.param({"method": "magic"}, id="kwargs1"),
+        pytest.param({"optimizer": "lbfgs"}, id="kwargs2"),
+        pytest.param({"lr": 0.0}, id="kwargs3"),
+        pytest.param({"max_iters": 0}, id="kwargs4"),
+        pytest.param({"min_improvement": -1.0}, id="kwargs5"),
+        pytest.param({"restarts": 0}, id="kwargs6"),
+        pytest.param({"lr": float("nan")}, id="kwargs7"),
+        pytest.param({"lr": float("inf")}, id="kwargs8"),
+        pytest.param({"min_improvement": float("nan")}, id="kwargs9"),
+        pytest.param({"seed": -1}, id="kwargs10"),
+        pytest.param({"kl_tol": -1.0}, id="kwargs11"),
+        pytest.param({"kl_tol": float("nan")}, id="kwargs12"),
+        pytest.param({"kl_tol": float("inf")}, id="kwargs13"),
     ])
     def test_bad_values_rejected(self, kwargs):
         from pmdag.solver import SolverError
