@@ -250,7 +250,6 @@ class _Workspace:
         self.column = self.solution.ravel(order="F")[:n]
         self.diagonal = self.lower.diagonal()
         self.logs = np.empty(n)
-        self.upper = np.triu_indices(n, 1)
         self.eye = np.eye(n)
         self.eye.setflags(write=False)
         self.info = info = ctypes.c_int()
@@ -326,21 +325,6 @@ class _ThreadWorkspaces(threading.local):
 
 
 _WORKSPACES = _ThreadWorkspaces()
-
-
-def spd_factor(sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor and log-determinant, escalating diagonal jitter if needed.
-
-    The factor is a new Fortran-ordered lower-triangular array.  Jitter
-    starts at 1e-12 * trace/n and grows tenfold up to 1e-6 * trace/n before
-    giving up.  Non-finite entries raise NonFiniteEntries.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    work = _WORKSPACES.by_size[sigma.shape[0]]
-    logdet = work.factor(sigma, "matrix")
-    lower = work.lower.copy(order="F")
-    lower[work.upper] = 0.0
-    return lower, logdet
 
 
 def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:

@@ -2,8 +2,7 @@
 
 A graph here is an immutable value: node order is significant (parent lists
 and weight vectors index against it) and every transformation returns a new
-graph.  The intervention nodes that mutilation adds get deterministic names,
-so transformed graphs are reproducible and serializable.
+graph.  No node name is reserved.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import numpy as np
 
 VISIBLE = "visible"
 LATENT = "latent"
-
-MUT_PREFIX = "__mut_"
 
 
 class GraphError(ValueError):
@@ -356,10 +353,6 @@ def validate(nodes: Iterable, edges: Iterable[tuple[str, str]], strict: bool = F
     return g
 
 
-def mut_name(target: str) -> str:
-    return MUT_PREFIX + target
-
-
 def _ordered_targets(g: PmDag, targets: Iterable[str]) -> list[str]:
     targets = set(targets)
     for t in targets:
@@ -386,32 +379,6 @@ def _exogenize_one(g: PmDag, target: str) -> PmDag:
     edges = {(p, c) for p, c in g.edges if target not in (p, c)}
     edges.update((p, c) for p in pa for c in ch)
     return PmDag(nodes, edges)
-
-
-def mutilate(g: PmDag, targets: Iterable[str]) -> tuple[PmDag, dict[str, str]]:
-    """Cut all incoming edges of each visible target and attach a fresh latent parent.
-
-    Re-mutilating a node replaces its previous intervention parent, so the
-    operation is idempotent in shape.  Returns the graph and target -> aux map.
-    """
-    ordered = _ordered_targets(g, targets)
-    for t in ordered:
-        if not g.node(t).is_visible:
-            raise NotVisible(t)
-    nodes = list(g.nodes)
-    edges = set(g.edges)
-    aux_map = {}
-    for t in ordered:
-        aux = mut_name(t)
-        edges = {(p, c) for p, c in edges if c != t}
-        if any(n.name == aux for n in nodes):
-            # stale intervention parent from an earlier mutilation
-            nodes = [n for n in nodes if n.name != aux]
-            edges = {(p, c) for p, c in edges if aux not in (p, c)}
-        nodes.append(Node(aux, LATENT))
-        edges.add((aux, t))
-        aux_map[t] = aux
-    return PmDag(nodes, edges), aux_map
 
 
 def exogenize_params(g: PmDag, params: StructuralParams, latent: str) -> tuple[PmDag, StructuralParams]:

@@ -1,8 +1,8 @@
 """Interventional distributions and the repeated-fit identifiability probe.
 
-An effect distribution under an intervention is computed exactly by graph
-surgery: incoming edges of each intervened node are cut and replaced by a
-point-mass parent holding the assigned value.  Identifiability of the effect
+An effect distribution under an intervention is computed exactly on the
+graph itself: one path-sum pass pins each intervened node to its assigned
+value, reading none of its incoming edges.  Identifiability of the effect
 is then probed by fitting the observed covariance many times from random
 seeds and comparing the interventional distributions the fits induce: one
 disagreement refutes identifiability, while agreement over many fits builds
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from pmdag.gauss import CovMatrix, GaussianDist, SingularQ, kl_gaussian
-from pmdag.graph import NotVisible, PmDag, StructuralParams, mutilate
+from pmdag.graph import NotVisible, PmDag, StructuralParams
 from pmdag.solver import FitConfig, FitReport, derive_seed, fit, fit_kl, root_loadings
 
 
@@ -50,6 +50,8 @@ class InterventionQuery:
             raise IdentifyError("intervention values must be finite")
         if len(set(self.targets)) != len(self.targets):
             raise IdentifyError("an intervention target is given more than once")
+        if len(set(self.effects)) != len(self.effects):
+            raise IdentifyError("an effect node is given more than once")
 
 
 def _check_query_nodes(g: PmDag, query: InterventionQuery) -> None:
@@ -62,28 +64,18 @@ def _check_query_nodes(g: PmDag, query: InterventionQuery) -> None:
 def interventional_dist(g: PmDag, params: StructuralParams, query: InterventionQuery) -> GaussianDist:
     """Exact Gaussian law of the effects under do(targets = values).
 
-    Intervened nodes become copies of point-mass roots, ordinary roots stay
-    standard normal, and every other node stays linear in its parents; means
-    are generally nonzero when the assigned values are.
+    One path-sum pass over ``g`` pins each target to its assigned value and
+    leaves every other node linear in its parents: the effects' covariance
+    comes from the standard-normal roots' rows of the loadings, their mean
+    from the assigned values' rows, generally nonzero when the values are.
     """
-    params.validate_for(g)
     _check_query_nodes(g, query)
-
-    cut, aux_map = mutilate(g, query.targets)
-    assigned = {aux_map[t]: v for t, v in zip(query.targets, query.values)}
-    edge_w = {k: v for k, v in params.to_edge_dict(g).items()
-              if k[1] not in query.targets}
-    for t in query.targets:
-        edge_w[(aux_map[t], t)] = 1.0
-    loadings = root_loadings(cut, StructuralParams.from_edge_dict(cut, edge_w))
-
-    roots = cut.roots
-    point = [roots.index(name) for name in assigned]
-    stochastic = [i for i, name in enumerate(roots) if name not in assigned]
-    effects = [cut.index(e) for e in query.effects]
-    basis = loadings[np.ix_(stochastic, effects)]
+    loadings = root_loadings(g, params, do=query.targets)
+    n_roots = len(g.roots)
+    effects = [g.index(e) for e in query.effects]
+    basis = loadings[np.ix_(range(n_roots), effects)]
     cov = CovMatrix(query.effects, basis.T @ basis)
-    mu = np.array(list(assigned.values())) @ loadings[np.ix_(point, effects)]
+    mu = np.array(query.values) @ loadings[np.ix_(range(n_roots, len(loadings)), effects)]
     return GaussianDist(mu, cov)
 
 

@@ -685,21 +685,23 @@ def optimize_step(theta, grad, state):
 # --- full-system covariance oracle ------------------------------------------
 
 
-def root_loadings(g: PmDag, params: StructuralParams) -> np.ndarray:
-    """Linear coefficients of every node on the root vector, by root-to-node path sums.
+def root_loadings(g: PmDag, params: StructuralParams, do: tuple[str, ...] = ()) -> np.ndarray:
+    """Linear coefficients of every node on its sources, by source-to-node path sums.
 
-    Row r is root ``g.roots[r]`` and column j is node ``g.names[j]``; each
-    node's column is the weighted sum of its parents' columns, filled in
-    topological order.
+    Column j is node ``g.names[j]``.  The sources are the roots, row r for
+    ``g.roots[r]``, then the value assigned to each node of ``do``, row
+    ``len(g.roots) + k`` for ``do[k]``.  A node of ``do`` is pinned to its
+    own row and its incoming edges are never read; every other node's column
+    is the weighted sum of its parents' columns, filled in topological order.
     """
     params.validate_for(g)
-    roots = g.roots
-    root_pos = {name: i for i, name in enumerate(roots)}
+    sources = g.roots + tuple(do)
+    row = {name: i for i, name in enumerate(sources)}
     cols = {}
     for name in g.topological_order():
-        col = np.zeros(len(roots))
-        if g.is_root(name):
-            col[root_pos[name]] = 1.0
+        col = np.zeros(len(sources))
+        if name in row:
+            col[row[name]] = 1.0
         else:
             for p, w in zip(g.parents(name), params.weights[name]):
                 col += w * cols[p]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from pmdag import gauss
 from pmdag.gauss import (
     CovMatrix,
     GaussError,
@@ -19,7 +20,6 @@ from pmdag.gauss import (
     load_cov_csv,
     loss_kernel,
     save_cov_csv,
-    spd_factor,
 )
 
 
@@ -222,35 +222,44 @@ class TestGradients:
         assert worst < 1e-6
 
 
+def factor(matrix, what="matrix"):
+    """Lower Cholesky factor (the workspace's lower triangle) and log-determinant of ``matrix``."""
+    work = gauss._WORKSPACES.by_size[matrix.shape[0]]
+    logdet = work.factor(matrix, what)
+    return np.tril(work.lower), logdet
+
+
 class TestSpdFactor:
+    """``_Workspace.factor``, the one SPD factorization behind every Gaussian kernel."""
+
     def test_identity(self):
-        lower, logdet = spd_factor(np.eye(3))
+        lower, logdet = factor(np.eye(3))
         np.testing.assert_array_equal(lower, np.eye(3))
         assert logdet == 0.0
 
     def test_hand_factorization(self):
-        lower, logdet = spd_factor(np.array([[4.0, 2.0], [2.0, 2.0]]))
+        lower, logdet = factor(np.array([[4.0, 2.0], [2.0, 2.0]]))
         np.testing.assert_allclose(lower, [[2.0, 0.0], [1.0, 1.0]])
         assert logdet == pytest.approx(math.log(4.0))
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
-            spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(GaussError, match="square"):
-            spd_factor(np.ones((3, 1)))
+            factor(np.ones((3, 1)))
 
     def test_jitter_rescues_semidefinite(self):
-        lower, _ = spd_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        lower, _ = factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
         np.testing.assert_allclose(lower @ lower.T, [[1.0, 1.0], [1.0, 1.0]], atol=1e-5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected_and_named(self, value):
         # the upper triangle is not read by the factorization, but is still checked
         sigma = np.array([[1.0, value], [0.0, 1.0]])
-        with pytest.raises(NonFiniteEntries):
-            spd_factor(sigma)
+        with pytest.raises(NonFiniteEntries, match="test input"):
+            factor(sigma, "test input")
         with pytest.raises(NonFiniteEntries, match="model covariance"):
             loss_kernel("kl", sigma, np.eye(2), np.eye(2), 0.0)
 

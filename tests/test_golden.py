@@ -25,6 +25,16 @@ kernels (``OPENBLAS_VERBOSE=2`` prints the kernel).  Other versions or other
 kernels round differently: on the same machine ``OPENBLAS_CORETYPE=Haswell``
 changes the bits of 14 of the 24 rows.  A failure here in another
 environment is therefore expected; compare that environment first.
+
+``DO_GOLDEN`` pins the interventional law P(effects | do(targets = values))
+that ``interventional_dist`` computes at each graph's ground-truth weights
+(the truth seeds above): the mean, then the covariance in row-major order, as
+``float.hex``.  Its rows were generated by running ``do_row`` below on the
+commit that still computed the law on a mutilated copy of the graph
+(c094917), before the do-operator moved into ``root_loadings``, in the same
+environment as the fit table.  The v8 query was picked because the last bit
+of one mean changes when the assigned values' rows are taken by a slice
+instead of ``np.ix_``: the two hand the product different memory layouts.
 """
 
 import platform
@@ -35,6 +45,7 @@ import pytest
 import scipy
 
 from pmdag.generate import GenSpec, canonical, ground_truth, random_pmdag
+from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import FitConfig, fit
 
 TRUTH_SEEDS = {"napkin": 3, "bow": 101, "v8": 8}
@@ -60,6 +71,14 @@ def fit_row(name, method, loss, optimizer):
                                                 key=lambda item: f"{item[0][0]}->{item[0][1]}"))
     return (float(report.loss_trace[-1]).hex(), report.final_kl_model_target.hex(),
             report.iterations, report.stop_reason, weights)
+
+
+def do_row(name, targets, values, effects):
+    g = golden_graph(name)
+    params, _ = ground_truth(g, seed=TRUTH_SEEDS[name])
+    dist = interventional_dist(g, params, InterventionQuery(targets, values, effects))
+    return (tuple(float(m).hex() for m in dist.mean),
+            tuple(float(c).hex() for c in dist.cov.data.ravel()))
 
 
 GOLDEN = {
@@ -337,5 +356,41 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="/".join)
 def test_seeded_fit_is_bitwise_unchanged(case):
     assert fit_row(*case) == GOLDEN[case], (
+        "generated with numpy 2.4.6, scipy 1.17.1 and OpenBLAS SkylakeX kernels on x86_64; "
+        f"running numpy {np.__version__}, scipy {scipy.__version__} on {platform.machine()}")
+
+
+DO_GOLDEN = {
+    ("napkin", ("X",), (1.5,), ("Y", "W")): (
+        (
+            "0x1.5acee8ae21930p-2", "0x0.0p+0",
+        ), (
+            "0x1.794f36511cfefp+3", "0x1.1b086e6b6d6b0p+1", "0x1.1b086e6b6d6b0p+1",
+            "0x1.5be3fe60d69f9p+3",
+        )),
+    ("bow", ("X",), (-0.7,), ("Y",)): (
+        (
+            "0x1.bbf78d11998b5p-3",
+        ), (
+            "0x1.d5fd31c4e4c12p-1",
+        )),
+    ("v8", ("V5", "V0"), (1.35, -1.68), ("V6", "V7", "V2", "V0", "V4")): (
+        (
+            "0x0.0p+0", "0x0.0p+0", "0x1.5ec700debadbap+0", "-0x1.ae147ae147ae1p+0",
+            "0x1.402f9703b27c6p-2",
+        ), (
+            "0x1.c91d7c7da9794p+2", "-0x1.1b7697d18536dp+2", "0x1.5c859f99f0e99p+3", "0x0.0p+0",
+            "0x1.fad883104ef8ep+3", "-0x1.1b7697d18536dp+2", "0x1.226af89a319d4p+4",
+            "-0x1.5eb6277fffef3p+5", "0x0.0p+0", "-0x1.8d4fa082c9613p+2", "0x1.5c859f99f0e99p+3",
+            "-0x1.5eb6277fffef3p+5", "0x1.11a16ca5d2bf9p+7", "0x0.0p+0", "0x1.cc1f2c319b69dp+3",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.fad883104ef8ep+3",
+            "-0x1.8d4fa082c9613p+2", "0x1.cc1f2c319b69dp+3", "0x0.0p+0", "0x1.396210338982ep+5",
+        )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DO_GOLDEN), ids=lambda case: case[0])
+def test_interventional_law_is_bitwise_unchanged(case):
+    assert do_row(*case) == DO_GOLDEN[case], (
         "generated with numpy 2.4.6, scipy 1.17.1 and OpenBLAS SkylakeX kernels on x86_64; "
         f"running numpy {np.__version__}, scipy {scipy.__version__} on {platform.machine()}")

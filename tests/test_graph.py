@@ -11,7 +11,6 @@ from pmdag.graph import (
     Node,
     NonRootLatent,
     NotLatent,
-    NotVisible,
     PmDag,
     RootTarget,
     StructuralParams,
@@ -19,7 +18,6 @@ from pmdag.graph import (
     VisibleRoot,
     exogenize,
     exogenize_params,
-    mutilate,
     validate,
 )
 from pmdag.solver import joint_cov
@@ -134,42 +132,6 @@ class TestExogenize:
         step = exogenize(g, {"B"})
         other = exogenize(step, {"A"})
         assert out == other
-
-
-class TestMutilate:
-    def test_bow_treatment(self, bow):
-        out, aux = mutilate(bow, {"X"})
-        assert aux == {"X": "__mut_X"}
-        assert ("A", "X") not in out.edges
-        assert ("__mut_X", "X") in out.edges
-        assert ("A", "Y") in out.edges and ("X", "Y") in out.edges
-
-    def test_empty_is_identity(self, bow):
-        out, aux = mutilate(bow, set())
-        assert out == bow and aux == {}
-
-    @PROPERTY
-    @given(pmdags(), st.data())
-    def test_idempotent_in_shape(self, g, data):
-        vis = g.visible_names
-        targets = set(data.draw(st.lists(st.sampled_from(vis), min_size=1,
-                                         max_size=len(vis), unique=True)))
-        once, _ = mutilate(g, targets)
-        twice, _ = mutilate(once, targets)
-        assert once == twice
-
-    def test_latent_target_rejected(self, bow):
-        with pytest.raises(NotVisible):
-            mutilate(bow, {"A"})
-
-    def test_targets_end_up_with_only_aux_parent(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            g = random_small_graph(rng)
-            targets = set(g.visible_names[:2])
-            out, aux = mutilate(g, targets)
-            for t in targets:
-                assert out.parents(t) == (aux[t],)
 
 
 class TestExogenizeParams:

@@ -40,6 +40,10 @@ class TestInterventionQuery:
         with pytest.raises(IdentifyError, match="more than once"):
             InterventionQuery(("X", "X"), (1.0, 2.0), ("Y",))
 
+    def test_duplicate_effect_rejected(self):
+        with pytest.raises(IdentifyError, match="more than once"):
+            InterventionQuery(("X",), (0.0,), ("Y", "Y"))
+
 
 class TestInterventionalDist:
     def params(self, bow, a=1.0, b=1.0, c=1.0):
@@ -91,6 +95,17 @@ class TestInterventionalDist:
             g, params, InterventionQuery(("X", "Z"), (1.0, 0.0), ("Y",)))
         assert dist.mean[0] == pytest.approx(0.9)  # only the direct edge remains
         assert dist.cov.data[0, 0] == pytest.approx(0.25)  # noise weight squared
+
+    def test_no_node_name_is_reserved(self):
+        # a latent root whose name an intervention could have used for its own node
+        g = validate(
+            [("__mut_X", "latent"), ("E_X", "latent"), ("E_Z", "latent"),
+             ("X", "visible"), ("Z", "visible")],
+            [("E_X", "X"), ("E_Z", "Z"), ("__mut_X", "Z"), ("X", "Z")])
+        params = StructuralParams({"X": [1.0], "Z": [2.0, 1.0, 0.5]})
+        dist = interventional_dist(g, params, InterventionQuery(("X",), (1.0,), ("Z",)))
+        assert dist.mean[0] == pytest.approx(0.5)
+        assert dist.cov.data[0, 0] == pytest.approx(5.0)  # 2^2 from __mut_X, 1 from E_Z
 
 
 class TestCheckFit:

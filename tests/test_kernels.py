@@ -4,7 +4,8 @@ On a strict graph every node is linear in the roots: with W the weighted
 adjacency (W[p, c] the weight of p -> c) and E the columns of the identity at
 the roots, the node vector is x = (I - W^T)^-1 E u for standard-normal roots
 u.  An intervention zeroes the targets' incoming columns of W and adds the
-assigned values at the targets' rows.
+assigned values at the targets' rows: the targets become sources beside the
+roots.
 """
 
 import numpy as np
@@ -51,13 +52,14 @@ def solve_system(g, w, rows):
 
 
 @PROPERTY
-@given(graph_and_rng())
-def test_root_loadings_match_linear_solve(case):
+@given(graph_and_rng(), st.data())
+def test_root_loadings_match_linear_solve(case, data):
     g, rng = case
     params = random_params(g, rng)
-    roots = [g.index(r) for r in g.roots]
-    oracle = solve_system(g, adjacency(g, params), roots).T
-    np.testing.assert_allclose(root_loadings(g, params), oracle, rtol=1e-12, atol=1e-12)
+    do = tuple(data.draw(st.lists(st.sampled_from(g.visible_names), max_size=3, unique=True)))
+    sources = [g.index(name) for name in g.roots + do]
+    oracle = solve_system(g, adjacency(g, params, cut=do), sources).T
+    np.testing.assert_allclose(root_loadings(g, params, do=do), oracle, rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY
