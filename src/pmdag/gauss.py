@@ -67,6 +67,12 @@ def lapack_thread_count_funcs() -> dict:
     return found
 
 
+# Pins in force across all threads, and the counts the first one saved.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_callers: list[int] = []
+
+
 @contextlib.contextmanager
 def one_lapack_thread():
     """Run the block with the bundled OpenBLAS copies on one thread, then restore the caller's counts.
@@ -74,18 +80,27 @@ def one_lapack_thread():
     A fit factors a small matrix and multiplies small ones every iteration.
     Threaded, those calls wait on thread pools that compete with each other
     and run several times slower; on one thread their bits also stop
-    depending on how many threads the caller's pools have.  A no-op for a
+    depending on how many threads the caller's pools have.  Overlapping
+    blocks, in one thread or several, share one pin: the first in saves the
+    counts and sets them to 1, the last out restores them.  A no-op for a
     library that is absent.
     """
+    global _pin_depth
     funcs = list(lapack_thread_count_funcs().values())
-    callers = [get() for get, _set in funcs]
-    for _get, set_ in funcs:
-        set_(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_callers[:] = [get() for get, _set in funcs]
+            for _get, set_ in funcs:
+                set_(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        for (_get, set_), count in zip(funcs, callers):
-            set_(count)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_get, set_), count in zip(funcs, _pin_callers):
+                    set_(count)
 
 
 class GaussError(ValueError):

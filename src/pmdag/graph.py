@@ -387,14 +387,8 @@ def exogenize_params(g: PmDag, params: StructuralParams, latent: str) -> tuple[P
     Each child's weight on a parent P becomes w_{P,child} + w_{latent,child} *
     w_{P,latent}; the joint covariance over the remaining nodes is unchanged.
     """
-    node = g.node(latent)
-    if not node.is_latent:
-        raise NotLatent(latent)
-    if g.is_root(latent):
-        raise RootTarget(latent)
-    params.validate_for(g)
-
     new_graph = exogenize(g, {latent})
+    params.validate_for(g)
     edge_w = params.to_edge_dict(g)
     composed = {}
     for child in g.children(latent):

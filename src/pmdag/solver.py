@@ -291,8 +291,7 @@ class ReducedPlan:
         self.col_of[nonroots] = np.arange(len(nonroots))
         self.table_shape = (len(g.nodes), len(nonroots))
         self.table_size = len(g.nodes) * len(nonroots)
-        # one theta entry per edge, ordered like ``build_masks(sync).edges``
-        self.edges = [(p, j) for l in range(1, sync.depth) for j in sync.new[l] for p in g.parent_index[j]]
+        self.edges = [(p, c) for p, c, _l in sync.edges]
         edge_start = {}
         for k, (_p, j) in enumerate(self.edges):
             edge_start.setdefault(j, k)
@@ -594,7 +593,7 @@ def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> E
 def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
     """Bind the reduced engine's passes: its index plan is built here, once."""
     _take, embed = _visible_block(sync)
-    plan = ReducedPlan(sync)  # its edges are ordered like ``masks.edges``
+    plan = ReducedPlan(sync)
     counter = AllocationCounter()  # required by the passes; nothing reads it here
 
     def forward_theta(theta):

@@ -9,13 +9,15 @@ the first time (its layer-wise parents are its graph parents) or persists
 from the previous layer (its only layer-wise parent is itself, an identity
 carry).  The per-layer weight matrices of the solver are shaped by these
 layers, with a binary mask marking which entries are trainable.
+``Synchronization.edges`` lists those trainable edges once, and its order is
+the order of theta, the edge-weight vector every engine reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pmdag.graph import GraphError, PmDag, UnknownNode
+from pmdag.graph import PmDag
 
 
 class Synchronization:
@@ -28,10 +30,13 @@ class Synchronization:
     a child that first appears after ``l``.  Layers hold node indices (into
     the graph's node list) in node-list order, so a node's column position
     within a layer is stable; ``new[l]`` holds the nodes that first appear in
-    layer ``l``.
+    layer ``l``.  ``edges`` holds one ``(parent, child, layer)`` triple per
+    trainable edge, in theta's order: layer by layer, each node first appearing
+    in that layer in node-list order, then its graph parents in node-list
+    order.
     """
 
-    __slots__ = ("graph", "layers", "new", "first_appearance")
+    __slots__ = ("graph", "layers", "new", "first_appearance", "edges")
 
     def __init__(self, graph: PmDag):
         first = [0] * len(graph.nodes)
@@ -48,6 +53,8 @@ class Synchronization:
                   if first[i] == l or (first[i] < l and (node.is_visible or last_child[i] > l)))
             for l in range(max(first, default=-1) + 1))
         self.new = tuple(tuple(i for i in layer if first[i] == l) for l, layer in enumerate(self.layers))
+        self.edges = tuple((p, c, l) for l, new in enumerate(self.new)
+                           for c in new for p in graph.parent_index[c])
 
     @property
     def depth(self) -> int:
@@ -58,19 +65,6 @@ class Synchronization:
 
     def layer_names(self, l: int) -> tuple[str, ...]:
         return tuple(self.graph.nodes[i].name for i in self.layers[l])
-
-    def layer_parents(self, l: int, idx: int) -> tuple[int, ...]:
-        """Layer-wise parents of node ``idx`` in layer ``l`` (a subset of layer l-1).
-
-        Graph parents on first appearance, the node itself afterwards.
-        """
-        if l <= 0 or l >= self.depth:
-            raise GraphError(f"layer index {l} out of range for depth {self.depth}")
-        if idx not in self.layers[l]:
-            raise UnknownNode(self.graph.nodes[idx].name)
-        if self.first_appearance[idx] == l:
-            return self.graph.parent_index[idx]
-        return (idx,)
 
     def describe(self) -> str:
         """Human-readable dump of layers with first-appearance markers."""
@@ -98,11 +92,10 @@ class Synchronization:
             lines.append("  }")
         for l in range(1, self.depth):
             for idx in self.layers[l]:
-                style = "solid" if self.first_appearance[idx] == l else "dashed"
-                for p in self.layer_parents(l, idx):
-                    pname = g.nodes[p].name
-                    cname = g.nodes[idx].name
-                    lines.append(f'  "{pname}@{l - 1}" -> "{cname}@{l}" [style={style}];')
+                first = self.first_appearance[idx] == l
+                style = "solid" if first else "dashed"
+                for p in g.parent_index[idx] if first else (idx,):
+                    lines.append(f'  "{g.nodes[p].name}@{l - 1}" -> "{g.nodes[idx].name}@{l}" [style={style}];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -135,22 +128,14 @@ class MaskSet:
 
 
 def build_masks(sync: Synchronization) -> MaskSet:
-    trainable = []
-    constants = []
-    edges = []
+    at = [{idx: k for k, idx in enumerate(layer)} for layer in sync.layers]
+    edges = [(p, c, l, at[l - 1][p], at[l][c]) for p, c, l in sync.edges]
+    trainable = [np.zeros((len(rows), len(cols))) for rows, cols in zip(sync.layers, sync.layers[1:])]
+    constants = [np.zeros_like(mask) for mask in trainable]
+    for _p, _c, l, row, col in edges:
+        trainable[l - 1][row, col] = 1.0
     for l in range(1, sync.depth):
-        rows = sync.layers[l - 1]
-        cols = sync.layers[l]
-        row_pos = {idx: r for r, idx in enumerate(rows)}
-        mask = np.zeros((len(rows), len(cols)))
-        const = np.zeros((len(rows), len(cols)))
-        for c, col_idx in enumerate(cols):
-            if sync.first_appearance[col_idx] == l:
-                for p in sync.graph.parent_index[col_idx]:
-                    mask[row_pos[p], c] = 1.0
-                    edges.append((p, col_idx, l, row_pos[p], c))
-            else:
-                const[row_pos[col_idx], c] = 1.0
-        trainable.append(mask)
-        constants.append(const)
+        for col, idx in enumerate(sync.layers[l]):
+            if sync.first_appearance[idx] < l:
+                constants[l - 1][at[l - 1][idx], col] = 1.0
     return MaskSet(trainable, constants, edges)

@@ -159,6 +159,18 @@ class TestExogenizeParams:
         with pytest.raises(RootTarget):
             exogenize_params(bow, params, "A")
 
+    def test_visible_target_rejected(self, bow):
+        params = StructuralParams.from_edge_dict(
+            bow, {("A", "X"): 1.0, ("A", "Y"): 1.0, ("X", "Y"): 1.0})
+        with pytest.raises(NotLatent):
+            exogenize_params(bow, params, "X")
+
+    def test_unknown_target_rejected(self, bow):
+        params = StructuralParams.from_edge_dict(
+            bow, {("A", "X"): 1.0, ("A", "Y"): 1.0, ("X", "Y"): 1.0})
+        with pytest.raises(UnknownNode):
+            exogenize_params(bow, params, "Q")
+
     def test_covariance_invariant_on_randoms(self):
         rng = np.random.default_rng(21)
         done = 0

@@ -1,10 +1,11 @@
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs
+from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs, one_lapack_thread
 from pmdag.generate import GenSpec, ground_truth, random_pmdag
 from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
@@ -387,6 +388,51 @@ class TestFit:
         finally:
             for package, (_get, set_) in funcs.items():
                 set_(original[package])
+
+    def test_overlapping_pins_in_two_threads(self):
+        # A enters, B enters, A leaves: B must still run on one thread, and
+        # the caller's counts must come back once B leaves too
+        funcs = lapack_thread_count_funcs()
+        if not funcs:
+            pytest.skip("no bundled OpenBLAS with thread-count symbols is loaded")
+
+        def counts():
+            return {package: get() for package, (get, _set) in funcs.items()}
+
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def run_a():
+            with one_lapack_thread():
+                a_in.set()
+                seen["b_entered"] = b_in.wait(10)
+            a_out.set()
+
+        def run_b():
+            seen["a_entered"] = a_in.wait(10)
+            with one_lapack_thread():
+                b_in.set()
+                seen["a_left"] = a_out.wait(10)
+                seen["inside_b"] = counts()
+
+        original = counts()
+        try:
+            for _get, set_ in funcs.values():
+                set_(2)
+            if counts() != dict.fromkeys(funcs, 2):
+                pytest.skip("the bundled OpenBLAS cannot run two threads here")
+            threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            after = counts()
+        finally:
+            for package, (_get, set_) in funcs.items():
+                set_(original[package])
+        assert seen["a_entered"] and seen["b_entered"] and seen["a_left"]
+        assert seen["inside_b"] == dict.fromkeys(funcs, 1)
+        assert after == dict.fromkeys(funcs, 2)
 
     def test_fit_bits_do_not_follow_the_callers_numpy_thread_count(self):
         # v=32 is large enough for numpy's OpenBLAS to split its products

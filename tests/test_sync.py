@@ -92,14 +92,16 @@ class TestLayers:
                 present = [l for l in range(sync.depth) if idx in sync.layers[l]]
                 assert present == list(range(min(present), max(present) + 1))
 
-    def test_layer_parents_within_previous_layer(self):
+    def test_edges_join_consecutive_layers(self):
         rng = np.random.default_rng(9)
         for _ in range(15):
             g = random_small_graph(rng)
             sync = synchronize(g)
-            for l in range(1, sync.depth):
-                for idx in sync.layers[l]:
-                    assert set(sync.layer_parents(l, idx)) <= set(sync.layers[l - 1])
+            for p, c, l in sync.edges:
+                assert p in sync.layers[l - 1]
+                assert sync.first_appearance[c] == l
+            into_nonroots = [(g.index(p), g.index(c)) for p, c in g.edges if c in g.nonroots]
+            assert sorted((p, c) for p, c, _l in sync.edges) == sorted(into_nonroots)
 
     def test_greedy_depth_is_longest_path_plus_one(self):
         rng = np.random.default_rng(10)
@@ -231,6 +233,133 @@ class TestNonStrictGraphs:
         assert sync.layer_names(sync.depth - 1) == ("S", "X")
 
 
+def latent_sink_graph():
+    """Non-strict: latent roots A and B, visible X and Y, and S a latent sink in the last layer."""
+    return validate(
+        [("A", "latent"), ("B", "latent"), ("X", "visible"), ("Y", "visible"), ("S", "latent")],
+        [("A", "X"), ("X", "S"), ("B", "Y"), ("X", "Y")],
+    )
+
+
+# Exact drawings: solid lines are graph edges into a node's first layer,
+# dashed lines the identity carries of a node that persists.
+NAPKIN_DESCRIBE = """\
+depth 5
+  layer 0: U_WX*, U_WY*, E_W*, E_R*, E_X*, E_Y*
+  layer 1: U_WX, U_WY, E_R, E_X, E_Y, W*
+  layer 2: U_WX, U_WY, E_X, E_Y, W, R*
+  layer 3: U_WY, E_Y, W, R, X*
+  layer 4: W, R, X, Y*"""
+
+NAPKIN_DOT = """\
+digraph sync {
+  rankdir=LR;
+  subgraph cluster_0 {
+    label="layer 0";
+    "U_WX@0" [label="U_WX", shape=box];
+    "U_WY@0" [label="U_WY", shape=box];
+    "E_W@0" [label="E_W", shape=box];
+    "E_R@0" [label="E_R", shape=box];
+    "E_X@0" [label="E_X", shape=box];
+    "E_Y@0" [label="E_Y", shape=box];
+  }
+  subgraph cluster_1 {
+    label="layer 1";
+    "U_WX@1" [label="U_WX", shape=box];
+    "U_WY@1" [label="U_WY", shape=box];
+    "E_R@1" [label="E_R", shape=box];
+    "E_X@1" [label="E_X", shape=box];
+    "E_Y@1" [label="E_Y", shape=box];
+    "W@1" [label="W", shape=ellipse];
+  }
+  subgraph cluster_2 {
+    label="layer 2";
+    "U_WX@2" [label="U_WX", shape=box];
+    "U_WY@2" [label="U_WY", shape=box];
+    "E_X@2" [label="E_X", shape=box];
+    "E_Y@2" [label="E_Y", shape=box];
+    "W@2" [label="W", shape=ellipse];
+    "R@2" [label="R", shape=ellipse];
+  }
+  subgraph cluster_3 {
+    label="layer 3";
+    "U_WY@3" [label="U_WY", shape=box];
+    "E_Y@3" [label="E_Y", shape=box];
+    "W@3" [label="W", shape=ellipse];
+    "R@3" [label="R", shape=ellipse];
+    "X@3" [label="X", shape=ellipse];
+  }
+  subgraph cluster_4 {
+    label="layer 4";
+    "W@4" [label="W", shape=ellipse];
+    "R@4" [label="R", shape=ellipse];
+    "X@4" [label="X", shape=ellipse];
+    "Y@4" [label="Y", shape=ellipse];
+  }
+  "U_WX@0" -> "U_WX@1" [style=dashed];
+  "U_WY@0" -> "U_WY@1" [style=dashed];
+  "E_R@0" -> "E_R@1" [style=dashed];
+  "E_X@0" -> "E_X@1" [style=dashed];
+  "E_Y@0" -> "E_Y@1" [style=dashed];
+  "U_WX@0" -> "W@1" [style=solid];
+  "U_WY@0" -> "W@1" [style=solid];
+  "E_W@0" -> "W@1" [style=solid];
+  "U_WX@1" -> "U_WX@2" [style=dashed];
+  "U_WY@1" -> "U_WY@2" [style=dashed];
+  "E_X@1" -> "E_X@2" [style=dashed];
+  "E_Y@1" -> "E_Y@2" [style=dashed];
+  "W@1" -> "W@2" [style=dashed];
+  "E_R@1" -> "R@2" [style=solid];
+  "W@1" -> "R@2" [style=solid];
+  "U_WY@2" -> "U_WY@3" [style=dashed];
+  "E_Y@2" -> "E_Y@3" [style=dashed];
+  "W@2" -> "W@3" [style=dashed];
+  "R@2" -> "R@3" [style=dashed];
+  "U_WX@2" -> "X@3" [style=solid];
+  "E_X@2" -> "X@3" [style=solid];
+  "R@2" -> "X@3" [style=solid];
+  "W@3" -> "W@4" [style=dashed];
+  "R@3" -> "R@4" [style=dashed];
+  "X@3" -> "X@4" [style=dashed];
+  "U_WY@3" -> "Y@4" [style=solid];
+  "E_Y@3" -> "Y@4" [style=solid];
+  "X@3" -> "Y@4" [style=solid];
+}"""
+
+LATENT_SINK_DESCRIBE = """\
+depth 3
+  layer 0: A*, B*
+  layer 1: B, X*
+  layer 2: X, Y*, S*"""
+
+LATENT_SINK_DOT = """\
+digraph sync {
+  rankdir=LR;
+  subgraph cluster_0 {
+    label="layer 0";
+    "A@0" [label="A", shape=box];
+    "B@0" [label="B", shape=box];
+  }
+  subgraph cluster_1 {
+    label="layer 1";
+    "B@1" [label="B", shape=box];
+    "X@1" [label="X", shape=ellipse];
+  }
+  subgraph cluster_2 {
+    label="layer 2";
+    "X@2" [label="X", shape=ellipse];
+    "Y@2" [label="Y", shape=ellipse];
+    "S@2" [label="S", shape=box];
+  }
+  "B@0" -> "B@1" [style=dashed];
+  "A@0" -> "X@1" [style=solid];
+  "X@1" -> "X@2" [style=dashed];
+  "B@1" -> "Y@2" [style=solid];
+  "X@1" -> "Y@2" [style=solid];
+  "X@1" -> "S@2" [style=solid];
+}"""
+
+
 class TestDumps:
     def test_describe_marks_first_appearance(self, bow):
         text = synchronize(bow).describe()
@@ -241,3 +370,12 @@ class TestDumps:
         dot = synchronize(bow).to_dot()
         assert "style=solid" in dot
         assert "style=dashed" in dot
+
+    @pytest.mark.parametrize("graph, describe, dot", [
+        (lambda: canonical("napkin"), NAPKIN_DESCRIBE, NAPKIN_DOT),
+        (latent_sink_graph, LATENT_SINK_DESCRIBE, LATENT_SINK_DOT),
+    ], ids=["napkin", "latent_sink"])
+    def test_drawings_pinned(self, graph, describe, dot):
+        sync = synchronize(graph())
+        assert sync.describe() == describe
+        assert sync.to_dot() == dot
