@@ -194,15 +194,16 @@ def _cmd_canon(args) -> int:
         raise ValueError("--ground-truth-seed needs -o/--output: the covariance is written to "
                          "<output>.cov.csv")
     g = canonical(args.name)
-    if args.output:
-        save_graph(g, args.output)
-        print(f"wrote {args.output}")
-        if args.ground_truth_seed is not None:
-            _params, cov = ground_truth(g, args.ground_truth_seed)
-            save_cov_csv(cov, args.output + ".cov.csv")
-            print(f"wrote {args.output}.cov.csv")
-    else:
+    if not args.output:
         print(g.to_json(indent=2))
+        return EXIT_OK
+    # the ground truth is built first, so a rejected seed leaves no file behind
+    cov = None if args.ground_truth_seed is None else ground_truth(g, args.ground_truth_seed)[1]
+    save_graph(g, args.output)
+    print(f"wrote {args.output}")
+    if cov is not None:
+        save_cov_csv(cov, args.output + ".cov.csv")
+        print(f"wrote {args.output}.cov.csv")
     return EXIT_OK
 
 

@@ -221,7 +221,7 @@ class _LayerPlan:
     holding zeros; pairs of two roots are not held.
     """
 
-    def __init__(self, sync, l, plan, edge_start, n_edges):
+    def __init__(self, sync, l, plan):
         pa = sync.graph.parent_index
         first = sync.first_appearance
         is_root, col_of = plan.is_root, plan.col_of
@@ -229,12 +229,11 @@ class _LayerPlan:
         self.prev = np.array(prev, dtype=np.intp)
         self.new = np.array(new, dtype=np.intp)
         self.cnew = col_of[self.new]
-        edges = [slice(edge_start[j], edge_start[j] + len(pa[j])) for j in new]
 
         # forward: lam(prev, j) per new node j, then sig(new, new) from the parents of the later node
-        self.lam_cols = [(int(col_of[j]), plan.at(prev, pa[j]), sl) for j, sl in zip(new, edges)]
-        self.pair_rows = [(np.ix_(np.array(pa[q], dtype=np.intp), self.cnew[:k + 1]), sl, int(col_of[q]))
-                          for k, (q, sl) in enumerate(zip(new, edges))]
+        self.lam_cols = [(int(col_of[j]), plan.at(prev, pa[j]), sync.slices[j]) for j in new]
+        self.pair_rows = [(np.ix_(np.array(pa[q], dtype=np.intp), self.cnew[:k + 1]), sync.slices[q],
+                           int(col_of[q])) for k, q in enumerate(new)]
         stay = [u for u in cur if first[u] < l]
         stay_nr = [u for u in stay if not is_root[u]]
         self.stay = np.ix_(np.array(stay, dtype=np.intp), self.cnew)
@@ -244,8 +243,8 @@ class _LayerPlan:
         # backward, edge gradients: Lambda_l(p, u) * G_l(u, j) summed over u in layer order
         cur_nr = [u for u in cur if not is_root[u]]
         self.n_cur = len(cur)
-        self.edge_cols = [(plan.at(cur, pa[j], lam_rows=new), sl, cur_nr.index(j))
-                          for j, sl in zip(new, edges)]
+        self.edge_cols = [(plan.at(cur, pa[j], lam_rows=new), sync.slices[j], cur_nr.index(j))
+                          for j in new]
         if l == 1:
             self.carry = None
             return
@@ -261,10 +260,10 @@ class _LayerPlan:
         self.g_nn = np.ix_(np.array([cur_at[j] for j in new] + [len(cur)], dtype=np.intp), cols_new)
         children = {u: [] for u in prev}
         for k, j in enumerate(new):
-            for e, p in enumerate(pa[j], start=edge_start[j]):
+            for e, p in enumerate(pa[j], start=sync.slices[j].start):
                 children[p].append((k, e))
         width = max(len(c) for c in children.values())
-        pad = [(len(new), n_edges)] * width
+        pad = [(len(new), len(sync.edges))] * width
         slots = np.array([(children[u] + pad)[:width] for u in prev], dtype=np.intp).reshape(len(prev), width, 2)
         self.child_pos, self.child_theta = slots[:, :, 0], slots[:, :, 1]
         self.prev_nr_pos = np.array([k for k, u in enumerate(prev) if not is_root[u]], dtype=np.intp)
@@ -291,11 +290,7 @@ class ReducedPlan:
         self.col_of[nonroots] = np.arange(len(nonroots))
         self.table_shape = (len(g.nodes), len(nonroots))
         self.table_size = len(g.nodes) * len(nonroots)
-        self.edges = [(p, c) for p, c, _l in sync.edges]
-        edge_start = {}
-        for k, (_p, j) in enumerate(self.edges):
-            edge_start.setdefault(j, k)
-        self.layers = [_LayerPlan(sync, l, self, edge_start, len(self.edges)) for l in range(1, sync.depth)]
+        self.layers = [_LayerPlan(sync, l, self) for l in range(1, sync.depth)]
         vis = [i for i, node in enumerate(g.nodes) if node.is_visible]
         self.visible = self.at(vis, vis)
         last = sync.layers[-1]
@@ -451,8 +446,8 @@ def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCo
 
 def _reduced_backward(plan: ReducedPlan, theta_pad: np.ndarray, state: ReducedState, g: np.ndarray,
                       counter: AllocationCounter) -> np.ndarray:
-    """Edge gradients ordered like ``plan.edges``; ``theta_pad`` is theta with a trailing 0."""
-    grads = np.zeros(len(plan.edges))
+    """Edge gradients ordered like theta; ``theta_pad`` is theta with a trailing 0."""
+    grads = np.zeros(theta_pad.size - 1)
     n = g.shape[0]
     grad_tab = np.zeros((n + 1, len(plan.last_nr) + 1))
     grad_tab[:n, :-1] = g[:, plan.last_nr]
@@ -485,7 +480,7 @@ def forward_reduced(
     Every sum adds in the order of the scalar loop over node pairs.
     """
     plan = ReducedPlan(sync)
-    theta = np.fromiter((edge_weights[e] for e in plan.edges), float, len(plan.edges))
+    theta = np.fromiter((edge_weights[p, c] for p, c, _l in sync.edges), float, len(sync.edges))
     return _reduced_forward(plan, theta, AllocationCounter() if counter is None else counter, verify)
 
 
@@ -503,20 +498,20 @@ def backward_reduced(
     any kept entry of an earlier layer.
     """
     g = _check_seed(sync, dsigma)
-    plan = state.plan
+    edges = [(p, c) for p, c, _l in sync.edges]
     # child slots past a node's last child read weight 0
-    theta_pad = np.array([edge_weights[e] for e in plan.edges] + [0.0])
-    grads = _reduced_backward(plan, theta_pad, state, g,
+    theta_pad = np.array([edge_weights[e] for e in edges] + [0.0])
+    grads = _reduced_backward(state.plan, theta_pad, state, g,
                               AllocationCounter() if counter is None else counter)
-    return dict(zip(plan.edges, grads.tolist()))
+    return dict(zip(edges, grads.tolist()))
 
 
 # --- the engine table ---------------------------------------------------------
 
 
 def edge_vector(masks: MaskSet, weights) -> np.ndarray:
-    """The trainable entries of a weight stack as one vector, ordered like ``masks.edges``."""
-    return np.fromiter(edge_weight_map(masks, weights).values(), float, len(masks.edges))
+    """The trainable entries of a weight stack as one vector, read at ``masks.positions``."""
+    return np.concatenate([np.ravel(w) for w in weights] or [np.empty(0)])[masks.positions]
 
 
 @dataclass(frozen=True)
@@ -564,18 +559,12 @@ def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> E
     from a buffer of the same layout at the same positions.
     """
     take, embed = _visible_block(sync)
-    buf = np.zeros(sum(const.size for const in masks.constants))
+    buf = np.concatenate([const.ravel() for const in masks.constants] or [np.empty(0)])
     grad_buf = np.empty_like(buf)
-    weights, grads, offsets, off = [], [], [], 0
-    for const in masks.constants:
-        w = buf[off:off + const.size].reshape(const.shape)
-        w[...] = const
-        weights.append(w)
-        grads.append(grad_buf[off:off + const.size].reshape(const.shape))
-        offsets.append(off)
-        off += const.size
-    pos = np.array([offsets[l - 1] + r * weights[l - 1].shape[1] + col
-                    for (_p, _c, l, r, col) in masks.edges], dtype=np.intp)
+    cuts = np.cumsum([const.size for const in masks.constants])[:-1]
+    weights = [w.reshape(const.shape) for w, const in zip(np.split(buf, cuts), masks.constants)]
+    grads = [g.reshape(const.shape) for g, const in zip(np.split(grad_buf, cuts), masks.constants)]
+    pos = masks.positions
     eye = np.eye(len(sync.layers[0]))
 
     def forward_theta(theta):
@@ -785,16 +774,17 @@ class FitReport:
     method: str
 
 
-def extract_params(g: PmDag, masks: MaskSet, theta) -> StructuralParams:
-    """Structural parameters from the edge vector (ordered like ``masks.edges``)."""
-    names = [(g.nodes[p].name, g.nodes[c].name) for (p, c, _l, _r, _col) in masks.edges]
-    return StructuralParams.from_edge_dict(g, dict(zip(names, np.asarray(theta).tolist())))
+def extract_params(sync: Synchronization, theta) -> StructuralParams:
+    """Structural params whose vectors are the runs ``sync.slices`` of one private copy of ``theta``."""
+    theta = np.array(theta, dtype=float)
+    return StructuralParams({n.name: theta[sl] for n, sl in zip(sync.graph.nodes, sync.slices)
+                             if sl is not None})
 
 
 def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> list[np.ndarray]:
     """Materialize the weight stack holding the given edge weights.
 
-    ``extract_params(g, masks, edge_vector(masks, weights))`` gives the params back.
+    ``extract_params(sync, edge_vector(masks, weights))`` gives the params back.
     """
     params.validate_for(g)
     edge_w = params.to_edge_dict(g)
@@ -804,11 +794,13 @@ def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> l
     return weights
 
 
-def _run_single(g, masks, engine, theta, target, target_inv, target_logdet, config, iter_hook):
-    """One seeded descent from ``theta``: returns (params, losses, KLs, converged, stop reason).
+def _run_single(sync, engine, theta, target, target_inv, target_logdet, config, iter_hook):
+    """One seeded descent from ``theta``: returns (theta, recorded, losses, KLs, converged, stop reason).
 
     A non-finite model covariance or gradient ends the run as "diverged"
-    with the last edge vector whose loss was recorded.
+    with the last edge vector whose loss was recorded.  ``recorded`` is the
+    vector the last step started from: a run that ends at ``max_iters``
+    returns the ``theta`` one step past it, which no forward pass evaluated.
     """
     state = make_optimizer_state(config)
     loss_trace = []
@@ -833,7 +825,7 @@ def _run_single(g, masks, engine, theta, target, target_inv, target_logdet, conf
         loss_trace.append(err)
         kl_trace.append(kl_mt)
         if iter_hook is not None:
-            iter_hook(i, lambda theta=theta: extract_params(g, masks, theta))
+            iter_hook(i, lambda theta=theta: extract_params(sync, theta))
         if kl_mt <= config.kl_tol:
             converged = True
             stop_reason = "kl_threshold"
@@ -850,7 +842,7 @@ def _run_single(g, masks, engine, theta, target, target_inv, target_logdet, conf
             break
         recorded, theta = theta, stepped
 
-    return extract_params(g, masks, theta), loss_trace, kl_trace, converged, stop_reason
+    return theta, recorded, loss_trace, kl_trace, converged, stop_reason
 
 
 def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
@@ -896,9 +888,14 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
             restarts_used += 1
             run_seed = derive_seed(config.seed, r)
             theta = edge_vector(masks, init_weights(sync, masks, run_seed))
-            params, loss_trace, kl_trace, converged, stop_reason = _run_single(
-                g, masks, engine, theta, target.data, target_inv, target_logdet, config, iter_hook)
-            model, truth = _visible_laws(g, target, params)
+            theta, recorded, loss_trace, kl_trace, converged, stop_reason = _run_single(
+                sync, engine, theta, target.data, target_inv, target_logdet, config, iter_hook)
+            params = extract_params(sync, theta)
+            try:
+                model, truth = _visible_laws(g, target, params)
+            except NonFiniteEntries:  # the step taken at max_iters overflowed
+                params, stop_reason = extract_params(sync, recorded), "diverged"
+                model, truth = _visible_laws(g, target, params)
             kl_mt = kl_gaussian(model, truth)
             if best is None or converged or kl_mt < best[0]:
                 best = (kl_mt, model, params, loss_trace, kl_trace, converged, stop_reason, run_seed)

@@ -10,7 +10,8 @@ from the previous layer (its only layer-wise parent is itself, an identity
 carry).  The per-layer weight matrices of the solver are shaped by these
 layers, with a binary mask marking which entries are trainable.
 ``Synchronization.edges`` lists those trainable edges once, and its order is
-the order of theta, the edge-weight vector every engine reads.
+the order of theta, the edge-weight vector every engine reads; with ``slices``
+and ``MaskSet.positions`` it is theta's layout, which no other module derives.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ class Synchronization:
     layer ``l``.  ``edges`` holds one ``(parent, child, layer)`` triple per
     trainable edge, in theta's order: layer by layer, each node first appearing
     in that layer in node-list order, then its graph parents in node-list
-    order.
+    order.  ``slices[i]`` is node ``i``'s contiguous run of theta (``None`` for a root).
     """
 
-    __slots__ = ("graph", "layers", "new", "first_appearance", "edges")
+    __slots__ = ("graph", "layers", "new", "first_appearance", "edges", "slices")
 
     def __init__(self, graph: PmDag):
         first = [0] * len(graph.nodes)
@@ -53,8 +54,12 @@ class Synchronization:
                   if first[i] == l or (first[i] < l and (node.is_visible or last_child[i] > l)))
             for l in range(max(first, default=-1) + 1))
         self.new = tuple(tuple(i for i in layer if first[i] == l) for l, layer in enumerate(self.layers))
-        self.edges = tuple((p, c, l) for l, new in enumerate(self.new)
-                           for c in new for p in graph.parent_index[c])
+        edges, slices = [], [None] * len(first)
+        for l, new in enumerate(self.new[1:], start=1):
+            for c in new:
+                slices[c] = slice(len(edges), len(edges) + len(graph.parent_index[c]))
+                edges.extend((p, c, l) for p in graph.parent_index[c])
+        self.edges, self.slices = tuple(edges), tuple(slices)
 
     @property
     def depth(self) -> int:
@@ -112,15 +117,16 @@ class MaskSet:
     iff I is a layer-wise parent of J and I is not J itself; identity carries
     are the constant 1 entries, everything else is constant 0.
     ``edges`` lists one (parent_idx, child_idx, layer, row, col) tuple per
-    trainable entry, i.e. one per (parent, non-root child) edge.
+    trainable edge, and ``positions`` its flat index in the concatenated row-major stack.
     """
 
-    __slots__ = ("trainable", "constants", "edges")
+    __slots__ = ("trainable", "constants", "edges", "positions")
 
-    def __init__(self, trainable, constants, edges):
+    def __init__(self, trainable, constants, edges, positions):
         self.trainable = trainable
         self.constants = constants
         self.edges = edges
+        self.positions = positions
 
     @property
     def n_trainable(self) -> int:
@@ -138,4 +144,7 @@ def build_masks(sync: Synchronization) -> MaskSet:
         for col, idx in enumerate(sync.layers[l]):
             if sync.first_appearance[idx] < l:
                 constants[l - 1][at[l - 1][idx], col] = 1.0
-    return MaskSet(trainable, constants, edges)
+    start = np.cumsum([0] + [mask.size for mask in trainable])
+    positions = np.array([start[l - 1] + r * len(sync.layers[l]) + col
+                          for _p, _c, l, r, col in edges], dtype=np.intp)
+    return MaskSet(trainable, constants, edges, positions)

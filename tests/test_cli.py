@@ -127,6 +127,12 @@ class TestGenAndCanon:
         assert "--ground-truth-seed" in captured.err
         assert captured.out == ""
 
+    def test_canon_negative_ground_truth_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["canon", "bow", "-o", str(out), "--ground-truth-seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSyncCommand:
     def test_prints_layers_and_masks(self, tmp_path, capsys):
@@ -166,6 +172,14 @@ class TestFitCommand:
         gpath, cpath = single_edge_files
         assert main(["fit", gpath, cpath, "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_fit_overflowing_last_step_reports_diverged(self, tmp_path, capsys):
+        gpath = tmp_path / "bow.json"
+        assert main(["canon", "bow", "-o", str(gpath), "--ground-truth-seed", "101"]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(gpath), f"{gpath}.cov.csv", "--optimizer", "sgd", "--lr", "1e100",
+                     "--epochs", "1", "--restarts", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["stop_reason"] == "diverged"
 
     def test_fit_bad_target_exits_1(self, tmp_path, single_edge_files):
         gpath, _ = single_edge_files

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pmdag.generate import canonical, canonical_names
 from pmdag.graph import PmDag, validate
+from pmdag.solver import extract_params, init_weights
 from pmdag.sync import build_masks, synchronize
 
 from conftest import PROPERTY, demote_one_visible, pmdags, random_small_graph
@@ -212,6 +213,60 @@ class TestMasks:
         masks = build_masks(synchronize(g))
         for m, c in zip(masks.trainable, masks.constants):
             assert not np.any((m > 0) & (c > 0))
+
+
+class TestThetaLayout:
+    """``Synchronization.slices`` and ``MaskSet.positions`` against the edge list they lay out."""
+
+    @PROPERTY
+    @given(pmdags(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["as drawn", "shuffled", "demoted", "latent sink"]))
+    def test_slices_positions_and_extraction(self, g, seed, variant):
+        rng = np.random.default_rng(seed)
+        if variant == "shuffled":
+            g = PmDag([g.nodes[i] for i in rng.permutation(len(g.nodes))], g.edges)
+        elif variant == "demoted":
+            g = (demote_one_visible(g, rng) or (g,))[0]
+        elif variant == "latent sink":
+            nodes = [(n.name, n.role) for n in g.nodes]
+            nodes.insert(int(rng.integers(len(nodes) + 1)), ("sink", "latent"))
+            g = PmDag(nodes, [*g.edges, (g.names[int(rng.integers(len(g.names)))], "sink")])
+        sync = synchronize(g)
+        self.check_slices(sync)
+        self.check_positions(sync, seed)
+        self.check_extraction(sync, rng)
+
+    def check_slices(self, sync):
+        g = sync.graph
+        runs = sorted((sl for sl in sync.slices if sl is not None), key=lambda sl: sl.start)
+        assert [k for sl in runs for k in range(sl.start, sl.stop)] == list(range(len(sync.edges)))
+        for i, sl in enumerate(sync.slices):
+            assert (sl is None) == (not g.parent_index[i])
+            if sl is not None:
+                assert sl.step is None and sl.stop > sl.start
+                assert [(p, c) for p, c, _l in sync.edges[sl]] == [(p, i) for p in g.parent_index[i]]
+
+    def check_positions(self, sync, seed):
+        masks = build_masks(sync)
+        weights = init_weights(sync, masks, seed)
+        flat = np.concatenate([w.ravel() for w in weights])
+        want = [weights[l - 1][r, col] for _p, _c, l, r, col in masks.edges]
+        assert flat[masks.positions].tolist() == want
+        assert len(set(masks.positions.tolist())) == len(masks.edges)
+        assert np.concatenate([m.ravel() for m in masks.trainable])[masks.positions].all()
+
+    def check_extraction(self, sync, rng):
+        g = sync.graph
+        theta = rng.standard_normal(len(sync.edges))
+        kept = theta.copy()
+        params = extract_params(sync, theta)
+        assert tuple(params.weights) == g.nonroots
+        for k, (p, c, _l) in enumerate(sync.edges):
+            assert params.edge_weight(g, g.names[p], g.names[c]) == theta[k]
+        assert not any(np.shares_memory(w, theta) for w in params.weights.values())
+        theta[:] = np.nan
+        for k, (p, c, _l) in enumerate(sync.edges):
+            assert params.edge_weight(g, g.names[p], g.names[c]) == kept[k]
 
 
 class TestNonStrictGraphs:
