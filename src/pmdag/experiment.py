@@ -131,10 +131,10 @@ def run_experiment(exp: Experiment, outdir) -> dict:
     """Run all repetitions and write traces, deciles, and a summary.
 
     Returns the summary dict (also written to ``summary.json``, where
-    non-finite floats appear as null).
+    non-finite floats appear as null).  The graph, its ground truth and the
+    query are checked before ``outdir`` is made, so a rejected spec leaves
+    no directory behind.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     g = exp.resolve_graph()
     truth_params, target = ground_truth(g, exp.truth_seed)
 
@@ -143,6 +143,9 @@ def run_experiment(exp: Experiment, outdir) -> dict:
     if exp.do_target is not None:
         query = InterventionQuery((exp.do_target,), (0.0,), (exp.do_effect,))
         truth_do = interventional_dist(g, truth_params, query)
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     kl_traces = []
     do_traces = []

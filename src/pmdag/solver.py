@@ -97,6 +97,13 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 # engine runs the passes alone: its weights are views into one buffer, so
 # their shapes cannot change, and the seed the loss kernel returns is
 # symmetric, placed by the binding into a matrix of the last layer's size.
+#
+# The passes multiply with ``np.dot``, not ``@``: on 2-D operands both make
+# the same BLAS call (``dgemm``, or ``dsyrk`` for a product with its own
+# transpose) and so give the same bits, but ``@`` dispatches through the
+# matmul gufunc machinery, which costs about half as much again per call
+# on the few-by-few matrices of a fit.  ``tests/test_kernels.py`` checks
+# that the two agree bitwise.
 
 
 def _cov_forward(eye, weights):
@@ -104,8 +111,8 @@ def _cov_forward(eye, weights):
     sigmas = [sigma]
     lams = []
     for w in weights:
-        lam = sigma @ w
-        sigma = w.T @ lam
+        lam = np.dot(sigma, w)
+        sigma = np.dot(w.T, lam)
         lams.append(lam)
         sigmas.append(sigma)
     return sigma, lams, sigmas
@@ -114,10 +121,10 @@ def _cov_forward(eye, weights):
 def _cov_backward(weights, lams, g, out):
     """Write Lambda_l G_l, the unmasked half-gradient of layer l, into ``out[l - 1]``."""
     for l in range(len(weights), 0, -1):
-        np.matmul(lams[l - 1], g, out=out[l - 1])
+        np.dot(lams[l - 1], g, out[l - 1])
         if l > 1:
             w = weights[l - 1]
-            g = w @ g @ w.T
+            g = np.dot(np.dot(w, g), w.T)
     return out
 
 
@@ -125,18 +132,18 @@ def _acc_forward(eye, weights):
     acc = eye
     accs = [acc]
     for w in weights:
-        acc = acc @ w
+        acc = np.dot(acc, w)
         accs.append(acc)
-    return acc.T @ acc, accs
+    return np.dot(acc.T, acc), accs
 
 
 def _acc_backward(weights, accs, g, out):
     """Write A_{l-1}^T Omega_l, the unmasked half-gradient of layer l, into ``out[l - 1]``."""
-    omega = accs[-1] @ g
+    omega = np.dot(accs[-1], g)
     for l in range(len(weights), 0, -1):
-        np.matmul(accs[l - 1].T, omega, out=out[l - 1])
+        np.dot(accs[l - 1].T, omega, out[l - 1])
         if l > 1:
-            omega = omega @ weights[l - 1].T
+            omega = np.dot(omega, weights[l - 1].T)
     return out
 
 
@@ -648,14 +655,15 @@ def optimize_step(theta, grad, state):
     """One optimizer update of the edge vector.
 
     Returns (new theta, state); an Adamax state's step count and moments are
-    updated in place.  Raises NonFiniteGradient on nan/inf gradients, before
-    the state changes.
+    updated in place.  An Adamax entry whose ``u`` is 0 (no nonzero
+    gradient yet) steps exactly 0.
+    Raises NonFiniteGradient on nan/inf gradients, before the state changes.
     """
-    if not np.isfinite(grad).all():
+    # the ufunc reduction behind .all(), called without its Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains nan or inf")
-    if isinstance(state, SgdState):
-        return theta - state.lr * grad, state
-    if isinstance(state, AdamaxState):
+    kind = type(state)
+    if kind is AdamaxState:
         if state.m is None:
             state.m, state.u = np.zeros_like(grad), np.zeros_like(grad)
         state.t += 1
@@ -664,10 +672,11 @@ def optimize_step(theta, grad, state):
         m += (1.0 - ADAMAX_BETA1) * grad
         u *= ADAMAX_BETA2
         np.maximum(u, np.abs(grad), out=u)
-        live = u > 0.0
-        step = np.where(live, (state.lr / (1.0 - ADAMAX_BETA1 ** state.t)) * m / np.where(live, u, 1.0), 0.0)
-        return theta - step, state
-    raise SolverError(f"unknown optimizer state {type(state).__name__}")
+        rate = state.lr / (1.0 - ADAMAX_BETA1 ** state.t)
+        return theta - np.divide(rate * m, u, out=np.zeros(u.shape), where=u > 0.0), state
+    if kind is SgdState:
+        return theta - state.lr * grad, state
+    raise SolverError(f"unknown optimizer state {kind.__name__}")
 
 
 # --- full-system covariance oracle ------------------------------------------
@@ -805,16 +814,18 @@ def _run_single(sync, engine, theta, target, target_inv, target_logdet, config, 
     state = make_optimizer_state(config)
     loss_trace = []
     kl_trace = []
+    # bound once: attribute lookups repeated every iteration add up over thousands
+    forward, backward = engine.forward, engine.backward
+    loss, kl_tol, min_improvement = config.loss, config.kl_tol, config.min_improvement
     prev_err = math.inf
     stop_reason = "max_iters"
     converged = False
     recorded = theta
 
     for i in range(1, config.max_iters + 1):
-        sigma_vis, ctx = engine.forward(theta)
+        sigma_vis, ctx = forward(theta)
         try:
-            err, seed_vis, kl_mt = loss_kernel(
-                config.loss, sigma_vis, target, target_inv, target_logdet)
+            err, seed_vis, kl_mt = loss_kernel(loss, sigma_vis, target, target_inv, target_logdet)
         except NotPositiveDefinite:
             stop_reason = "singular_model"
             break
@@ -826,17 +837,17 @@ def _run_single(sync, engine, theta, target, target_inv, target_logdet, config, 
         kl_trace.append(kl_mt)
         if iter_hook is not None:
             iter_hook(i, lambda theta=theta: extract_params(sync, theta))
-        if kl_mt <= config.kl_tol:
+        if kl_mt <= kl_tol:
             converged = True
             stop_reason = "kl_threshold"
             break
-        if abs(err - prev_err) <= config.min_improvement:
+        if abs(err - prev_err) <= min_improvement:
             stop_reason = "loss_plateau"
             break
         prev_err = err
 
         try:
-            stepped, state = optimize_step(theta, engine.backward(ctx, seed_vis), state)
+            stepped, state = optimize_step(theta, backward(ctx, seed_vis), state)
         except NonFiniteGradient:
             stop_reason = "diverged"
             break

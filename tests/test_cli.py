@@ -351,14 +351,18 @@ class TestExperimentCommand:
         [1, 2],
         {"graph": "bow", "do_target": "X"},
         {"graph": "bow", "do_effect": "Y"},
+        {"graph": "nosuch"},
+        {"graph": "bow", "do_target": "U_XY", "do_effect": "Y"},
     ], ids=["unknown_fit_key", "missing_graph", "unknown_graph_key", "string_repetitions",
             "float_iterations", "bool_seed", "zero_repetitions", "zero_stride", "not_an_object",
-            "do_target_alone", "do_effect_alone"])
+            "do_target_alone", "do_effect_alone", "unknown_graph", "latent_do_target"])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
+        """A rejected spec exits 1 and leaves no output directory behind."""
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps(spec))
         assert main(["experiment", str(spec_path), "-o", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_hook_builds_params_only_when_recording(self, tmp_path, monkeypatch):
         from pmdag import solver

@@ -9,10 +9,10 @@ roots.
 """
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pmdag.gauss import loss_kernel, target_terms
+from pmdag.gauss import loss_kernel, one_lapack_thread, target_terms
 from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import (
     ENGINES,
@@ -189,3 +189,34 @@ def test_every_engine_matches_closed_form_jacobian(case):
         got_sigma, ctx = engine.forward(theta)
         assert_close_rel(got_sigma, sigma_vis, f"{method} forward")
         assert_close_rel(engine.backward(ctx, seed_vis), expected_grad, f"{method} backward")
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_dot_and_matmul_give_the_same_bits(m, k, n, seed):
+    """The layered passes multiply with np.dot; it must round exactly like ``@``.
+
+    Covers plain and transposed operands, a product with its own transpose
+    (the ``dsyrk`` path), the backward chain w g w^T and a write through
+    ``out=`` into a view of a larger buffer, as the bound engines do.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
+    b = rng.standard_normal((k, n))
+    at, bt = a.T.copy().T, b.T.copy().T  # same values, Fortran-ordered
+    g = rng.standard_normal((n, n))
+    w = rng.standard_normal((m, n))
+    buf = np.empty(m * n + 3)
+    with one_lapack_thread():
+        for x, y in ((a, b), (at, b), (a, bt), (at, bt), (b.T, a.T), (a, a.T), (a.T, a), (a.T, at)):
+            assert same_bits(np.dot(x, y), x @ y)
+        assert same_bits(np.dot(np.dot(w, g), w.T), w @ g @ w.T)
+        out = buf[3:].reshape(m, n)
+        np.dot(a, b, out)
+        assert same_bits(out, np.matmul(a, b))
+        np.dot(at, b, out)
+        assert same_bits(out, np.matmul(at, b, out=np.empty((m, n))))

@@ -4,11 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs, one_lapack_thread
 from pmdag.generate import GenSpec, ground_truth, random_pmdag
 from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
+    ADAMAX_BETA1,
+    ADAMAX_BETA2,
     AdamaxState,
     AllocationCounter,
     AsymmetricSeed,
@@ -317,6 +321,47 @@ class TestOptimizeStep:
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(NonFiniteGradient):
             optimize_step(np.array([1.0]), np.array([math.nan]), SgdState(lr=0.1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 40), st.sampled_from([1e-3, 0.1, 1.0]),
+           st.integers(0, 2**31 - 1))
+    def test_adamax_matches_the_two_where_formula(self, n, steps, lr, seed):
+        """Bit for bit the step ``where(u > 0, c m / where(u > 0, u, 1), 0)``, c = lr / (1 - beta1^t).
+
+        Gradients mix exact zeros, subnormals and values near 1e300; entry 0
+        is dead (its gradient is always 0) and must step exactly 0.  A
+        non-finite gradient raises and leaves t, m and u as they were.
+        """
+        rng = np.random.default_rng(seed)
+        scales = np.array([0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e100, 1e300])
+        theta = rng.standard_normal(n + 1)
+        ref_theta, ref_m, ref_u = theta.copy(), np.zeros(n + 1), np.zeros(n + 1)
+        state = AdamaxState(lr=lr)
+        dead = theta[0]
+        for t in range(1, steps + 1):
+            grad = rng.standard_normal(n + 1) * rng.choice(scales, n + 1)
+            grad[0] = 0.0
+            if rng.random() < 0.1:
+                bad = grad.copy()
+                bad[rng.integers(n + 1)] = rng.choice([math.nan, math.inf, -math.inf])
+                before = (state.t, None if state.m is None else state.m.copy(),
+                          None if state.u is None else state.u.copy())
+                with pytest.raises(NonFiniteGradient):
+                    optimize_step(theta, bad, state)
+                assert state.t == before[0]
+                for kept, now in zip(before[1:], (state.m, state.u)):
+                    assert (kept is None and now is None) or kept.tobytes() == now.tobytes()
+            ref_m = ref_m * ADAMAX_BETA1 + (1.0 - ADAMAX_BETA1) * grad
+            ref_u = np.maximum(ref_u * ADAMAX_BETA2, np.abs(grad))
+            live = ref_u > 0.0
+            ref_step = np.where(live, (lr / (1.0 - ADAMAX_BETA1 ** t)) * ref_m
+                                / np.where(live, ref_u, 1.0), 0.0)
+            ref_theta = ref_theta - ref_step
+            theta, state = optimize_step(theta, grad, state)
+            assert state.t == t
+            assert theta.tobytes() == ref_theta.tobytes()
+            assert state.m.tobytes() == ref_m.tobytes() and state.u.tobytes() == ref_u.tobytes()
+        assert theta[0] == dead
 
 
 class TestJointCov:
