@@ -224,8 +224,11 @@ def _parse_do(items) -> tuple[tuple[str, ...], tuple[float, ...]]:
         if "=" not in item:
             raise GraphError(f"--do expects NODE=VALUE, got {item!r}")
         name, _, value = item.partition("=")
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise GraphError(f"--do expects a numeric VALUE, got {item!r}") from None
         targets.append(name.strip())
-        values.append(float(value))
     return tuple(targets), tuple(values)
 
 
@@ -261,7 +264,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        exp = experiment_mod.Experiment.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise experiment_mod.SpecError(f"experiment spec {args.spec} is not JSON: {exc}") from None
+    exp = experiment_mod.Experiment.from_dict(data)
     summary = experiment_mod.run_experiment(exp, args.outdir)
     print(f"wrote {args.outdir}: {summary['converged_count']}/{len(summary['repetitions'])} "
           f"repetitions converged")

@@ -131,9 +131,9 @@ def run_experiment(exp: Experiment, outdir) -> dict:
     """Run all repetitions and write traces, deciles, and a summary.
 
     Returns the summary dict (also written to ``summary.json``, where
-    non-finite floats appear as null).  The graph, its ground truth and the
-    query are checked before ``outdir`` is made, so a rejected spec leaves
-    no directory behind.
+    non-finite floats appear as null).  ``outdir`` is made only after every
+    repetition's fit has returned, so a spec that the graph, its ground
+    truth, the query or ``fit`` rejects leaves no directory behind.
     """
     g = exp.resolve_graph()
     truth_params, target = ground_truth(g, exp.truth_seed)
@@ -144,10 +144,7 @@ def run_experiment(exp: Experiment, outdir) -> dict:
         query = InterventionQuery((exp.do_target,), (0.0,), (exp.do_effect,))
         truth_do = interventional_dist(g, truth_params, query)
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    kl_traces = []
+    reports = []
     do_traces = []
     reps = []
     for rep in range(exp.repetitions):
@@ -162,8 +159,7 @@ def run_experiment(exp: Experiment, outdir) -> dict:
                     _trace.append((i, d))
 
         params, report = fit(g, target, cfg, iter_hook=hook)
-        save_trace_csv(report, outdir / f"trace_rep{rep:02d}.csv")
-        kl_traces.append(report.kl_trace)
+        reports.append(report)
         rep_entry = {
             "rep": rep,
             "seed": cfg.seed,
@@ -179,7 +175,12 @@ def run_experiment(exp: Experiment, outdir) -> dict:
             do_traces.append(do_trace)
         reps.append(rep_entry)
 
-    quantiles = _deciles(kl_traces)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for rep, report in enumerate(reports):
+        save_trace_csv(report, outdir / f"trace_rep{rep:02d}.csv")
+
+    quantiles = _deciles([report.kl_trace for report in reports])
     _write_deciles(outdir / "kl_deciles.csv", zip(range(1, quantiles.shape[1] + 1), quantiles.T))
 
     if do_traces and all(len(t) for t in do_traces):

@@ -445,7 +445,10 @@ def load_cov_csv(path) -> CovMatrix:
     if not rows:
         raise GaussError(f"empty covariance file: {path}")
     labels = [cell.strip() for cell in rows[0]]
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
+    try:
+        data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
+    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
+        raise GaussError(f"covariance file {path} is not a numeric matrix: {exc}") from None
     if data.shape != (len(labels), len(labels)):
         raise GaussError(f"covariance file {path} is not a {len(labels)}x{len(labels)} matrix")
     _require_finite(data)

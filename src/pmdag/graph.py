@@ -275,7 +275,11 @@ class PmDag:
 
 def load_graph(path) -> PmDag:
     with open(path, "r", encoding="utf-8") as fh:
-        return PmDag.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise GraphError(f"graph file {path} is not JSON: {exc}") from None
+    return PmDag.from_dict(data)
 
 
 def save_graph(g: PmDag, path) -> None:

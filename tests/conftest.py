@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import pmdag
 from pmdag.generate import GenSpec, random_pmdag
 from pmdag.graph import validate
 
@@ -27,6 +32,14 @@ def chain3():
 
 
 PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` in a fresh interpreter that imports the pmdag under test."""
+    src = str(Path(pmdag.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 @st.composite

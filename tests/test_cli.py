@@ -7,12 +7,15 @@ import pytest
 
 import pmdag
 from pmdag.bench import bench
-from pmdag.cli import _fit_config, build_parser, main
+from pmdag.cli import _cmd_experiment, _fit_config, _parse_do, build_parser, main
+from pmdag.experiment import SpecError
 from pmdag.gauss import CovMatrix, save_cov_csv
 from pmdag.generate import canonical, ground_truth
-from pmdag.graph import load_graph, save_graph, validate
+from pmdag.graph import GraphError, load_graph, save_graph, validate
 from pmdag.identify import identify
 from pmdag.solver import FitConfig
+
+from conftest import run_python
 
 
 @pytest.fixture
@@ -72,6 +75,19 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestConsoleScript:
+    """The installed entry point, ``console_main``, run as its own process."""
+
+    @pytest.mark.parametrize("argv, code", [(["canon", "bow"], 0),
+                                            (["validate", "/nonexistent/g.json"], 1),
+                                            (["fit", "g.json", "c.csv", "--method", "bogus"], 1)],
+                             ids=["canon", "missing_file", "usage_error"])
+    def test_exit_code_without_traceback(self, argv, code):
+        run = run_python("from pmdag.cli import console_main; console_main()", *argv)
+        assert run.returncode == code
+        assert "Traceback" not in run.stderr
+
+
 LX_NODES = [{"name": "L", "role": "latent"}, {"name": "X", "role": "visible"}]
 
 
@@ -92,11 +108,12 @@ class TestValidateCommand:
         {"nodes": [{"name": ["L"], "role": "latent"}], "edges": []},
         {"nodes": LX_NODES + [None], "edges": [["L", "X"]]},
         {"nodes": LX_NODES, "edges": [["L", "X", "X"]]},
+        '{"nodes": [',
     ], ids=["visible_root", "no_edges", "no_role", "int_edges", "int_nodes", "list_in_edge",
-            "list_node_name", "null_node", "edge_triple"])
+            "list_node_name", "null_node", "edge_triple", "not_json"])
     def test_invalid_graph_exits_1(self, tmp_path, capsys, graph):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(graph))
+        path.write_text(graph if isinstance(graph, str) else json.dumps(graph))
         assert main(["validate", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -111,6 +128,7 @@ class TestGenAndCanon:
                      "--seed", "3", "-o", str(out)]) == 0
         g = load_graph(out)
         assert len(g.visible_names) == 5
+        assert main(["validate", str(out), "--strict"]) == 0
 
     def test_canon_with_ground_truth(self, tmp_path):
         out = tmp_path / "bow.json"
@@ -142,7 +160,10 @@ class TestSyncCommand:
         assert main(["sync", str(path), "--masks", "--dot", str(dot)]) == 0
         out = capsys.readouterr().out
         assert "depth" in out and "trainable entries:" in out
-        assert "style=dashed" in dot.read_text()
+        lines = dot.read_text().splitlines()
+        # bow's 5 graph edges are drawn solid, its 3 identity carries dashed
+        assert sum("style=solid" in line for line in lines) == 5
+        assert sum("style=dashed" in line for line in lines) == 3
 
 
 class TestFitCommand:
@@ -187,6 +208,15 @@ class TestFitCommand:
         bad.write_text("V\n-1.0\n")
         assert main(["fit", gpath, str(bad)]) == 1
 
+    @pytest.mark.parametrize("text", ["V,W\n4.0,1.0\n1.0\n", "V\nfour\n"],
+                             ids=["ragged_row", "non_numeric_cell"])
+    def test_fit_unreadable_target_names_the_file(self, tmp_path, single_edge_files, capsys, text):
+        gpath, _ = single_edge_files
+        bad = tmp_path / "unreadable.csv"
+        bad.write_text(text)
+        assert main(["fit", gpath, str(bad)]) == 1
+        assert "error: covariance file" in capsys.readouterr().err
+
 
 class TestIdentifyCommand:
     def write_case(self, tmp_path, name, truth_seed):
@@ -205,7 +235,7 @@ class TestIdentifyCommand:
         assert code == 3
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["outcome"] == "not_identifiable"
-        assert verdict["witness_seeds"] is not None
+        assert isinstance(verdict["witness_seeds"], list)
 
     def test_backdoor_exits_0(self, tmp_path, capsys):
         gpath, cpath = self.write_case(tmp_path, "backdoor", truth_seed=5)
@@ -266,9 +296,12 @@ class TestIdentifyCommand:
                                        ["--do", "X=0", "--retry-cap", "0"],
                                        ["--do", "X=1", "--do", "X=2"],
                                        ["--do", "X=0", "--tol-id", "nan"],
-                                       ["--do", "X=0", "--tol-id", "-1"]],
+                                       ["--do", "X=0", "--tol-id", "-1"],
+                                       ["--do", "X=0", "--effect", "Y"], ["--do", "U_XY=0"],
+                                       ["--do", "X=abc"]],
                              ids=["nan_value", "zero_iters", "zero_retry_cap", "repeated_target",
-                                  "nan_tol_id", "negative_tol_id"])
+                                  "nan_tol_id", "negative_tol_id", "repeated_effect",
+                                  "latent_target", "non_numeric_value"])
     def test_bad_probe_settings_exit_1(self, tmp_path, capsys, flags):
         gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
         assert main(["identify", gpath, cpath, *flags, "--effect", "Y",
@@ -282,6 +315,19 @@ class TestIdentifyCommand:
         (tmp_path / "bow.csv").write_text("\n".join(lines) + "\n")
         assert main(["identify", gpath, cpath, "--do", "X=0", "--effect", "Y"]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestTypedInputErrors:
+    def test_non_numeric_do_value_is_a_graph_error(self):
+        with pytest.raises(GraphError, match="X=abc"):
+            _parse_do(["X=abc"])
+
+    def test_spec_that_is_not_json_is_a_spec_error(self, tmp_path):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text('{"graph": bow}')
+        args = build_parser().parse_args(["experiment", str(spec_path), "-o", str(tmp_path / "out")])
+        with pytest.raises(SpecError, match="exp.json"):
+            _cmd_experiment(args)
 
 
 class TestBenchCommand:
@@ -353,15 +399,25 @@ class TestExperimentCommand:
         {"graph": "bow", "do_effect": "Y"},
         {"graph": "nosuch"},
         {"graph": "bow", "do_target": "U_XY", "do_effect": "Y"},
+        '{"graph": bow}',
     ], ids=["unknown_fit_key", "missing_graph", "unknown_graph_key", "string_repetitions",
             "float_iterations", "bool_seed", "zero_repetitions", "zero_stride", "not_an_object",
-            "do_target_alone", "do_effect_alone", "unknown_graph", "latent_do_target"])
+            "do_target_alone", "do_effect_alone", "unknown_graph", "latent_do_target", "not_json"])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
         """A rejected spec exits 1 and leaves no output directory behind."""
         spec_path = tmp_path / "exp.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         assert main(["experiment", str(spec_path), "-o", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_rejected_by_fit_leaves_no_directory(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"nodes": [["A", "latent"]], "edges": []}))
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"graph": str(gpath)}))
+        assert main(["experiment", str(spec_path), "-o", str(tmp_path / "out")]) == 1
+        assert "no visible nodes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_hook_builds_params_only_when_recording(self, tmp_path, monkeypatch):

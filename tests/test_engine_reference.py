@@ -1,4 +1,4 @@
-"""The bound engines and the in-place optimizer against the checked paths they replaced.
+"""The bound engines against the checked paths they replaced, and the SGD step against its definition.
 
 A bound engine runs the unchecked forward and backward passes.  Its output
 must equal, bit for bit, the public checked kernel followed by the
@@ -8,11 +8,9 @@ concatenated and read at the trainable positions.  Graphs with a latent sink
 in the last layer make the visible block a proper sub-block, so both the
 identity and the gather branch of the visible block run.
 
-The frozen Adamax state below is the optimizer step as it ran before it
-updated its state in place; the two must produce the same bits.
+The Adamax step's bitwise reference is
+``tests/test_solver.py::TestOptimizeStep::test_adamax_matches_the_two_where_formula``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 from pmdag.graph import PmDag
 from pmdag.solver import (
     ENGINES,
-    AdamaxState,
     SgdState,
     backward_acc,
     backward_cov,
@@ -110,28 +107,6 @@ def test_bound_engines_match_the_checked_kernels_bitwise(g, seed, variant):
         assert bits(dtheta) == bits(want_grad), method
 
 
-@dataclass(frozen=True)
-class FrozenAdamax:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    t: int = 0
-    m: np.ndarray | None = None
-    u: np.ndarray | None = None
-
-
-def frozen_step(theta, grad, state):
-    """The Adamax step over an immutable state, rebuilt every step."""
-    t = state.t + 1
-    m0 = np.zeros_like(grad) if state.m is None else state.m
-    u0 = np.zeros_like(grad) if state.u is None else state.u
-    m = state.beta1 * m0 + (1.0 - state.beta1) * grad
-    u = np.maximum(state.beta2 * u0, np.abs(grad))
-    live = u > 0.0
-    step = np.where(live, (state.lr / (1.0 - state.beta1 ** t)) * m / np.where(live, u, 1.0), 0.0)
-    return theta - step, FrozenAdamax(state.lr, state.beta1, state.beta2, t, m, u)
-
-
 def gradients(rng, size, steps):
     """Gradients whose first entry stays exactly 0, with other entries 0 or -0 now and then."""
     for _ in range(steps):
@@ -140,20 +115,6 @@ def gradients(rng, size, steps):
         grad[rng.random(size) < 0.1] = -0.0
         grad[0] = 0.0
         yield grad
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
-def test_in_place_adamax_matches_the_frozen_step_bitwise(seed, size):
-    rng = np.random.default_rng(seed)
-    theta = ref_theta = rng.standard_normal(size)
-    state = AdamaxState(lr=1e-3)
-    ref = FrozenAdamax(lr=1e-3)
-    for grad in gradients(rng, size, 50):
-        theta, state = optimize_step(theta, grad, state)
-        ref_theta, ref = frozen_step(ref_theta, grad, ref)
-        assert bits(theta) == bits(ref_theta)
-        assert (state.t, bits(state.m), bits(state.u)) == (ref.t, bits(ref.m), bits(ref.u))
-    assert theta[0] == ref_theta[0] and state.u[0] == 0.0
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))

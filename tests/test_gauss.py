@@ -284,3 +284,11 @@ class TestCovCsv:
         path.write_text("X,Y\n1.0,0.0\n")
         with pytest.raises(GaussError):
             load_cov_csv(path)
+
+    @pytest.mark.parametrize("text", ["X,Y\n1.0,0.0\n0.0\n", "X,Y\n1.0,zero\n0.0,1.0\n"],
+                             ids=["ragged_row", "non_numeric_cell"])
+    def test_rejects_non_numeric_matrix_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(GaussError, match="bad.csv"):
+            load_cov_csv(path)

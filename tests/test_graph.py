@@ -18,6 +18,7 @@ from pmdag.graph import (
     VisibleRoot,
     exogenize,
     exogenize_params,
+    load_graph,
     validate,
 )
 from pmdag.solver import joint_cov
@@ -201,6 +202,12 @@ class TestSerialization:
         assert data["nodes"][0] == {"name": "A", "role": "latent"}
         assert ["A", "X"] in data["edges"]
         json.dumps(data)
+
+    def test_load_rejects_text_that_is_not_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"nodes": [')
+        with pytest.raises(GraphError, match="bad.json"):
+            load_graph(path)
 
 
 class TestStructuralParams:

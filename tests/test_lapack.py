@@ -4,16 +4,12 @@
 imports it where scipy's wheel bundles its OpenBLAS.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import pmdag
 from pmdag import gauss
+
+from conftest import run_python
 
 SIZES = range(1, 13)
 
@@ -60,10 +56,8 @@ def test_import_leaves_scipy_linalg_out():
             "before = 'scipy.linalg' in sys.modules\n"
             "g.target_terms(np.eye(3))\n"
             "print(before, g._bundled_lapack() is None or 'scipy.linalg' in sys.modules)")
-    src = str(Path(pmdag.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = run_python(code)
+    out.check_returncode()
     assert out.stdout.split() == ["False", "False"]
 
 
