@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     probe = inspect.signature(identify).parameters  # the one home of these defaults
     p.add_argument("--iters", type=int, default=probe["iters"].default)
     p.add_argument("--tol-id", type=float, default=probe["tol_id"].default)
-    p.add_argument("--retry-cap", type=int, default=probe["retry_cap"].default)
     _add_fit_flags(p)
     p.add_argument("-o", "--output", help="write the verdict JSON here (default stdout)")
 
@@ -238,8 +237,7 @@ def _cmd_identify(args) -> int:
     config = _fit_config(args)
     targets, values = _parse_do(args.do)
     query = InterventionQuery(targets, values, tuple(args.effect))
-    verdict = identify(g, target, query, config, iters=args.iters, tol_id=args.tol_id,
-                       retry_cap=args.retry_cap)
+    verdict = identify(g, target, query, config, iters=args.iters, tol_id=args.tol_id)
     _emit(verdict.to_dict(), args.output)
     if verdict.outcome == NOT_INDUCIBLE:
         return EXIT_NOT_INDUCIBLE

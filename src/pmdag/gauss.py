@@ -440,8 +440,10 @@ def save_cov_csv(cov: CovMatrix, path) -> None:
 def load_cov_csv(path) -> CovMatrix:
     """Load a labeled covariance, rejecting asymmetry beyond 1e-9 relative."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except UnicodeDecodeError as exc:
+            raise GaussError(f"covariance file {path} is not UTF-8: {exc}") from None
     if not rows:
         raise GaussError(f"empty covariance file: {path}")
     labels = [cell.strip() for cell in rows[0]]
@@ -451,7 +453,8 @@ def load_cov_csv(path) -> CovMatrix:
         raise GaussError(f"covariance file {path} is not a numeric matrix: {exc}") from None
     if data.shape != (len(labels), len(labels)):
         raise GaussError(f"covariance file {path} is not a {len(labels)}x{len(labels)} matrix")
-    _require_finite(data)
+    if not np.isfinite(data).all():
+        raise NonFiniteEntries(f"covariance file {path} has non-finite entries")
     scale = max(1.0, float(np.abs(data).max()))
     if float(np.abs(data - data.T).max()) > 1e-9 * scale:
         raise GaussError(f"covariance file {path} is not symmetric within 1e-9 relative tolerance")

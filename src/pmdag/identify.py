@@ -27,7 +27,7 @@ class IdentifyError(RuntimeError):
 
 
 class FitBudgetExhausted(IdentifyError):
-    """Could not collect the requested number of converged fits within the retry cap."""
+    """A compared fit did not converge within its ``FitConfig.restarts`` budget."""
 
 
 @dataclass(frozen=True)
@@ -143,21 +143,21 @@ def identify(
     fn_config: FitConfig | None = None,
     iters: int = 10,
     tol_id: float = 1e-2,
-    retry_cap: int = 5,
     fn: Callable[[PmDag, CovMatrix, FitConfig], tuple[StructuralParams, FitReport]] = fit,
 ) -> IdentVerdict:
     """Probe whether the effect distribution is pinned down by graph and target.
 
-    A first fit decides inducibility; ``iters`` further fits (fresh seeds,
-    non-converged runs redrawn up to ``retry_cap`` attempts per slot) are
-    compared against it.  A fit counts as converged when its ``fit_kl`` is
-    at most ``fn_config.kl_tol``, the threshold the fit itself stops at.
-    Any interventional divergence above ``tol_id`` refutes identifiability
-    with a replayable witness; otherwise the verdict is presumed
-    identifiability with the largest observed divergence.
+    A first fit (slot 0) decides inducibility; ``iters`` further fits, one
+    call of ``fn`` per slot at a fresh seed with ``fn_config.restarts`` as
+    its whole retry budget, are compared against it.  A fit counts as
+    converged when its ``fit_kl`` is at most ``fn_config.kl_tol``, the
+    threshold the fit itself stops at; a compared slot that does not raises
+    ``FitBudgetExhausted``.  Any interventional divergence above ``tol_id``
+    refutes identifiability with a replayable witness; otherwise the verdict
+    is presumed identifiability with the largest observed divergence.
     """
-    if iters < 1 or retry_cap < 1:
-        raise IdentifyError("iters and retry_cap must be at least 1")
+    if iters < 1:
+        raise IdentifyError("iters must be at least 1")
     if not (math.isfinite(tol_id) and tol_id >= 0):
         raise IdentifyError("tol_id must be finite and nonnegative")
     _check_query_nodes(g, query)
@@ -165,27 +165,24 @@ def identify(
         fn_config = FitConfig()
     master = fn_config.seed
 
+    # Slot s fits at derive_seed(master, s, 0): the trailing 0 keeps the seeds
+    # that earlier versions gave each slot, so their verdicts replay unchanged.
     ref_seed = derive_seed(master, 0, 0)
     ref_params, ref_report = fn(g, target, replace(fn_config, seed=ref_seed))
     ref_kl = fit_kl(g, target, ref_params)
-    fits_run = 1
     if ref_kl > fn_config.kl_tol:
         return IdentVerdict(NOT_INDUCIBLE, iterations=iters, max_divergence=math.nan,
-                            fit_kl=float(ref_kl), fits_run=fits_run,
+                            fit_kl=float(ref_kl), fits_run=1,
                             ref_stop_reason=ref_report.stop_reason)
 
     ref_do = interventional_dist(g, ref_params, query)
     divergences: list[float] = []
     for slot in range(1, iters + 1):
-        for attempt in range(retry_cap):
-            slot_seed = derive_seed(master, slot, attempt)
-            params_i, _report = fn(g, target, replace(fn_config, seed=slot_seed))
-            fits_run += 1
-            if fit_kl(g, target, params_i) <= fn_config.kl_tol:
-                break
-        else:
+        slot_seed = derive_seed(master, slot, 0)
+        params_i, _report = fn(g, target, replace(fn_config, seed=slot_seed))
+        if fit_kl(g, target, params_i) > fn_config.kl_tol:
             raise FitBudgetExhausted(
-                f"slot {slot}: no converged fit within {retry_cap} attempts")
+                f"slot {slot}: no converged fit within {fn_config.restarts} restarts")
         d = divergence(interventional_dist(g, params_i, query), ref_do)
         divergences.append(float(d))
         if d > tol_id:
@@ -195,8 +192,8 @@ def identify(
                 fit_kl=float(ref_kl),
                 witness_seeds=(ref_seed, slot_seed),
                 witness_params=(ref_params, params_i),
-                fits_run=fits_run)
+                fits_run=slot + 1)
     return IdentVerdict(
         PRESUMED_IDENTIFIABLE, iterations=iters,
         max_divergence=max(divergences),
-        divergences=divergences, fit_kl=float(ref_kl), fits_run=fits_run)
+        divergences=divergences, fit_kl=float(ref_kl), fits_run=iters + 1)

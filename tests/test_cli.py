@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import re
@@ -47,8 +48,8 @@ class TestPublicSurface:
         probe = inspect.signature(identify).parameters
         args = build_parser().parse_args(["identify", "g.json", "c.csv", "--do", "X=0",
                                           "--effect", "Y"])
-        assert (args.iters, args.tol_id, args.retry_cap) == tuple(
-            probe[name].default for name in ("iters", "tol_id", "retry_cap"))
+        assert (args.iters, args.tol_id) == tuple(
+            probe[name].default for name in ("iters", "tol_id"))
         timing = inspect.signature(bench).parameters
         args = build_parser().parse_args(["bench", "-o", "b.csv"])
         assert tuple(args.methods.split(",")) == tuple(timing["methods"].default)
@@ -80,8 +81,10 @@ class TestConsoleScript:
 
     @pytest.mark.parametrize("argv, code", [(["canon", "bow"], 0),
                                             (["validate", "/nonexistent/g.json"], 1),
-                                            (["fit", "g.json", "c.csv", "--method", "bogus"], 1)],
-                             ids=["canon", "missing_file", "usage_error"])
+                                            (["fit", "g.json", "c.csv", "--method", "bogus"], 1),
+                                            (["identify", "g.json", "c.csv", "--do", "X=0",
+                                              "--effect", "Y", "--retry-cap", "5"], 1)],
+                             ids=["canon", "missing_file", "usage_error", "retry_cap_flag"])
     def test_exit_code_without_traceback(self, argv, code):
         run = run_python("from pmdag.cli import console_main; console_main()", *argv)
         assert run.returncode == code
@@ -208,12 +211,13 @@ class TestFitCommand:
         bad.write_text("V\n-1.0\n")
         assert main(["fit", gpath, str(bad)]) == 1
 
-    @pytest.mark.parametrize("text", ["V,W\n4.0,1.0\n1.0\n", "V\nfour\n"],
-                             ids=["ragged_row", "non_numeric_cell"])
-    def test_fit_unreadable_target_names_the_file(self, tmp_path, single_edge_files, capsys, text):
+    @pytest.mark.parametrize("data", [b"V,W\n4.0,1.0\n1.0\n", b"V\nfour\n", b"V\n\xff\xfe",
+                                      b"V\nnan\n"],
+                             ids=["ragged_row", "non_numeric_cell", "non_utf8", "non_finite_cell"])
+    def test_fit_unreadable_target_names_the_file(self, tmp_path, single_edge_files, capsys, data):
         gpath, _ = single_edge_files
         bad = tmp_path / "unreadable.csv"
-        bad.write_text(text)
+        bad.write_bytes(data)
         assert main(["fit", gpath, str(bad)]) == 1
         assert "error: covariance file" in capsys.readouterr().err
 
@@ -288,18 +292,31 @@ class TestIdentifyCommand:
         assert verdict["outcome"] == "not_inducible"
         assert verdict["ref_stop_reason"] == "max_iters"
 
+    def test_unconverged_slot_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the reference fit converges; every compared slot returns weights far off the target
+        gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
+        bow = canonical("bow")
+        truth, _ = ground_truth(bow, seed=5)
+        fits = iter([truth, truth.with_edge_weight(bow, "X", "Y", 50.0)])
+
+        # a partial keeps the signature that build_parser reads the probe defaults from
+        monkeypatch.setattr("pmdag.cli.identify",
+                            functools.partial(identify, fn=lambda *_: (next(fits), None)))
+        assert main(["identify", gpath, cpath, "--do", "X=0", "--effect", "Y"]) == 1
+        err = capsys.readouterr().err
+        assert "error: slot 1:" in err and "restarts" in err
+
     def test_malformed_do_exits_1(self, tmp_path):
         gpath, cpath = self.write_case(tmp_path, "bow", truth_seed=5)
         assert main(["identify", gpath, cpath, "--do", "X", "--effect", "Y"]) == 1
 
     @pytest.mark.parametrize("flags", [["--do", "X=nan"], ["--do", "X=0", "--iters", "0"],
-                                       ["--do", "X=0", "--retry-cap", "0"],
                                        ["--do", "X=1", "--do", "X=2"],
                                        ["--do", "X=0", "--tol-id", "nan"],
                                        ["--do", "X=0", "--tol-id", "-1"],
                                        ["--do", "X=0", "--effect", "Y"], ["--do", "U_XY=0"],
                                        ["--do", "X=abc"]],
-                             ids=["nan_value", "zero_iters", "zero_retry_cap", "repeated_target",
+                             ids=["nan_value", "zero_iters", "repeated_target",
                                   "nan_tol_id", "negative_tol_id", "repeated_effect",
                                   "latent_target", "non_numeric_value"])
     def test_bad_probe_settings_exit_1(self, tmp_path, capsys, flags):

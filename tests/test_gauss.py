@@ -285,10 +285,11 @@ class TestCovCsv:
         with pytest.raises(GaussError):
             load_cov_csv(path)
 
-    @pytest.mark.parametrize("text", ["X,Y\n1.0,0.0\n0.0\n", "X,Y\n1.0,zero\n0.0,1.0\n"],
-                             ids=["ragged_row", "non_numeric_cell"])
-    def test_rejects_non_numeric_matrix_naming_the_file(self, tmp_path, text):
+    @pytest.mark.parametrize("data", [b"X,Y\n1.0,0.0\n0.0\n", b"X,Y\n1.0,zero\n0.0,1.0\n",
+                                      b"V\n\xff\xfe", b"X,Y\nnan,0\n0,1"],
+                             ids=["ragged_row", "non_numeric_cell", "non_utf8", "non_finite_cell"])
+    def test_rejects_non_numeric_matrix_naming_the_file(self, tmp_path, data):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_bytes(data)
         with pytest.raises(GaussError, match="bad.csv"):
             load_cov_csv(path)

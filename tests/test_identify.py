@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pmdag.identify import (
     identify,
     interventional_dist,
 )
-from pmdag.solver import FitConfig, fit, fit_kl, joint_cov
+from pmdag.solver import FitConfig, derive_seed, fit, fit_kl, joint_cov
 
 DO_X_ON_Y = InterventionQuery(("X",), (0.0,), ("Y",))
 
@@ -236,6 +237,20 @@ class TestIdentify:
         assert verdict.outcome == PRESUMED_IDENTIFIABLE
         assert verdict.fits_run == 3
 
+    def test_each_slot_is_one_fit_at_its_derived_seed(self):
+        g = canonical("backdoor")
+        _, target = ground_truth(g, seed=3)
+        config = FitConfig(seed=2024, restarts=3)
+        seen = []
+
+        def recording(graph, cov, fit_config):
+            seen.append(fit_config)
+            return fit(graph, cov, fit_config)
+
+        verdict = identify(g, target, DO_X_ON_Y, config, iters=2, fn=recording)
+        assert seen == [replace(config, seed=derive_seed(2024, slot, 0)) for slot in range(3)]
+        assert verdict.fits_run == 3
+
     def test_budget_exhausted_with_flaky_fitter(self):
         g = canonical("bow")
         truth, target = ground_truth(g, seed=5)
@@ -248,12 +263,11 @@ class TestIdentify:
             bad = truth.with_edge_weight(graph, "X", "Y", 50.0)
             return bad, None
 
-        with pytest.raises(FitBudgetExhausted):
-            identify(g, target, DO_X_ON_Y, FitConfig(seed=0), iters=2,
-                     retry_cap=3, fn=flaky)
-        assert calls["n"] == 4  # reference + three failed attempts
+        with pytest.raises(FitBudgetExhausted, match="restarts"):
+            identify(g, target, DO_X_ON_Y, FitConfig(seed=0), iters=2, fn=flaky)
+        assert calls["n"] == 2  # the reference and slot 1's one fit
 
-    @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": -1}, {"retry_cap": 0}])
+    @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": -1}])
     def test_no_comparisons_rejected(self, kwargs):
         g = canonical("bow")
         _, target = ground_truth(g, seed=5)
