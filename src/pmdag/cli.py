@@ -261,7 +261,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
+    with open(args.spec, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
         try:
             data = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8

@@ -138,26 +138,19 @@ def run_experiment(exp: Experiment, outdir) -> dict:
     g = exp.resolve_graph()
     truth_params, target = ground_truth(g, exp.truth_seed)
 
-    query = None
-    truth_do = None
+    query = truth_do = hook = None
     if exp.do_target is not None:
         query = InterventionQuery((exp.do_target,), (0.0,), (exp.do_effect,))
         truth_do = interventional_dist(g, truth_params, query)
 
+        def hook(i, get_params):
+            if i % exp.hook_stride == 0 or i == 1:
+                return i, divergence(interventional_dist(g, get_params(), query), truth_do)
+
     reports = []
-    do_traces = []
     reps = []
     for rep in range(exp.repetitions):
         cfg = dataclasses.replace(exp.fit_config, seed=derive_seed(exp.fit_config.seed, rep))
-        do_trace = []
-
-        hook = None
-        if query is not None:
-            def hook(i, get_params, _trace=do_trace):
-                if i % exp.hook_stride == 0 or i == 1:
-                    d = divergence(interventional_dist(g, get_params(), query), truth_do)
-                    _trace.append((i, d))
-
         params, report = fit(g, target, cfg, iter_hook=hook)
         reports.append(report)
         rep_entry = {
@@ -172,7 +165,6 @@ def run_experiment(exp: Experiment, outdir) -> dict:
         if query is not None:
             final_do = divergence(interventional_dist(g, params, query), truth_do)
             rep_entry["final_do_divergence"] = final_do
-            do_traces.append(do_trace)
         reps.append(rep_entry)
 
     outdir = Path(outdir)
@@ -183,7 +175,8 @@ def run_experiment(exp: Experiment, outdir) -> dict:
     quantiles = _deciles([report.kl_trace for report in reports])
     _write_deciles(outdir / "kl_deciles.csv", zip(range(1, quantiles.shape[1] + 1), quantiles.T))
 
-    if do_traces and all(len(t) for t in do_traces):
+    do_traces = [report.hook_records for report in reports]  # empty without a query
+    if all(do_traces):
         rows = []
         for k in range(min(len(t) for t in do_traces)):
             vals = np.array([t[k][1] for t in do_traces])

@@ -439,7 +439,8 @@ def save_cov_csv(cov: CovMatrix, path) -> None:
 
 def load_cov_csv(path) -> CovMatrix:
     """Load a labeled covariance, rejecting asymmetry beyond 1e-9 relative."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some spreadsheets write before the first label
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         try:
             rows = [row for row in csv.reader(fh) if row]
         except UnicodeDecodeError as exc:
@@ -458,4 +459,7 @@ def load_cov_csv(path) -> CovMatrix:
     scale = max(1.0, float(np.abs(data).max()))
     if float(np.abs(data - data.T).max()) > 1e-9 * scale:
         raise GaussError(f"covariance file {path} is not symmetric within 1e-9 relative tolerance")
-    return CovMatrix(labels, (data + data.T) / 2.0)
+    try:
+        return CovMatrix(labels, (data + data.T) / 2.0)
+    except GaussError as exc:  # repeated labels, or not positive semidefinite
+        raise type(exc)(f"covariance file {path}: {exc}") from None

@@ -26,7 +26,7 @@ class InfeasibleBudget(UserWarning):
 
 class UnknownName(GraphError):
     def __init__(self, name):
-        super().__init__(f"unknown canonical graph {name!r}; choose from {sorted(CANONICAL_BUILDERS)}")
+        super().__init__(f"unknown canonical graph {name!r}; choose from {sorted(CANONICAL)}")
 
 
 @dataclass(frozen=True)
@@ -115,60 +115,28 @@ def _premarginal(visibles, visible_edges, confounders):
     return validate(nodes, edges, strict=True)
 
 
-def _backdoor():
-    return _premarginal(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")], {})
-
-
-def _frontdoor():
-    return _premarginal(["X", "M", "Y"], [("X", "M"), ("M", "Y")], {"U_XY": ("X", "Y")})
-
-
-def _m():
-    return _premarginal(["X", "Z", "Y"], [("X", "Y")],
-                        {"U_XZ": ("X", "Z"), "U_ZY": ("Z", "Y")})
-
-
-def _napkin():
-    return _premarginal(["W", "R", "X", "Y"], [("W", "R"), ("R", "X"), ("X", "Y")],
-                        {"U_WX": ("W", "X"), "U_WY": ("W", "Y")})
-
-
-def _bow():
-    return _premarginal(["X", "Y"], [("X", "Y")], {"U_XY": ("X", "Y")})
-
-
-def _extended_bow():
-    return _premarginal(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")], {"U_XZ": ("X", "Z")})
-
-
-def _iv():
-    return _premarginal(["Z", "X", "Y"], [("Z", "X"), ("X", "Y")], {"U_XY": ("X", "Y")})
-
-
-def _bad_m():
+# name: (visibles, edges among them, confounders with their children, identifiable)
+CANONICAL = {
+    "backdoor": (("Z", "X", "Y"), (("Z", "X"), ("Z", "Y"), ("X", "Y")), {}, True),
+    "frontdoor": (("X", "M", "Y"), (("X", "M"), ("M", "Y")), {"U_XY": ("X", "Y")}, True),
+    "m": (("X", "Z", "Y"), (("X", "Y"),), {"U_XZ": ("X", "Z"), "U_ZY": ("Z", "Y")}, True),
+    "napkin": (("W", "R", "X", "Y"), (("W", "R"), ("R", "X"), ("X", "Y")),
+               {"U_WX": ("W", "X"), "U_WY": ("W", "Y")}, True),
+    "iv": (("Z", "X", "Y"), (("Z", "X"), ("X", "Y")), {"U_XY": ("X", "Y")}, True),
+    "bow": (("X", "Y"), (("X", "Y"),), {"U_XY": ("X", "Y")}, False),
+    "extended_bow": (("X", "Z", "Y"), (("X", "Z"), ("Z", "Y")), {"U_XZ": ("X", "Z")}, False),
     # the M structure plus a direct treatment-outcome confounder, which is
     # what breaks identifiability (the bow sits inside)
-    return _premarginal(["X", "Z", "Y"], [("X", "Y")],
-                        {"U_XZ": ("X", "Z"), "U_ZY": ("Z", "Y"), "U_XY": ("X", "Y")})
-
-
-CANONICAL_BUILDERS = {
-    "backdoor": _backdoor,
-    "frontdoor": _frontdoor,
-    "m": _m,
-    "napkin": _napkin,
-    "iv": _iv,
-    "bow": _bow,
-    "extended_bow": _extended_bow,
-    "bad_m": _bad_m,
+    "bad_m": (("X", "Z", "Y"), (("X", "Y"),),
+              {"U_XZ": ("X", "Z"), "U_ZY": ("Z", "Y"), "U_XY": ("X", "Y")}, False),
 }
 
-IDENTIFIABLE_CANONICAL = ("backdoor", "frontdoor", "m", "napkin", "iv")
-NON_IDENTIFIABLE_CANONICAL = ("bow", "extended_bow", "bad_m")
+IDENTIFIABLE_CANONICAL = tuple(name for name, entry in CANONICAL.items() if entry[3])
+NON_IDENTIFIABLE_CANONICAL = tuple(name for name, entry in CANONICAL.items() if not entry[3])
 
 
 def canonical_names() -> tuple[str, ...]:
-    return tuple(sorted(CANONICAL_BUILDERS))
+    return tuple(sorted(CANONICAL))
 
 
 def canonical(name: str) -> PmDag:
@@ -179,9 +147,9 @@ def canonical(name: str) -> PmDag:
     treatment is ``X`` and the outcome ``Y`` in all of them.
     """
     key = name.strip().lower().replace("-", "_").replace(" ", "_")
-    if key not in CANONICAL_BUILDERS:
+    if key not in CANONICAL:
         raise UnknownName(name)
-    return CANONICAL_BUILDERS[key]()
+    return _premarginal(*CANONICAL[key][:3])
 
 
 def ground_truth(g: PmDag, seed: int) -> tuple[StructuralParams, CovMatrix]:

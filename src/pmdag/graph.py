@@ -274,7 +274,8 @@ class PmDag:
 
 
 def load_graph(path) -> PmDag:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which json.load rejects
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8

@@ -120,8 +120,12 @@ class IdentVerdict:
     fit_kl: float = math.nan
     witness_seeds: tuple[int, int] | None = None
     witness_params: tuple[StructuralParams, StructuralParams] | None = None
-    fits_run: int = 0
     ref_stop_reason: str | None = None
+
+    @property
+    def fits_run(self) -> int:
+        """Fits the probe ran: the reference fit and one per compared slot."""
+        return len(self.divergences) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -172,8 +176,7 @@ def identify(
     ref_kl = fit_kl(g, target, ref_params)
     if ref_kl > fn_config.kl_tol:
         return IdentVerdict(NOT_INDUCIBLE, iterations=iters, max_divergence=math.nan,
-                            fit_kl=float(ref_kl), fits_run=1,
-                            ref_stop_reason=ref_report.stop_reason)
+                            fit_kl=float(ref_kl), ref_stop_reason=ref_report.stop_reason)
 
     ref_do = interventional_dist(g, ref_params, query)
     divergences: list[float] = []
@@ -191,9 +194,8 @@ def identify(
                 max_divergence=float(d), divergences=divergences,
                 fit_kl=float(ref_kl),
                 witness_seeds=(ref_seed, slot_seed),
-                witness_params=(ref_params, params_i),
-                fits_run=slot + 1)
+                witness_params=(ref_params, params_i))
     return IdentVerdict(
         PRESUMED_IDENTIFIABLE, iterations=iters,
         max_divergence=max(divergences),
-        divergences=divergences, fit_kl=float(ref_kl), fits_run=iters + 1)
+        divergences=divergences, fit_kl=float(ref_kl))

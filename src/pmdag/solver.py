@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -767,7 +767,11 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Audit record of one fit: traces, final divergences, and stop diagnostics."""
+    """Audit record of one restart: traces, final divergences, stop diagnostics and hook records.
+
+    ``fit`` returns the record of the restart it picks, with ``restarts_used``
+    and ``wall_time`` counted over the whole fit.
+    """
 
     loss_trace: np.ndarray
     kl_trace: np.ndarray
@@ -781,6 +785,7 @@ class FitReport:
     wall_time: float
     loss: str
     method: str
+    hook_records: list = field(default_factory=list)
 
 
 def extract_params(sync: Synchronization, theta) -> StructuralParams:
@@ -803,59 +808,6 @@ def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> l
     return weights
 
 
-def _run_single(sync, engine, theta, target, target_inv, target_logdet, config, iter_hook):
-    """One seeded descent from ``theta``: returns (theta, recorded, losses, KLs, converged, stop reason).
-
-    A non-finite model covariance or gradient ends the run as "diverged"
-    with the last edge vector whose loss was recorded.  ``recorded`` is the
-    vector the last step started from: a run that ends at ``max_iters``
-    returns the ``theta`` one step past it, which no forward pass evaluated.
-    """
-    state = make_optimizer_state(config)
-    loss_trace = []
-    kl_trace = []
-    # bound once: attribute lookups repeated every iteration add up over thousands
-    forward, backward = engine.forward, engine.backward
-    loss, kl_tol, min_improvement = config.loss, config.kl_tol, config.min_improvement
-    prev_err = math.inf
-    stop_reason = "max_iters"
-    converged = False
-    recorded = theta
-
-    for i in range(1, config.max_iters + 1):
-        sigma_vis, ctx = forward(theta)
-        try:
-            err, seed_vis, kl_mt = loss_kernel(loss, sigma_vis, target, target_inv, target_logdet)
-        except NotPositiveDefinite:
-            stop_reason = "singular_model"
-            break
-        except NonFiniteEntries:
-            stop_reason = "diverged"
-            theta = recorded
-            break
-        loss_trace.append(err)
-        kl_trace.append(kl_mt)
-        if iter_hook is not None:
-            iter_hook(i, lambda theta=theta: extract_params(sync, theta))
-        if kl_mt <= kl_tol:
-            converged = True
-            stop_reason = "kl_threshold"
-            break
-        if abs(err - prev_err) <= min_improvement:
-            stop_reason = "loss_plateau"
-            break
-        prev_err = err
-
-        try:
-            stepped, state = optimize_step(theta, backward(ctx, seed_vis), state)
-        except NonFiniteGradient:
-            stop_reason = "diverged"
-            break
-        recorded, theta = theta, stepped
-
-    return theta, recorded, loss_trace, kl_trace, converged, stop_reason
-
-
 def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
         iter_hook: Callable | None = None) -> tuple[StructuralParams, FitReport]:
     """Fit the structural weights so the induced visible covariance matches the target.
@@ -865,9 +817,11 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     else the run whose returned params have the lowest KL(model || target),
     the earliest on ties.  ``iter_hook(i, get_params)``, when given, is called
     after the loss of iteration ``i`` is recorded; ``get_params()`` builds the
-    structural params of that iteration.  Non-convergence is reported through the
-    ``converged`` flag, never raised; a restart whose model covariance or
-    gradient turns non-finite stops as ``"diverged"`` and the next one runs.
+    structural params of that iteration, and whatever the hook returns other
+    than None is kept, in order, in the ``hook_records`` of that restart's
+    report.  Non-convergence is reported through the ``converged`` flag, never
+    raised; a restart whose model covariance or gradient turns non-finite
+    stops as ``"diverged"`` and the next one runs.
 
     Rank-deficient targets are admitted through the jitter ladder, but the
     divergence between singular Gaussians is infinite in the strict sense, so
@@ -889,51 +843,96 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     masks = build_masks(sync)
     engine = ENGINES[config.method](sync, masks)
 
+    def restart(seed: int) -> tuple[StructuralParams, FitReport]:
+        """One descent from the weights seeded by ``seed``, and its own report.
+
+        A non-finite model covariance or gradient ends the run as "diverged"
+        with the last edge vector whose loss was recorded.  ``recorded`` is the
+        vector the last step started from: a run that ends at ``max_iters``
+        returns the ``theta`` one step past it, which no forward pass
+        evaluated, or ``recorded``, as "diverged", if that vector overflows.
+        """
+        theta = recorded = edge_vector(masks, init_weights(sync, masks, seed))
+        state = make_optimizer_state(config)
+        loss_trace, kl_trace, hook_records = [], [], []
+        # bound once: attribute lookups repeated every iteration add up over thousands
+        forward, backward, target_data = engine.forward, engine.backward, target.data
+        loss, kl_tol, min_improvement = config.loss, config.kl_tol, config.min_improvement
+        prev_err = math.inf
+        stop_reason = "max_iters"
+        converged = False
+
+        for i in range(1, config.max_iters + 1):
+            sigma_vis, ctx = forward(theta)
+            try:
+                err, seed_vis, kl_mt = loss_kernel(loss, sigma_vis, target_data, target_inv, target_logdet)
+            except NotPositiveDefinite:
+                stop_reason = "singular_model"
+                break
+            except NonFiniteEntries:
+                stop_reason = "diverged"
+                theta = recorded
+                break
+            loss_trace.append(err)
+            kl_trace.append(kl_mt)
+            if iter_hook is not None:
+                record = iter_hook(i, lambda theta=theta: extract_params(sync, theta))
+                if record is not None:
+                    hook_records.append(record)
+            if kl_mt <= kl_tol:
+                converged = True
+                stop_reason = "kl_threshold"
+                break
+            if abs(err - prev_err) <= min_improvement:
+                stop_reason = "loss_plateau"
+                break
+            prev_err = err
+
+            try:
+                stepped, state = optimize_step(theta, backward(ctx, seed_vis), state)
+            except NonFiniteGradient:
+                stop_reason = "diverged"
+                break
+            recorded, theta = theta, stepped
+
+        params = extract_params(sync, theta)
+        try:
+            model, truth = _visible_laws(g, target, params)
+        except NonFiniteEntries:  # the step taken at max_iters overflowed
+            params, stop_reason = extract_params(sync, recorded), "diverged"
+            model, truth = _visible_laws(g, target, params)
+        try:
+            kl_tm = kl_gaussian(truth, model)
+        except SingularQ:
+            kl_tm = math.inf
+        return params, FitReport(
+            loss_trace=np.asarray(loss_trace),
+            kl_trace=np.asarray(kl_trace),
+            final_kl_model_target=float(kl_gaussian(model, truth)),
+            final_kl_target_model=float(kl_tm),
+            converged=converged,
+            stop_reason=stop_reason,
+            iterations=len(loss_trace),
+            seed=seed,
+            restarts_used=1,  # this run alone; fit sets the count and time of the whole fit
+            wall_time=0.0,
+            loss=config.loss,
+            method=config.method,
+            hook_records=hook_records,
+        )
+
     t0 = time.perf_counter()
-    best = None
-    restarts_used = 0
+    runs = []
     # a diverging restart overflows before its non-finite covariance or
     # gradient ends it as "diverged"; that report replaces numpy's warnings
     with one_lapack_thread(), np.errstate(over="ignore", invalid="ignore"):
         for r in range(config.restarts):
-            restarts_used += 1
-            run_seed = derive_seed(config.seed, r)
-            theta = edge_vector(masks, init_weights(sync, masks, run_seed))
-            theta, recorded, loss_trace, kl_trace, converged, stop_reason = _run_single(
-                sync, engine, theta, target.data, target_inv, target_logdet, config, iter_hook)
-            params = extract_params(sync, theta)
-            try:
-                model, truth = _visible_laws(g, target, params)
-            except NonFiniteEntries:  # the step taken at max_iters overflowed
-                params, stop_reason = extract_params(sync, recorded), "diverged"
-                model, truth = _visible_laws(g, target, params)
-            kl_mt = kl_gaussian(model, truth)
-            if best is None or converged or kl_mt < best[0]:
-                best = (kl_mt, model, params, loss_trace, kl_trace, converged, stop_reason, run_seed)
-            if converged:
+            runs.append(restart(derive_seed(config.seed, r)))
+            if runs[-1][1].converged:
                 break
-    wall = time.perf_counter() - t0
-
-    kl_mt, model, params, loss_trace, kl_trace, converged, stop_reason, run_seed = best
-    try:
-        kl_tm = kl_gaussian(truth, model)
-    except SingularQ:
-        kl_tm = math.inf
-    report = FitReport(
-        loss_trace=np.asarray(loss_trace),
-        kl_trace=np.asarray(kl_trace),
-        final_kl_model_target=float(kl_mt),
-        final_kl_target_model=float(kl_tm),
-        converged=converged,
-        stop_reason=stop_reason,
-        iterations=len(loss_trace),
-        seed=run_seed,
-        restarts_used=restarts_used,
-        wall_time=wall,
-        loss=config.loss,
-        method=config.method,
-    )
-    return params, report
+    params, report = runs[-1] if runs[-1][1].converged else min(
+        runs, key=lambda run: run[1].final_kl_model_target)
+    return params, replace(report, restarts_used=len(runs), wall_time=time.perf_counter() - t0)
 
 
 # --- result files -------------------------------------------------------------

@@ -212,14 +212,21 @@ class TestFitCommand:
         assert main(["fit", gpath, str(bad)]) == 1
 
     @pytest.mark.parametrize("data", [b"V,W\n4.0,1.0\n1.0\n", b"V\nfour\n", b"V\n\xff\xfe",
-                                      b"V\nnan\n"],
-                             ids=["ragged_row", "non_numeric_cell", "non_utf8", "non_finite_cell"])
+                                      b"V\nnan\n", b"V\n-1.0\n", b"V,V\n1,0\n0,1\n"],
+                             ids=["ragged_row", "non_numeric_cell", "non_utf8", "non_finite_cell",
+                                  "not_positive_semidefinite", "duplicate_labels"])
     def test_fit_unreadable_target_names_the_file(self, tmp_path, single_edge_files, capsys, data):
         gpath, _ = single_edge_files
         bad = tmp_path / "unreadable.csv"
         bad.write_bytes(data)
         assert main(["fit", gpath, str(bad)]) == 1
         assert "error: covariance file" in capsys.readouterr().err
+
+    def test_fit_target_with_byte_order_mark(self, tmp_path, single_edge_files):
+        gpath, cpath = single_edge_files
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(cpath).read_bytes())
+        assert main(["fit", gpath, str(marked), "--epochs", "5", "--restarts", "1"]) == 0
 
 
 class TestIdentifyCommand:
@@ -401,6 +408,31 @@ class TestExperimentCommand:
         assert (outdir / "trace_rep01.csv").exists()
         summary = json.loads((outdir / "summary.json").read_text())
         assert len(summary["repetitions"]) == 2
+
+    def test_do_deciles_follow_the_returned_restart(self, tmp_path):
+        # no repetition converges within 120 iterations, so each spends all 3
+        # restarts; only the returned restart's hook records reach the deciles
+        spec = {
+            "graph": "napkin",
+            "truth_seed": 3,
+            "fit_config": {"max_iters": 120, "restarts": 3, "seed": 5},
+            "repetitions": 2,
+            "do_target": "X",
+            "do_effect": "Y",
+            "hook_stride": 50,
+        }
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps(spec))
+        outdir = tmp_path / "out"
+        assert main(["experiment", str(spec_path), "-o", str(outdir)]) == 0
+        rows = (outdir / "do_deciles.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [1, 50, 100]
+
+    def test_spec_with_byte_order_mark(self, tmp_path):
+        spec = {"graph": "bow", "fit_config": {"max_iters": 5, "restarts": 1}, "repetitions": 1}
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(spec).encode())
+        assert main(["experiment", str(spec_path), "-o", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("spec", [
         {"graph": "bow", "fit_config": {"bogus": 1}},

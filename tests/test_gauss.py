@@ -286,10 +286,17 @@ class TestCovCsv:
             load_cov_csv(path)
 
     @pytest.mark.parametrize("data", [b"X,Y\n1.0,0.0\n0.0\n", b"X,Y\n1.0,zero\n0.0,1.0\n",
-                                      b"V\n\xff\xfe", b"X,Y\nnan,0\n0,1"],
-                             ids=["ragged_row", "non_numeric_cell", "non_utf8", "non_finite_cell"])
+                                      b"V\n\xff\xfe", b"X,Y\nnan,0\n0,1", b"X,Y\n1,2\n2,1",
+                                      b"X,X\n1,0\n0,1"],
+                             ids=["ragged_row", "non_numeric_cell", "non_utf8", "non_finite_cell",
+                                  "not_positive_semidefinite", "duplicate_labels"])
     def test_rejects_non_numeric_matrix_naming_the_file(self, tmp_path, data):
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         with pytest.raises(GaussError, match="bad.csv"):
             load_cov_csv(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfX,Y\n2.0,0.3\n0.3,1.0\n")
+        assert load_cov_csv(path).labels == ("X", "Y")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmdag.generate import (
-    CANONICAL_BUILDERS,
+    CANONICAL,
     GenSpec,
     InfeasibleBudget,
     UnknownName,
@@ -101,7 +101,7 @@ class TestCanonical:
         assert ("Z", "X") in g.edges and ("Z", "Y") in g.edges
 
     def test_all_are_strict_with_noise_roots(self):
-        for name in CANONICAL_BUILDERS:
+        for name in CANONICAL:
             g = canonical(name)
             validate(g.nodes, g.edges, strict=True)
             assert "X" in g.visible_names and "Y" in g.visible_names

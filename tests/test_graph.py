@@ -209,6 +209,12 @@ class TestSerialization:
         with pytest.raises(GraphError, match="bad.json"):
             load_graph(path)
 
+    def test_load_drops_a_byte_order_mark(self, bow, tmp_path):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(bow.to_json(), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_graph(marked) == load_graph(plain) == bow
+
 
 class TestStructuralParams:
     @PROPERTY

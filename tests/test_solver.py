@@ -653,6 +653,21 @@ class TestFit:
         assert len(lines) == report.iterations + 1
 
 
+def test_hook_records_belong_to_the_returned_restart():
+    # the fit of test_restarts_ranked_on_the_reported_kl: restart 1 of 3 is returned,
+    # so the records are those the hook returned during that restart alone
+    from pmdag.generate import canonical
+    g = canonical("backdoor")
+    _, target = ground_truth(g, seed=1)
+    config = FitConfig(optimizer="sgd", lr=1e-2, max_iters=20, restarts=3, seed=17)
+    _, report = fit(g, target, config, iter_hook=lambda i, get: get() if i == 1 else None)
+    sync = synchronize(g)
+    masks = build_masks(sync)
+    assert report.restarts_used == 3
+    assert report.hook_records == [
+        extract_params(sync, edge_vector(masks, init_weights(sync, masks, derive_seed(17, 1))))]
+
+
 class TestFitConfigValidation:
     # Each case has a fixed id, so deleting one does not rename the others; the
     # ids keep the positional names the suite reported before they were fixed.
