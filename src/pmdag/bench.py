@@ -6,13 +6,13 @@ comparisons between methods on a grid of random-graph sizes.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from pmdag.gauss import write_csv
 from pmdag.generate import GenSpec, random_pmdag
 from pmdag.solver import ENGINES, edge_vector, init_weights
 from pmdag.sync import build_masks, synchronize
@@ -81,9 +81,5 @@ def bench(
 
 
 def write_bench_csv(rows: Iterable[BenchRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v", "l_star", "e_star", "method", "phase", "mean_seconds"])
-        for row in rows:
-            writer.writerow([row.v, row.l_star, row.e_star, row.method,
-                             row.phase, repr(row.mean_seconds)])
+    write_csv(path, ["v", "l_star", "e_star", "method", "phase", "mean_seconds"],
+              ([row.v, row.l_star, row.e_star, row.method, row.phase, row.mean_seconds] for row in rows))

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 
 from pmdag import bench as bench_mod
 from pmdag import experiment as experiment_mod
 from pmdag.gauss import GaussError, load_cov_csv, save_cov_csv
 from pmdag.generate import GenSpec, canonical, canonical_names, ground_truth, random_pmdag
-from pmdag.graph import GraphError, load_graph, save_graph, validate
+from pmdag.graph import GraphError, load_graph, read_json, save_graph, validate
 from pmdag.identify import (
     NOT_IDENTIFIABLE,
     NOT_INDUCIBLE,
@@ -261,12 +260,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.spec, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise experiment_mod.SpecError(f"experiment spec {args.spec} is not JSON: {exc}") from None
-    exp = experiment_mod.Experiment.from_dict(data)
+    exp = experiment_mod.Experiment.from_dict(read_json(args.spec, experiment_mod.SpecError, "experiment spec"))
     summary = experiment_mod.run_experiment(exp, args.outdir)
     print(f"wrote {args.outdir}: {summary['converged_count']}/{len(summary['repetitions'])} "
           f"repetitions converged")

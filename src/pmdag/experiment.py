@@ -8,7 +8,6 @@ summary JSON.  Everything is reproducible from the serialized form.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from pmdag.gauss import write_csv
 from pmdag.generate import GenSpec, canonical, ground_truth, random_pmdag
 from pmdag.graph import PmDag, load_graph
 from pmdag.identify import InterventionQuery, divergence, interventional_dist
@@ -120,11 +120,8 @@ def _deciles(traces: list[np.ndarray]) -> np.ndarray:
 
 def _write_deciles(path: Path, rows) -> None:
     """Decile CSV from (iteration, three quantiles) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "decile_1", "decile_5", "decile_9"])
-        for iteration, qs in rows:
-            writer.writerow([iteration] + [repr(float(q)) for q in qs])
+    write_csv(path, ["iteration", "decile_1", "decile_5", "decile_9"],
+              ([iteration, *qs] for iteration, qs in rows))
 
 
 def run_experiment(exp: Experiment, outdir) -> dict:

@@ -428,13 +428,17 @@ def grad_err_bha(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
 # --- CSV covariance format ----------------------------------------------
 
 
-def save_cov_csv(cov: CovMatrix, path) -> None:
-    """First row: labels; following rows: the matrix."""
+def write_csv(path, header, rows) -> None:
+    """A UTF-8 CSV of a header row and then ``rows``; float cells are written as ``repr``, exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cov.labels)
-        for row in cov.data:
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def save_cov_csv(cov: CovMatrix, path) -> None:
+    """First row: labels; following rows: the matrix."""
+    write_csv(path, cov.labels, cov.data)
 
 
 def load_cov_csv(path) -> CovMatrix:

@@ -273,14 +273,18 @@ class PmDag:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def load_graph(path) -> PmDag:
+def read_json(path, error: type[Exception], what: str):
+    """The JSON value in the file ``path``; text that is not JSON, or not UTF-8, raises ``error``."""
     # utf-8-sig drops a leading byte-order mark, which json.load rejects
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
-            raise GraphError(f"graph file {path} is not JSON: {exc}") from None
-    return PmDag.from_dict(data)
+            raise error(f"{what} {path} is not JSON: {exc}") from None
+
+
+def load_graph(path) -> PmDag:
+    return PmDag.from_dict(read_json(path, GraphError, "graph file"))
 
 
 def save_graph(g: PmDag, path) -> None:

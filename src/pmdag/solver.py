@@ -29,6 +29,7 @@ from pmdag.gauss import (
     loss_kernel,
     one_lapack_thread,
     target_terms,
+    write_csv,
 )
 from pmdag.graph import GraphError, PmDag, StructuralParams
 from pmdag.sync import MaskSet, Synchronization, build_masks, synchronize
@@ -219,38 +220,45 @@ class AllocationCounter:
 
 
 class _LayerPlan:
-    """Index arrays of one layer l >= 1 for the reduced forward and backward passes.
+    """Buffer positions, all from ``ReducedPlan.at``, of one layer l >= 1 for the reduced passes.
 
-    Per new node j, ``lam_cols`` holds the buffer positions of sig(prev,
-    parents of j) and ``edge_cols`` those of Lambda_l(cur, parents of j),
-    whose rows of new nodes point into the lam table.  The gradient tables
-    are (layer node + pad) x (layer non-root + pad), the pad row and column
-    holding zeros; pairs of two roots are not held.
+    Forward: per new node j, ``lam_cols`` reads sig(prev, parents of j) and
+    writes lam(prev, j); per new node q, ``pair_rows`` reads lam(parents of q,
+    new nodes up to q) and writes sig(q, those nodes) and its mirror; the
+    carried nodes' sig entries copy lam (``copy_from`` to ``copy_to``).  The
+    writes are added to ``written``, which counts the earlier layers' writes
+    and the constant cells, and a slot counted twice raises.  Backward: per new
+    node j, ``edge_cols`` reads Lambda_l(cur, parents of j), whose rows of new
+    nodes point into the lam table.  The gradient tables are (layer node +
+    pad) x (layer non-root + pad), the pad row and column holding zeros;
+    pairs of two roots are not held.
     """
 
-    def __init__(self, sync, l, plan):
+    def __init__(self, sync, l, plan, written):
         pa = sync.graph.parent_index
         first = sync.first_appearance
-        is_root, col_of = plan.is_root, plan.col_of
+        is_root, at = plan.is_root, plan.at
         prev, cur, new = sync.layers[l - 1], sync.layers[l], sync.new[l]
         self.prev = np.array(prev, dtype=np.intp)
-        self.new = np.array(new, dtype=np.intp)
-        self.cnew = col_of[self.new]
 
-        # forward: lam(prev, j) per new node j, then sig(new, new) from the parents of the later node
-        self.lam_cols = [(int(col_of[j]), plan.at(prev, pa[j]), sync.slices[j]) for j in new]
-        self.pair_rows = [(np.ix_(np.array(pa[q], dtype=np.intp), self.cnew[:k + 1]), sync.slices[q],
-                           int(col_of[q])) for k, q in enumerate(new)]
+        # forward
+        self.lam_cols = [(at(prev, pa[j]), sync.slices[j], at([j], prev, lam_rows=[j])[0]) for j in new]
+        self.pair_rows = [(at(new[:k + 1], pa[q], lam_rows=new), sync.slices[q], at([q], new[:k + 1])[0],
+                           at(new[:k], [q])[:, 0]) for k, q in enumerate(new)]
         stay = [u for u in cur if first[u] < l]
         stay_nr = [u for u in stay if not is_root[u]]
-        self.stay = np.ix_(np.array(stay, dtype=np.intp), self.cnew)
-        self.new_by_stay = np.ix_(self.new, col_of[stay_nr])
-        self.stay_nr = np.ix_(np.array(stay_nr, dtype=np.intp), self.cnew)
+        self.copy_to = np.append(at(stay, new), at(new, stay_nr))
+        self.copy_from = np.append(at(new, stay, lam_rows=new).T, at(new, stay_nr, lam_rows=new))
+        writes = np.concatenate([to for *_, to in self.lam_cols] + [self.copy_to]
+                                + [np.append(to, mirror) for *_, to, mirror in self.pair_rows])
+        written += np.bincount(writes, minlength=written.size)
+        if written.max() > 1:
+            raise AssertionError("the reduced forward would write a table slot twice or a constant cell")
 
         # backward, edge gradients: Lambda_l(p, u) * G_l(u, j) summed over u in layer order
         cur_nr = [u for u in cur if not is_root[u]]
         self.n_cur = len(cur)
-        self.edge_cols = [(plan.at(cur, pa[j], lam_rows=new), sync.slices[j], cur_nr.index(j))
+        self.edge_cols = [(at(cur, pa[j], lam_rows=new), sync.slices[j], cur_nr.index(j))
                           for j in new]
         if l == 1:
             self.carry = None
@@ -286,7 +294,8 @@ class ReducedPlan:
 
     A ``ReducedState`` holds its tables in one buffer: sigma, then lam, each
     (node x non-root), then the constants 0.0 and 1.0.  ``at`` is the one
-    rule for where sig(p, q) sits in that buffer.
+    rule for where sig(p, q) sits in that buffer, and every position the
+    passes read or write comes from it.
     """
 
     def __init__(self, sync: Synchronization):
@@ -297,7 +306,9 @@ class ReducedPlan:
         self.col_of[nonroots] = np.arange(len(nonroots))
         self.table_shape = (len(g.nodes), len(nonroots))
         self.table_size = len(g.nodes) * len(nonroots)
-        self.layers = [_LayerPlan(sync, l, self) for l in range(1, sync.depth)]
+        written = np.zeros(2 * self.table_size + 2, dtype=np.intp)  # writes per slot
+        written[-2:] = 1  # the constant cells
+        self.layers = [_LayerPlan(sync, l, self, written) for l in range(1, sync.depth)]
         vis = [i for i, node in enumerate(g.nodes) if node.is_visible]
         self.visible = self.at(vis, vis)
         last = sync.layers[-1]
@@ -312,7 +323,7 @@ class ReducedPlan:
         """
         rows, cols = np.array(rows, dtype=np.intp)[:, None], np.array(cols, dtype=np.intp)
         n_nr, size = self.table_shape[1], self.table_size
-        from_lam = np.isin(rows, lam_rows)
+        from_lam = (rows == np.array(lam_rows, dtype=np.intp)).any(axis=1, keepdims=True)
         at = np.where(self.is_root[cols] | from_lam, cols * n_nr + self.col_of[rows] + size * from_lam,
                       rows * n_nr + self.col_of[cols])
         return np.where(self.is_root[rows] & self.is_root[cols], 2 * size + (rows == cols), at)
@@ -322,30 +333,23 @@ class ReducedState:
     """Global sigma and lambda tables keyed (any node, non-root node).
 
     Both are views of one buffer that ends in the constant cells 0.0 and 1.0
-    (see ``ReducedPlan.at``).  Entries are layer-independent once written;
-    each slot is written once, and ``verify=True`` re-checks that a slot is
-    never rewritten.
+    (see ``ReducedPlan.at``).  Entries are layer-independent once written, and
+    the plan has checked that the forward writes each slot once at most.
     """
 
-    __slots__ = ("plan", "buf", "sigma", "lam", "verify")
+    __slots__ = ("plan", "buf", "sigma", "lam")
 
-    def __init__(self, plan: ReducedPlan, counter: AllocationCounter, verify: bool = False):
+    def __init__(self, plan: ReducedPlan, counter: AllocationCounter):
         self.plan = plan
         size = plan.table_size
         self.buf = np.full(2 * size + 2, np.nan)
         self.buf[-2:] = (0.0, 1.0)
         self.sigma = self.buf[:size].reshape(plan.table_shape)
         self.lam = self.buf[size:2 * size].reshape(plan.table_shape)
-        self.verify = verify
         counter.add(self.buf.size)
 
     def sig(self, p: int, q: int) -> float:
         return self.buf[self.plan.at([p], [q])[0, 0]]
-
-    def put(self, table: np.ndarray, where, values) -> None:
-        if self.verify and not np.isnan(table[where]).all():
-            raise AssertionError("table slot written twice; preservation violated")
-        table[where] = values
 
     def visible_cov(self) -> np.ndarray:
         out = self.buf.take(self.plan.visible)
@@ -430,24 +434,22 @@ def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, grad_tab: np.ndarray,
     return out
 
 
-def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCounter,
-                     verify: bool) -> ReducedState:
-    state = ReducedState(plan, counter, verify)
-    buf, sigma, lam = state.buf, state.sigma, state.lam
+def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCounter) -> ReducedState:
+    state = ReducedState(plan, counter)
+    buf = state.buf
     counter.add(theta.size)
     for lp in plan.layers:
-        for col, at, sl in lp.lam_cols:
+        for at, sl, to in lp.lam_cols:
             terms = buf.take(at)
             counter.add(terms.size)
             terms *= theta[sl]
-            state.put(lam, (lp.prev, col), _ordered_sum(terms, 1))
+            buf[to] = _ordered_sum(terms, 1)
             counter.release(terms.size)
-        for k, (rows, sl, col) in enumerate(lp.pair_rows):
-            values = _ordered_sum(lam[rows] * theta[sl][:, None], 0)
-            state.put(sigma, (lp.new[k], lp.cnew[:k + 1]), values)
-            state.put(sigma, (lp.new[:k], col), values[:k])
-        state.put(sigma, lp.stay, lam[lp.stay])
-        state.put(sigma, lp.new_by_stay, lam[lp.stay_nr].T)
+        for at, sl, to, mirror in lp.pair_rows:
+            values = _ordered_sum(buf.take(at) * theta[sl], 1)
+            buf[to] = values
+            buf[mirror] = values[:-1]
+        buf[lp.copy_to] = buf.take(lp.copy_from)
     return state
 
 
@@ -478,7 +480,6 @@ def forward_reduced(
     sync: Synchronization,
     edge_weights: dict[tuple[int, int], float],
     counter: AllocationCounter | None = None,
-    verify: bool = False,
 ) -> ReducedState:
     """Fill the global covariance tables once per node pair, layer by layer.
 
@@ -488,7 +489,7 @@ def forward_reduced(
     """
     plan = ReducedPlan(sync)
     theta = np.fromiter((edge_weights[p, c] for p, c, _l in sync.edges), float, len(sync.edges))
-    return _reduced_forward(plan, theta, AllocationCounter() if counter is None else counter, verify)
+    return _reduced_forward(plan, theta, AllocationCounter() if counter is None else counter)
 
 
 def backward_reduced(
@@ -593,7 +594,7 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
     counter = AllocationCounter()  # required by the passes; nothing reads it here
 
     def forward_theta(theta):
-        state = _reduced_forward(plan, theta, counter, False)
+        state = _reduced_forward(plan, theta, counter)
         return state.visible_cov(), (theta, state)
 
     def backward_theta(ctx, seed_vis):
@@ -956,10 +957,5 @@ def fit_result_dict(g: PmDag, params: StructuralParams, report: FitReport) -> di
 
 def save_trace_csv(report: FitReport, path) -> None:
     """Loss trace as CSV: iteration, surrogate loss, true KL."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "surrogate_loss", "true_kl"])
-        for i, (loss, kl) in enumerate(zip(report.loss_trace, report.kl_trace), start=1):
-            writer.writerow([i, repr(float(loss)), repr(float(kl))])
+    write_csv(path, ["iteration", "surrogate_loss", "true_kl"],
+              zip(range(1, len(report.loss_trace) + 1), report.loss_trace, report.kl_trace))

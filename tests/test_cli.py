@@ -12,7 +12,7 @@ from pmdag.cli import _cmd_experiment, _fit_config, _parse_do, build_parser, mai
 from pmdag.experiment import SpecError
 from pmdag.gauss import CovMatrix, save_cov_csv
 from pmdag.generate import canonical, ground_truth
-from pmdag.graph import GraphError, load_graph, save_graph, validate
+from pmdag.graph import GraphError, PmDag, load_graph, save_graph, validate
 from pmdag.identify import identify
 from pmdag.solver import FitConfig
 
@@ -139,6 +139,14 @@ class TestGenAndCanon:
         assert load_graph(out) == canonical("bow")
         assert (tmp_path / "bow.json.cov.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["gen", "--v", "3"], ["canon", "bow"]], ids=["gen", "canon"])
+    def test_graph_without_output_goes_to_stdout(self, argv, tmp_path, capsys):
+        # the printed graph is the one -o writes
+        assert main(argv) == 0
+        printed = PmDag.from_dict(json.loads(capsys.readouterr().out))
+        assert main(argv + ["-o", str(tmp_path / "g.json")]) == 0
+        assert printed == load_graph(tmp_path / "g.json")
+
     def test_canon_unknown_name(self):
         assert main(["canon", "nonesuch"]) == 1
 
@@ -221,6 +229,13 @@ class TestFitCommand:
         bad.write_bytes(data)
         assert main(["fit", gpath, str(bad)]) == 1
         assert "error: covariance file" in capsys.readouterr().err
+
+    def test_fit_empty_target_exits_1(self, tmp_path, single_edge_files, capsys):
+        gpath, _ = single_edge_files
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        assert main(["fit", gpath, str(empty)]) == 1
+        assert f"error: empty covariance file: {empty}" in capsys.readouterr().err
 
     def test_fit_target_with_byte_order_mark(self, tmp_path, single_edge_files):
         gpath, cpath = single_edge_files
@@ -371,6 +386,13 @@ class TestBenchCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_method_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--v", "4", "--lstar", "0", "--estar", "0.5", "--reps", "1",
+                     "--methods", "foo", "-o", str(out)]) == 1
+        assert "error: unknown method 'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_spec_round_trip(self):
@@ -390,14 +412,26 @@ class TestExperimentCommand:
             Experiment.from_dict({"graph": "bow", "truth_seed": -2})
 
     def test_runs_from_spec(self, tmp_path):
-        spec = {
+        self.run_spec(tmp_path, {
             "graph": "bow",
             "truth_seed": 2,
             "fit_config": {"max_iters": 3000, "restarts": 1, "seed": 4},
             "repetitions": 2,
             "do_target": "X",
             "do_effect": "Y",
-        }
+        })
+
+    def test_runs_from_a_generator_spec(self, tmp_path):
+        summary = self.run_spec(tmp_path, {
+            "graph": {"v": 3, "l_star": 0.5, "e_star": 0.5, "seed": 1},
+            "fit_config": {"max_iters": 50, "restarts": 1},
+            "repetitions": 2,
+        })
+        assert (summary["graph_nodes"], summary["graph_edges"]) == (9, 12)
+
+    @staticmethod
+    def run_spec(tmp_path, spec) -> dict:
+        """Run a two-repetition spec through the CLI, check its files, and return its summary."""
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps(spec))
         outdir = tmp_path / "out"
@@ -408,6 +442,7 @@ class TestExperimentCommand:
         assert (outdir / "trace_rep01.csv").exists()
         summary = json.loads((outdir / "summary.json").read_text())
         assert len(summary["repetitions"]) == 2
+        return summary
 
     def test_do_deciles_follow_the_returned_restart(self, tmp_path):
         # no repetition converges within 120 iterations, so each spends all 3

@@ -13,11 +13,15 @@ from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
     ADAMAX_BETA1,
     ADAMAX_BETA2,
+    ENGINES,
+    METHODS,
     AdamaxState,
     AllocationCounter,
     AsymmetricSeed,
+    Engine,
     FitConfig,
     NonFiniteGradient,
+    ReducedPlan,
     SgdState,
     ShapeMismatch,
     backward_acc,
@@ -196,7 +200,7 @@ class TestForward:
             weights = weights_from_params(g, masks, params)
             s_cov, _, _ = forward_cov(sync, weights)
             s_acc, _ = forward_acc(sync, weights)
-            state = forward_reduced(sync, edge_weight_map(masks, weights), verify=True)
+            state = forward_reduced(sync, edge_weight_map(masks, weights))
             np.testing.assert_allclose(s_acc, s_cov, atol=1e-10, rtol=1e-10)
             last = sync.layers[-1]
             s_red = np.array([[state.sig(p, q) for q in last] for p in last])
@@ -653,6 +657,57 @@ class TestFit:
         assert len(lines) == report.iterations + 1
 
 
+class TestFitExits:
+    """The stop reasons a fit reaches only through a singular model, a bad gradient or a flat loss."""
+
+    @pytest.fixture
+    def bow_target(self):
+        from pmdag.generate import canonical
+        g = canonical("bow")
+        return g, ground_truth(g, seed=101)[1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_initial_weights_stop_as_singular_model(self, bow_target, method, monkeypatch):
+        # all-zero edge weights induce a zero visible covariance, which cannot be factored
+        monkeypatch.setattr("pmdag.solver.init_weights", lambda sync, masks, seed: [
+            c.copy() for c in masks.constants])
+        g, target = bow_target
+        _, report = fit(g, target, FitConfig(method=method, restarts=2, max_iters=10))
+        assert report.stop_reason == "singular_model" and not report.converged
+        assert report.iterations == 0 and report.restarts_used == 2
+        assert report.final_kl_model_target == math.inf
+        assert report.final_kl_target_model == math.inf  # KL(target || model) of a singular model
+
+    def test_non_finite_gradient_stops_as_diverged(self, bow_target, monkeypatch):
+        bind, calls = ENGINES["covariance"], []
+
+        def bind_with_a_bad_third_gradient(sync, masks):
+            engine = bind(sync, masks)
+
+            def backward(ctx, seed_vis):
+                calls.append(seed_vis)
+                grad = engine.backward(ctx, seed_vis)
+                return np.full_like(grad, np.inf) if len(calls) == 3 else grad
+
+            return Engine(engine.forward, backward)
+
+        monkeypatch.setitem(ENGINES, "covariance", bind_with_a_bad_third_gradient)
+        g, target = bow_target
+        params, report = fit(g, target, FitConfig(restarts=1), iter_hook=lambda i, get: get())
+        assert report.stop_reason == "diverged" and not report.converged
+        assert report.iterations == 3 and len(calls) == 3
+        assert params == report.hook_records[-1]  # the params of iteration 3, which took no step
+
+    def test_flat_loss_stops_as_loss_plateau(self, bow_target):
+        g, target = bow_target
+        config = FitConfig(optimizer="sgd", lr=1e-2, restarts=1, max_iters=20000, kl_tol=0.0,
+                           min_improvement=1e-9)
+        _, report = fit(g, target, config)
+        assert report.stop_reason == "loss_plateau" and not report.converged
+        assert report.iterations < config.max_iters
+        assert abs(report.loss_trace[-1] - report.loss_trace[-2]) <= config.min_improvement
+
+
 def test_hook_records_belong_to_the_returned_restart():
     # the fit of test_restarts_ranked_on_the_reported_kl: restart 1 of 3 is returned,
     # so the records are those the hook returned during that restart alone
@@ -720,6 +775,29 @@ class TestReducedPlan:
             state = forward_reduced(sync, edge_w)
             grads = backward_reduced(sync, edge_w, state, seed)
         assert grads[(g.index("L2"), g.index("V2"))] == 2.0 * 1.5 * 0.25
+
+
+    @staticmethod
+    def counted_new(g, layer, names):
+        """A layering of ``g`` that counts ``names`` as the nodes first appearing in ``layer``."""
+        sync = synchronize(g)
+        sync.new = tuple(tuple(map(g.index, names)) if l == layer else n for l, n in enumerate(sync.new))
+        return sync
+
+    @pytest.mark.parametrize("new", [
+        ("X", "Y"),  # X new again: lam(U_XY, X) is written in layers 1 and 2
+        ("Y", "Y"),  # Y new twice: lam(X, Y) is written twice in layer 2
+    ])
+    def test_plan_rejects_a_forward_that_writes_a_slot_twice(self, new):
+        with pytest.raises(AssertionError, match="twice"):
+            ReducedPlan(self.counted_new(canonical_bow(), 2, new))
+
+    def test_plan_rejects_a_forward_that_writes_a_constant_cell(self):
+        # the root L counted new in B's place writes sig(L, L), the constant 1.0, and no slot twice
+        g = validate([("L", "latent"), ("A", "latent"), ("B", "latent"), ("C", "visible")],
+                     [("L", "A"), ("A", "B"), ("B", "C")])
+        with pytest.raises(AssertionError, match="constant cell"):
+            ReducedPlan(self.counted_new(g, 2, ("L",)))
 
 
 class TestReducedStorage:
