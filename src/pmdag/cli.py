@@ -14,7 +14,7 @@ from pmdag import bench as bench_mod
 from pmdag import experiment as experiment_mod
 from pmdag.gauss import GaussError, load_cov_csv, save_cov_csv
 from pmdag.generate import GenSpec, canonical, canonical_names, ground_truth, random_pmdag
-from pmdag.graph import GraphError, load_graph, read_json, save_graph, validate
+from pmdag.graph import GraphError, load_graph, read_json, save_graph, validate, write_json
 from pmdag.identify import (
     NOT_IDENTIFIABLE,
     NOT_INDUCIBLE,
@@ -140,15 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(data: dict, path: str | None) -> None:
-    text = experiment_mod.json_text(data)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _cmd_validate(args) -> int:
     g = load_graph(args.graph)
     validate(g.nodes, g.edges, strict=args.strict)
@@ -179,11 +170,9 @@ def _cmd_sync(args) -> int:
 
 def _cmd_gen(args) -> int:
     g = random_pmdag(GenSpec(v=args.v, l_star=args.lstar, e_star=args.estar, seed=args.seed))
+    save_graph(g, args.output)
     if args.output:
-        save_graph(g, args.output)
         print(f"wrote {args.output}: {len(g.nodes)} nodes, {len(g.edges)} edges")
-    else:
-        print(g.to_json(indent=2))
     return EXIT_OK
 
 
@@ -192,13 +181,11 @@ def _cmd_canon(args) -> int:
         raise ValueError("--ground-truth-seed needs -o/--output: the covariance is written to "
                          "<output>.cov.csv")
     g = canonical(args.name)
-    if not args.output:
-        print(g.to_json(indent=2))
-        return EXIT_OK
     # the ground truth is built first, so a rejected seed leaves no file behind
     cov = None if args.ground_truth_seed is None else ground_truth(g, args.ground_truth_seed)[1]
     save_graph(g, args.output)
-    print(f"wrote {args.output}")
+    if args.output:
+        print(f"wrote {args.output}")
     if cov is not None:
         save_cov_csv(cov, args.output + ".cov.csv")
         print(f"wrote {args.output}.cov.csv")
@@ -212,7 +199,7 @@ def _cmd_fit(args) -> int:
     params, report = fit(g, target, config)
     if args.trace:
         save_trace_csv(report, args.trace)
-    _emit(fit_result_dict(g, params, report), args.output)
+    write_json(fit_result_dict(g, params, report), args.output)
     return EXIT_OK
 
 
@@ -237,7 +224,7 @@ def _cmd_identify(args) -> int:
     targets, values = _parse_do(args.do)
     query = InterventionQuery(targets, values, tuple(args.effect))
     verdict = identify(g, target, query, config, iters=args.iters, tol_id=args.tol_id)
-    _emit(verdict.to_dict(), args.output)
+    write_json(verdict.to_dict(), args.output)
     if verdict.outcome == NOT_INDUCIBLE:
         return EXIT_NOT_INDUCIBLE
     if verdict.outcome == NOT_IDENTIFIABLE:

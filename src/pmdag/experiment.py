@@ -9,9 +9,7 @@ summary JSON.  Everything is reproducible from the serialized form.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,43 +17,13 @@ import numpy as np
 
 from pmdag.gauss import write_csv
 from pmdag.generate import GenSpec, canonical, ground_truth, random_pmdag
-from pmdag.graph import PmDag, load_graph
+from pmdag.graph import PmDag, load_graph, typed_kwargs, write_json
 from pmdag.identify import InterventionQuery, divergence, interventional_dist
 from pmdag.solver import FitConfig, derive_seed, fit, save_trace_csv
 
 
 class SpecError(ValueError):
     """A malformed experiment spec: unknown or missing keys, or a value of the wrong type or range."""
-
-
-def _spec_kwargs(cls, data, where: str) -> dict:
-    """Keyword arguments of dataclass ``cls`` from a JSON object, checked against its fields.
-
-    Unknown or missing keys and values not of the annotated type raise
-    ``SpecError``; an int is accepted for a float, a bool never for a number,
-    and a JSON object for a dataclass field is built recursively.
-    """
-    if not isinstance(data, dict):
-        raise SpecError(f"{where} must be a JSON object, not {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
-    missing = [name for name, f in fields.items() if name not in data
-               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    if unknown or missing:
-        raise SpecError(f"{where}: unknown keys {unknown}, missing keys {missing}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        nested = [t for t in allowed if dataclasses.is_dataclass(t)]
-        if isinstance(value, dict) and nested:
-            value = nested[0](**_spec_kwargs(nested[0], value, key))
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise SpecError(f"{where} key {key!r} has the wrong type: {value!r}")
-        kwargs[key] = value
-    return kwargs
 
 
 @dataclass(frozen=True)
@@ -90,22 +58,7 @@ class Experiment:
 
     @classmethod
     def from_dict(cls, data) -> "Experiment":
-        return cls(**_spec_kwargs(cls, data, "experiment"))
-
-
-def _finite_or_none(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {key: _finite_or_none(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_none(value) for value in obj]
-    return obj
-
-
-def json_text(data) -> str:
-    """Strict JSON (RFC 8259) for result files: non-finite floats become null."""
-    return json.dumps(_finite_or_none(data), indent=2, allow_nan=False)
+        return cls(**typed_kwargs(cls, data, SpecError, "experiment"))
 
 
 def _deciles(traces: list[np.ndarray]) -> np.ndarray:
@@ -188,5 +141,5 @@ def run_experiment(exp: Experiment, outdir) -> dict:
         "repetitions": reps,
         "converged_count": sum(1 for r in reps if r["converged"]),
     }
-    (outdir / "summary.json").write_text(json_text(summary) + "\n", encoding="utf-8")
+    write_json(summary, outdir / "summary.json")
     return summary

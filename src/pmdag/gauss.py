@@ -1,8 +1,9 @@
 """Dense symmetric-matrix kernel: covariances, Gaussian divergences, SPD utilities.
 
 Divergences are computed through Cholesky factorizations and triangular
-solves; explicit inverses appear only where a gradient formula returns an
-inverse matrix by definition.
+solves, except that ``kl_gaussian`` takes log|p| with ``np.linalg.slogdet``;
+explicit inverses appear only where a gradient formula returns an inverse
+matrix by definition.
 """
 
 from __future__ import annotations
@@ -205,8 +206,9 @@ class GaussianDist:
 # and memory.  These are the routines behind ``scipy.linalg.cholesky`` and
 # ``cho_solve``, so the bits are those of scipy's own wrappers.  Where the wheel
 # bundles no such library (MKL or Accelerate builds), scipy's wrappers are
-# imported on first use instead.  numpy's bundled LAPACK is not used: its
-# results differ from scipy's in the last bits.
+# imported on first use instead.  numpy's bundled LAPACK, whose results differ
+# from scipy's in the last bits, serves only ``np.linalg.slogdet`` in
+# ``kl_gaussian`` and ``np.linalg.eigvalsh`` in ``CovMatrix``.
 
 _LAPACK_SYMBOLS = ("scipy_dpotrf_", "scipy_dpotrs_")
 _LOWER = ctypes.c_char(b"L")

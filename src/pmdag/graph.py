@@ -1,4 +1,5 @@
-"""DAGs over visible and latent nodes, and the structural transformations on them.
+"""DAGs over visible and latent nodes, the structural transformations on them, and
+the JSON boundary: the one reader, typed-object check and writer of JSON files.
 
 A graph here is an immutable value: node order is significant (parent lists
 and weight vectors index against it) and every transformation returns a new
@@ -7,8 +8,12 @@ graph.  No node name is reserved.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
+import math
+import sys
+import typing
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -84,17 +89,6 @@ class Node:
         return self.role == VISIBLE
 
 
-def _as_node(spec) -> Node:
-    if isinstance(spec, Node):
-        return spec
-    if isinstance(spec, dict):
-        if not {"name", "role"} <= spec.keys():
-            raise GraphError(f"node {spec!r} needs a 'name' and a 'role'")
-        return Node(spec["name"], spec["role"])
-    name, role = spec
-    return Node(name, role)
-
-
 def _is_name_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
 
@@ -113,7 +107,7 @@ class PmDag:
     __slots__ = ("nodes", "edges", "parent_index", "_index", "_parents", "_children", "_order")
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple[str, str]]):
-        nodes = tuple(_as_node(n) for n in nodes)
+        nodes = tuple(n if isinstance(n, Node) else Node(*n) for n in nodes)  # Node or (name, role)
         index: dict[str, int] = {}
         for i, node in enumerate(nodes):
             if node.name in index:
@@ -257,20 +251,23 @@ class PmDag:
     def from_dict(cls, data: dict) -> "PmDag":
         if not isinstance(data, dict) or not {"nodes", "edges"} <= data.keys():
             raise GraphError("a graph needs an object with 'nodes' and 'edges'")
+        unknown = sorted(data.keys() - {"nodes", "edges"})
+        if unknown:
+            raise GraphError(f"a graph has only 'nodes' and 'edges': unknown keys {unknown}")
         nodes, edges = data["nodes"], data["edges"]
         if not isinstance(nodes, list) or not isinstance(edges, list):
             raise GraphError("a graph's 'nodes' and 'edges' must be lists")
-        for node in nodes:
-            fields = [node.get("name"), node.get("role")] if isinstance(node, dict) else node
-            if not _is_name_pair(fields):
-                raise GraphError(f"node {node!r} must be an object or a pair with string 'name' and 'role'")
         for edge in edges:
             if not _is_name_pair(edge):
                 raise GraphError(f"edge {edge!r} must be a pair of node names")
-        return cls(nodes, [tuple(e) for e in edges])
+        # a [name, role] pair reads as the object {"name": name, "role": role}
+        nodes = [dict(zip(("name", "role"), n)) if isinstance(n, list) and len(n) == 2 else n
+                 for n in nodes]
+        return cls([Node(**typed_kwargs(Node, n, GraphError, f"node {n!r}")) for n in nodes],
+                   [tuple(e) for e in edges])
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+
+# --- the JSON boundary ---------------------------------------------------
 
 
 def read_json(path, error: type[Exception], what: str):
@@ -283,14 +280,66 @@ def read_json(path, error: type[Exception], what: str):
             raise error(f"{what} {path} is not JSON: {exc}") from None
 
 
+def typed_kwargs(cls, data, error: type[Exception], where: str) -> dict:
+    """Keyword arguments of dataclass ``cls`` from a JSON object, checked against its fields.
+
+    Unknown or missing keys and values not of the annotated type raise
+    ``error``; an int is accepted for a float, a bool never for a number,
+    and a JSON object for a dataclass field is built recursively.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object, not {type(data).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    missing = [name for name, f in fields.items() if name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if unknown or missing:
+        raise error(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        nested = [t for t in allowed if dataclasses.is_dataclass(t)]
+        if isinstance(value, dict) and nested:
+            value = nested[0](**typed_kwargs(nested[0], value, error, key))
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise error(f"{where} key {key!r} has the wrong type: {value!r}")
+        kwargs[key] = value
+    return kwargs
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(value) for value in obj]
+    return obj
+
+
+def write_json(data, path) -> None:
+    """Strict JSON (RFC 8259), indented by 2 and ending in a newline, to the file ``path``.
+
+    Non-finite floats are written as null.  A falsy ``path`` writes to stdout.
+    """
+    text = json.dumps(_finite_or_none(data), indent=2, allow_nan=False) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def load_graph(path) -> PmDag:
     return PmDag.from_dict(read_json(path, GraphError, "graph file"))
 
 
 def save_graph(g: PmDag, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(g.to_dict(), fh, indent=2)
-        fh.write("\n")
+    """The graph as JSON in the file ``path``, or on stdout when ``path`` is falsy."""
+    write_json(g.to_dict(), path)
 
 
 # --- structural parameters ---------------------------------------------

@@ -93,16 +93,22 @@ class Synchronization:
             for idx in layer:
                 node = g.nodes[idx]
                 shape = "box" if node.is_latent else "ellipse"
-                lines.append(f'    "{node.name}@{l}" [label="{node.name}", shape={shape}];')
+                lines.append(f'    {_quoted(f"{node.name}@{l}")} [label={_quoted(node.name)}, shape={shape}];')
             lines.append("  }")
         for l in range(1, self.depth):
             for idx in self.layers[l]:
                 first = self.first_appearance[idx] == l
                 style = "solid" if first else "dashed"
                 for p in g.parent_index[idx] if first else (idx,):
-                    lines.append(f'  "{g.nodes[p].name}@{l - 1}" -> "{g.nodes[idx].name}@{l}" [style={style}];')
+                    lines.append(f'  {_quoted(f"{g.nodes[p].name}@{l - 1}")} -> '
+                                 f'{_quoted(f"{g.nodes[idx].name}@{l}")} [style={style}];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _quoted(text: str) -> str:
+    """``text`` as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def synchronize(g: PmDag) -> Synchronization:

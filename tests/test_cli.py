@@ -92,6 +92,10 @@ class TestConsoleScript:
 
 
 LX_NODES = [{"name": "L", "role": "latent"}, {"name": "X", "role": "visible"}]
+# graphs with one key that the graph format does not have
+WEIGHTS_KEY = {"nodes": LX_NODES, "edges": [["L", "X"]], "weights": {"L->X": 1.0}}
+COLOR_KEY = {"nodes": [LX_NODES[0], {"name": "X", "role": "visible", "color": "red"}],
+             "edges": [["L", "X"]]}
 
 
 class TestValidateCommand:
@@ -112,13 +116,32 @@ class TestValidateCommand:
         {"nodes": LX_NODES + [None], "edges": [["L", "X"]]},
         {"nodes": LX_NODES, "edges": [["L", "X", "X"]]},
         '{"nodes": [',
+        WEIGHTS_KEY,
+        COLOR_KEY,
+        {"nodes": [["L", "latent"], ["X", "visible", "red"]], "edges": [["L", "X"]]},
+        {"nodes": [["L", "latent"], ["X", 1]], "edges": [["L", "X"]]},
     ], ids=["visible_root", "no_edges", "no_role", "int_edges", "int_nodes", "list_in_edge",
-            "list_node_name", "null_node", "edge_triple", "not_json"])
+            "list_node_name", "null_node", "edge_triple", "not_json", "top_level_key",
+            "node_key", "node_triple", "int_role_in_pair"])
     def test_invalid_graph_exits_1(self, tmp_path, capsys, graph):
         path = tmp_path / "bad.json"
         path.write_text(graph if isinstance(graph, str) else json.dumps(graph))
         assert main(["validate", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph, key", [(WEIGHTS_KEY, "weights"), (COLOR_KEY, "color")],
+                             ids=["top_level_key", "node_key"])
+    def test_unknown_key_is_named(self, tmp_path, capsys, graph, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(graph))
+        assert main(["validate", str(path)]) == 1
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+    def test_name_role_pairs_validate(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"nodes": [["L", "latent"], ["X", "visible"]], "edges": [["L", "X"]]}))
+        assert main(["validate", str(path)]) == 0
+        assert "ok: 2 nodes, 1 edges" in capsys.readouterr().out
 
     def test_missing_file_exits_1(self):
         assert main(["validate", "/nonexistent/g.json"]) == 1

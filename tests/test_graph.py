@@ -20,6 +20,7 @@ from pmdag.graph import (
     exogenize_params,
     load_graph,
     validate,
+    write_json,
 )
 from pmdag.solver import joint_cov
 
@@ -194,7 +195,7 @@ class TestSerialization:
     @PROPERTY
     @given(pmdags())
     def test_json_round_trip(self, g):
-        again = PmDag.from_dict(json.loads(g.to_json()))
+        again = PmDag.from_dict(json.loads(json.dumps(g.to_dict())))
         assert again == g
 
     def test_dict_schema(self, bow):
@@ -209,9 +210,21 @@ class TestSerialization:
         with pytest.raises(GraphError, match="bad.json"):
             load_graph(path)
 
+    def test_write_json_is_strict(self, tmp_path, capsys):
+        # non-finite floats become null, at any depth; the file ends with a newline
+        data = {"kl": float("inf"), "trace": [1.5, float("nan"), -float("inf")], "ok": True}
+        path = tmp_path / "out.json"
+        write_json(data, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("}\n")
+        assert json.loads(text) == {"kl": None, "trace": [1.5, None, None], "ok": True}
+        for no_path in (None, ""):
+            write_json(data, no_path)
+            assert capsys.readouterr().out == text
+
     def test_load_drops_a_byte_order_mark(self, bow, tmp_path):
         plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
-        plain.write_text(bow.to_json(), encoding="utf-8")
+        plain.write_text(json.dumps(bow.to_dict()), encoding="utf-8")
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert load_graph(marked) == load_graph(plain) == bow
 

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -434,3 +437,21 @@ class TestDumps:
         sync = synchronize(graph())
         assert sync.describe() == describe
         assert sync.to_dot() == dot
+
+    def test_dot_escapes_quotes_and_backslashes_in_names(self):
+        names = ['L"0', "X\\", 'Y"1\\"']
+        g = validate([(names[0], "latent"), (names[1], "visible"), (names[2], "visible")],
+                     [(names[0], names[1]), (names[1], names[2])])
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        labels = set()
+        for line in synchronize(g).to_dot().splitlines():
+            # each quoted string closes on its line, and no quote is left outside one
+            assert '"' not in quoted.sub("", line), line
+            labels.update(re.sub(r"\\(.)", r"\1", text) for text in quoted.findall(line))
+        assert set(names) <= labels
+
+    def test_dot_of_canonical_graphs_unchanged(self):
+        # SHA-256 of the eight drawings joined by newlines, before names were escaped
+        text = "\n".join(synchronize(canonical(name)).to_dot() for name in canonical_names())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5cd6433f8db16ad33715083163c0c9f3e1542bf84b394f098b1e99d0890fdb5b")
