@@ -17,7 +17,7 @@ import numpy as np
 
 from pmdag.gauss import write_csv
 from pmdag.generate import GenSpec, canonical, ground_truth, random_pmdag
-from pmdag.graph import PmDag, load_graph, typed_kwargs, write_json
+from pmdag.graph import PmDag, check_ints, load_graph, typed_kwargs, write_json
 from pmdag.identify import InterventionQuery, divergence, interventional_dist
 from pmdag.solver import FitConfig, derive_seed, fit, save_trace_csv
 
@@ -39,6 +39,7 @@ class Experiment:
     hook_stride: int = 10
 
     def __post_init__(self):
+        check_ints(self, ("truth_seed", "repetitions", "hook_stride"), SpecError)
         if self.repetitions < 1 or self.hook_stride < 1:
             raise SpecError("repetitions and hook_stride must be at least 1")
         if self.truth_seed < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pmdag.gauss import CovMatrix
-from pmdag.graph import LATENT, VISIBLE, GraphError, Node, PmDag, StructuralParams, validate
+from pmdag.graph import LATENT, VISIBLE, GraphError, Node, PmDag, StructuralParams, check_ints, validate
 from pmdag.solver import joint_cov
 
 
@@ -39,6 +39,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_ints(self, ("v", "seed"), GraphError)
         if self.v < 1:
             raise GraphError("v must be a positive integer")
         if not 0.0 <= self.l_star < 1.0:

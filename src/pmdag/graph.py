@@ -310,6 +310,14 @@ def typed_kwargs(cls, data, error: type[Exception], where: str) -> dict:
     return kwargs
 
 
+def check_ints(obj, names, error: type[Exception]) -> None:
+    """Raise ``error`` unless each named field of ``obj`` is a Python or numpy integer, not a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _finite_or_none(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None

@@ -31,7 +31,7 @@ from pmdag.gauss import (
     target_terms,
     write_csv,
 )
-from pmdag.graph import GraphError, PmDag, StructuralParams
+from pmdag.graph import GraphError, PmDag, StructuralParams, check_ints
 from pmdag.sync import MaskSet, Synchronization, build_masks, synchronize
 
 LOSSES = ("kl", "bha")
@@ -227,11 +227,13 @@ class _LayerPlan:
     new nodes up to q) and writes sig(q, those nodes) and its mirror; the
     carried nodes' sig entries copy lam (``copy_from`` to ``copy_to``).  The
     writes are added to ``written``, which counts the earlier layers' writes
-    and the constant cells, and a slot counted twice raises.  Backward: per new
-    node j, ``edge_cols`` reads Lambda_l(cur, parents of j), whose rows of new
-    nodes point into the lam table.  The gradient tables are (layer node +
-    pad) x (layer non-root + pad), the pad row and column holding zeros;
-    pairs of two roots are not held.
+    and the constant cells, and a slot counted twice raises.  Backward, over
+    the gradient table G at ``ReducedPlan.grad_at``: per new node j,
+    ``edge_cols`` reads Lambda_l(cur, parents of j), whose rows of new nodes
+    point into the lam table, and G(cur, j).  For l >= 2, per pair a <= b of
+    layer l-1, not both roots, ``carry``, ``single`` and ``double`` read the G
+    cells of the layer-l terms that ``_previous_grads`` sums, and ``to`` holds
+    the cells (a, b) and (b, a) it writes.
     """
 
     def __init__(self, sync, l, plan, written):
@@ -239,7 +241,6 @@ class _LayerPlan:
         first = sync.first_appearance
         is_root, at = plan.is_root, plan.at
         prev, cur, new = sync.layers[l - 1], sync.layers[l], sync.new[l]
-        self.prev = np.array(prev, dtype=np.intp)
 
         # forward
         self.lam_cols = [(at(prev, pa[j]), sync.slices[j], at([j], prev, lam_rows=[j])[0]) for j in new]
@@ -256,37 +257,32 @@ class _LayerPlan:
             raise AssertionError("the reduced forward would write a table slot twice or a constant cell")
 
         # backward, edge gradients: Lambda_l(p, u) * G_l(u, j) summed over u in layer order
-        cur_nr = [u for u in cur if not is_root[u]]
-        self.n_cur = len(cur)
-        self.edge_cols = [(at(cur, pa[j], lam_rows=new), sync.slices[j], cur_nr.index(j))
-                          for j in new]
+        self.edge_cols = [(at(cur, pa[j], lam_rows=new), sync.slices[j], at(cur, [j])[:, 0]) for j in new]
         if l == 1:
             self.carry = None
             return
 
-        # backward, previous-layer gradients over (prev node) x (prev non-root) cells
-        prev_nr = [u for u in prev if not is_root[u]]
-        cur_at = {u: k for k, u in enumerate(cur)}
-        nr_at = {u: k for k, u in enumerate(cur_nr)}
-        rows = np.array([cur_at.get(u, len(cur)) for u in prev], dtype=np.intp)
-        cols_new = np.array([nr_at[j] for j in new] + [len(cur_nr)], dtype=np.intp)
-        self.carry = np.ix_(rows, np.array([nr_at.get(u, len(cur_nr)) for u in prev_nr], dtype=np.intp))
-        self.g_new = np.ix_(rows, cols_new)
-        self.g_nn = np.ix_(np.array([cur_at[j] for j in new] + [len(cur)], dtype=np.intp), cols_new)
-        children = {u: [] for u in prev}
-        for k, j in enumerate(new):
+        # backward, previous-layer gradients, per pair a <= b of prev, not both roots: node k < len(prev)
+        # is prev[k], and node len(nodes) pads; it reads the zero cell, also for a node not in layer l
+        nodes = prev + new
+        g_at = np.pad(plan.grad_at(nodes, nodes), (0, 1), constant_values=plan.table_size)
+        carried = np.array([k if u in cur else len(nodes) for k, u in enumerate(prev)], dtype=np.intp)
+        children = [[] for _ in prev]
+        for k, j in enumerate(new, start=len(prev)):
             for e, p in enumerate(pa[j], start=sync.slices[j].start):
-                children[p].append((k, e))
-        width = max(len(c) for c in children.values())
-        pad = [(len(new), len(sync.edges))] * width
-        slots = np.array([(children[u] + pad)[:width] for u in prev], dtype=np.intp).reshape(len(prev), width, 2)
-        self.child_pos, self.child_theta = slots[:, :, 0], slots[:, :, 1]
-        self.prev_nr_pos = np.array([k for k, u in enumerate(prev) if not is_root[u]], dtype=np.intp)
-        self.child_pos_nr = self.child_pos[self.prev_nr_pos]
-        self.prev_nr = np.array(prev_nr, dtype=np.intp)
-        # roots placed after some non-root in node order: their cells (x, y) with x > y
-        self.late_roots = np.array([k for k, u in enumerate(prev) if is_root[u] and prev_nr and u > prev_nr[0]],
-                                   dtype=np.intp)
+                children[prev.index(p)].append((k, e))
+        width = max(map(len, children))
+        pad = [(len(nodes), len(sync.edges))] * width  # theta_pad's last entry is the weight 0
+        child, theta = np.array([(c + pad)[:width] for c in children], dtype=np.intp).T  # slot x prev node
+        order, root = np.arange(len(prev)), is_root[list(prev)]
+        a, b = np.nonzero((order[:, None] <= order) & ~(root[:, None] & root))
+        # a's and b's children and their theta entries, slot x pair, taken in C order so that
+        # each slot is one contiguous index array; then the terms in ``_previous_grads``' order
+        ca, cb, ta, tb = (m.take(k, axis=1) for m in (child, theta) for k in (a, b))
+        self.carry = g_at[carried[a], carried[b]]
+        self.single = (np.concatenate((tb, ta)), np.concatenate((g_at[carried[a], cb], g_at[ca, carried[b]])))
+        self.double = (ta, tb, g_at[ca[:, None], cb])
+        self.to = (g_at[a, b], g_at[b, a])
 
 
 class ReducedPlan:
@@ -295,7 +291,8 @@ class ReducedPlan:
     A ``ReducedState`` holds its tables in one buffer: sigma, then lam, each
     (node x non-root), then the constants 0.0 and 1.0.  ``at`` is the one
     rule for where sig(p, q) sits in that buffer, and every position the
-    passes read or write comes from it.
+    passes read or write comes from it.  The backward's gradient table G is
+    laid out like sigma and ends in one 0.0 cell (see ``grad_at``).
     """
 
     def __init__(self, sync: Synchronization):
@@ -313,6 +310,7 @@ class ReducedPlan:
         self.visible = self.at(vis, vis)
         last = sync.layers[-1]
         self.last_nr = np.array([k for k, u in enumerate(last) if not self.is_root[u]], dtype=np.intp)
+        self.seed_at = self.at(last, np.array(last)[self.last_nr])  # G(last, last non-root)
 
     def at(self, rows, cols, lam_rows=()) -> np.ndarray:
         """Buffer positions of sig(rows, cols), a (rows x cols) array.
@@ -327,6 +325,10 @@ class ReducedPlan:
         at = np.where(self.is_root[cols] | from_lam, cols * n_nr + self.col_of[rows] + size * from_lam,
                       rows * n_nr + self.col_of[cols])
         return np.where(self.is_root[rows] & self.is_root[cols], 2 * size + (rows == cols), at)
+
+    def grad_at(self, rows, cols) -> np.ndarray:
+        """Positions of G(rows, cols): ``at``'s sig position, or the 0.0 cell ``table_size`` for two roots."""
+        return np.minimum(self.at(rows, cols), self.table_size)
 
 
 class ReducedState:
@@ -375,63 +377,32 @@ def edge_weight_map(masks: MaskSet, weights) -> dict[tuple[int, int], float]:
     }
 
 
-def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, grad_tab: np.ndarray,
-                    counter: AllocationCounter) -> np.ndarray:
-    """The gradient table of layer l-1 from that of layer l.
+def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, gbuf: np.ndarray,
+                    counter: AllocationCounter) -> None:
+    """Overwrite the gradient table's cells of layer l-1's pairs with their sums over layer l's.
 
-    For a pair a <= b (node order) the scalar order is: the carry, then b's
-    new children, then a's new children, then a's children outer and b's
-    inner.  Cells (x, y) are first summed taking a = x; a cell with x > y
-    then takes the value of (y, x) when x is a non-root, and a root x, which
-    has no column of its own, is summed again taking a = y.
+    Each pair a <= b (node order) adds in the scalar order: the carry G(a, b),
+    then b's new children q, w_bq G(a, q), then a's, w_ap G(p, b), then a's
+    children outer and b's inner, (w_ap w_bq) G(p, q).  A node not in layer
+    l, and a padded child slot of weight 0, reads the zero cell.  The sum is
+    written to (a, b) and (b, a), one cell when either is a root, once every
+    term is read.
     """
-    rows, cols = lp.carry[0].shape[0], lp.carry[1].shape[1]
-    out = np.zeros((rows + 1, cols + 1))
-    counter.add(out.size)
-    up = out[:rows, :cols]
-    up[...] = grad_tab[lp.carry] + 0.0
-    g_new = grad_tab[lp.g_new]  # (prev, new + pad)
-    g_nn = grad_tab[lp.g_nn]  # (new + pad, new + pad)
-    counter.release(grad_tab.size)  # the layer-l table is not read again
-    g_new_nr = g_new[lp.prev_nr_pos]
-    w = theta_pad[lp.child_theta]
-    w_nr = w[lp.prev_nr_pos]
-    late = lp.late_roots
-    down = up[late]
-    held = down.size + g_new.size + g_nn.size + g_new_nr.size + w.size + w_nr.size
+    total = gbuf.take(lp.carry) + 0.0
+    term = np.empty_like(total)
+    held = 4 * total.size  # the sum, one term, and two of its factors
     counter.add(held)
-    ch, ch_nr = lp.child_pos, lp.child_pos_nr
-    width = ch.shape[1]
-
-    def col_children(m, r=slice(None)):  # b = y: y's m-th child q, w_yq * g(x, q)
-        return g_new[r][:, ch_nr[:, m]] * w_nr[:, m]
-
-    def row_children(m, r=slice(None)):  # a = x: x's m-th child p, w_xp * g(p, y)
-        return (g_new_nr[:, ch[r, m]] * w[r, m]).T
-
-    def both(mx, my, r=slice(None)):  # (w_xp * w_yq) * g(p, q)
-        return np.multiply.outer(w[r, mx], w_nr[:, my]) * g_nn[ch[r, mx, None], ch_nr[:, my]]
-
-    for m in range(width):
-        up += col_children(m)
-    for m in range(width):
-        up += row_children(m)
-    for mx in range(width):
-        for my in range(width):
-            up += both(mx, my)
-    if late.size:
-        for m in range(width):
-            down += row_children(m, late)
-        for m in range(width):
-            down += col_children(m, late)
-        for my in range(width):
-            for mx in range(width):
-                down += both(mx, my, late)
-        up[late] = np.where(lp.prev[late, None] > lp.prev_nr, down, up[late])
-    square = up[lp.prev_nr_pos]
-    up[lp.prev_nr_pos] = np.where(np.tri(len(square), k=-1, dtype=bool), square.T, square)
+    for th, at in zip(*lp.single):
+        total += np.multiply(theta_pad.take(th), gbuf.take(at), out=term)
+    theta_a, theta_b, g_at = lp.double
+    for th_a, row in zip(theta_a, g_at):
+        w_a = theta_pad.take(th_a)
+        for th_b, at in zip(theta_b, row):
+            np.multiply(w_a, theta_pad.take(th_b), out=term)
+            total += np.multiply(term, gbuf.take(at), out=term)
+    for to in lp.to:
+        gbuf[to] = total
     counter.release(held)
-    return out
 
 
 def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCounter) -> ReducedState:
@@ -457,22 +428,22 @@ def _reduced_backward(plan: ReducedPlan, theta_pad: np.ndarray, state: ReducedSt
                       counter: AllocationCounter) -> np.ndarray:
     """Edge gradients ordered like theta; ``theta_pad`` is theta with a trailing 0."""
     grads = np.zeros(theta_pad.size - 1)
-    n = g.shape[0]
-    grad_tab = np.zeros((n + 1, len(plan.last_nr) + 1))
-    grad_tab[:n, :-1] = g[:, plan.last_nr]
-    counter.add(grads.size + theta_pad.size + grad_tab.size)
+    gbuf = np.zeros(plan.table_size + 1)  # G laid out like sigma, then the zero cell
+    gbuf[plan.seed_at] = g[:, plan.last_nr]
+    counter.add(grads.size + theta_pad.size + gbuf.size)
     for lp in reversed(plan.layers):
-        for at, sl, col in lp.edge_cols:
-            g_col = grad_tab[:lp.n_cur, col]
+        for at, sl, g_at in lp.edge_cols:
+            g_col = gbuf.take(g_at)
             terms = state.buf.take(at)
-            counter.add(terms.size)
+            counter.add(terms.size + g_col.size)
             terms *= g_col[:, None]
             terms[g_col == 0.0] = 0.0  # a zero seed skips its term, even against an infinite factor
             grads[sl] = 2.0 * _ordered_sum(terms, 0)
-            counter.release(terms.size)
+            counter.release(terms.size + g_col.size)
+            del terms, g_col  # freed where the counter releases them, not at the next gather
         if lp.carry is None:
             break
-        grad_tab = _previous_grads(lp, theta_pad, grad_tab, counter)
+        _previous_grads(lp, theta_pad, gbuf, counter)
     return grads
 
 
@@ -499,11 +470,12 @@ def backward_reduced(
     dsigma,
     counter: AllocationCounter | None = None,
 ) -> dict[tuple[int, int], float]:
-    """Per-edge gradients; the covariance-gradient table lives one layer at a time.
+    """Per-edge gradients, from one covariance-gradient table laid out like sigma.
 
+    Each layer's step overwrites the cells of the previous layer's pairs.
     Pairs of two root nodes are not held: root rows persist as identity
     carries, so such entries feed neither any trainable-weight gradient nor
-    any kept entry of an earlier layer.
+    any kept entry of an earlier layer, and they read the table's 0.0 cell.
     """
     g = _check_seed(sync, dsigma)
     edges = [(p, c) for p, c, _l in sync.edges]
@@ -746,6 +718,7 @@ class FitConfig:
     kl_tol: float = 1e-5
 
     def __post_init__(self):
+        check_ints(self, ("max_iters", "seed", "restarts"), SolverError)
         if self.loss not in LOSSES:
             raise SolverError(f"loss must be one of {LOSSES}")
         if self.method not in METHODS:

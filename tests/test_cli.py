@@ -434,6 +434,14 @@ class TestExperimentCommand:
         with pytest.raises(SpecError, match="truth_seed"):
             Experiment.from_dict({"graph": "bow", "truth_seed": -2})
 
+    @pytest.mark.parametrize("kwargs", [{"repetitions": 2.0}, {"hook_stride": 2.5}, {"truth_seed": True}],
+                             ids=["float_repetitions", "float_hook_stride", "bool_truth_seed"])
+    def test_non_integer_count_is_a_spec_error(self, kwargs):
+        from pmdag.experiment import Experiment, SpecError
+
+        with pytest.raises(SpecError, match=f"{next(iter(kwargs))} must be an integer"):
+            Experiment("bow", **kwargs)
+
     def test_runs_from_spec(self, tmp_path):
         self.run_spec(tmp_path, {
             "graph": "bow",

@@ -37,6 +37,10 @@ class TestSizeFormulas:
             GenSpec(v=4, e_star=1.5)
         with pytest.raises(GraphError, match="seed"):
             GenSpec(v=4, seed=-1)
+        for kwargs in ({"v": 4.0}, {"v": True}, {"v": 4, "seed": 1.5}):
+            with pytest.raises(GraphError, match="must be an integer"):
+                GenSpec(**kwargs)
+        assert GenSpec(v=np.int64(4), seed=np.int32(1)) == GenSpec(v=4, seed=1)
 
 
 class TestRandomPmdag:

@@ -3,19 +3,22 @@
 The reference below is that loop, kept as it ran: it writes the same global
 tables and adds every sum in the same order, so the engine must match it bit
 for bit (tables, visible covariance and every edge gradient), not merely to
-a tolerance.  Node-order shuffles put roots after non-roots, which the
-engine sums in a second order of addition.
+a tolerance.  Node-order shuffles put roots after non-roots in a layer, so
+that a pair a <= b can have a root b; the first ``@example`` has many such
+pairs, and the second is criterion 8's deep chain.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmdag.generate import GenSpec, random_pmdag
 from pmdag.graph import PmDag
 from pmdag.solver import backward_reduced, edge_weight_map, forward_reduced, init_weights
 from pmdag.sync import build_masks, synchronize
 
 from conftest import demote_one_visible, pmdags
+from test_acceptance import deep_chain
 
 
 class ScalarTables:
@@ -127,6 +130,8 @@ def bits(a):
 
 @settings(max_examples=60, deadline=None)
 @given(pmdags(max_v=8), st.integers(0, 2**32 - 1), st.sampled_from(["as drawn", "shuffled", "demoted"]))
+@example(random_pmdag(GenSpec(v=8, l_star=0.5, e_star=0.5, seed=8)), 0, "shuffled")
+@example(deep_chain(16), 0, "as drawn")
 def test_reduced_engine_matches_the_scalar_pair_loop_bitwise(g, seed, variant):
     rng = np.random.default_rng(seed)
     if variant == "shuffled":

@@ -741,11 +741,19 @@ class TestFitConfigValidation:
         pytest.param({"kl_tol": -1.0}, id="kwargs11"),
         pytest.param({"kl_tol": float("nan")}, id="kwargs12"),
         pytest.param({"kl_tol": float("inf")}, id="kwargs13"),
+        pytest.param({"max_iters": 50.0}, id="float_max_iters"),
+        pytest.param({"restarts": 1.5}, id="float_restarts"),
+        pytest.param({"seed": 1.5}, id="float_seed"),
+        pytest.param({"seed": True}, id="bool_seed"),
     ])
     def test_bad_values_rejected(self, kwargs):
         from pmdag.solver import SolverError
         with pytest.raises(SolverError):
             FitConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = FitConfig(max_iters=np.int64(5), restarts=np.int32(2), seed=np.uint8(3))
+        assert (config.max_iters, config.restarts, config.seed) == (5, 2, 3)
 
 
 class TestExtractRoundTrip:
@@ -776,6 +784,25 @@ class TestReducedPlan:
             grads = backward_reduced(sync, edge_w, state, seed)
         assert grads[(g.index("L2"), g.index("V2"))] == 2.0 * 1.5 * 0.25
 
+
+    def test_gradient_table_index_rule(self):
+        # the roots L1 and L2 follow the non-root V1 in node order
+        g = validate([("V1", "visible"), ("L1", "latent"), ("V2", "visible"), ("L2", "latent")],
+                     [("L1", "V1"), ("L2", "V2"), ("V1", "V2")])
+        plan = ReducedPlan(synchronize(g))
+        cells = set()
+        for p in range(len(g.nodes)):
+            for q in range(len(g.nodes)):
+                pos = plan.grad_at([p], [q])[0, 0]
+                if plan.is_root[p] and plan.is_root[q]:
+                    assert pos == plan.table_size  # the zero cell
+                    continue
+                assert pos == plan.at([p], [q])[0, 0] < plan.table_size
+                if plan.is_root[p] or plan.is_root[q]:
+                    assert pos == plan.grad_at([q], [p])[0, 0]
+                cells.add(pos)
+        # every cell is one ordered pair of non-roots or one unordered mixed pair
+        assert cells == set(range(plan.table_size))
 
     @staticmethod
     def counted_new(g, layer, names):
