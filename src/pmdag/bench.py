@@ -14,7 +14,7 @@ import numpy as np
 
 from pmdag.gauss import write_csv
 from pmdag.generate import GenSpec, random_pmdag
-from pmdag.solver import ENGINES, edge_vector, init_weights
+from pmdag.solver import ENGINES, init_theta
 from pmdag.sync import build_masks, synchronize
 
 
@@ -28,13 +28,12 @@ class BenchRow:
     mean_seconds: float
 
 
-def _time_phases(method, sync, masks, weights):
+def _time_phases(method, sync, masks, theta):
     try:
         bind = ENGINES[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
     engine = bind(sync, masks)
-    theta = edge_vector(masks, weights)
     seed = np.eye(len(sync.graph.visible_names))
     t0 = time.perf_counter()
     _sigma, ctx = engine.forward(theta)
@@ -67,9 +66,9 @@ def bench(
                                              seed=seed + rep))
                     sync = synchronize(g)
                     masks = build_masks(sync)
-                    weights = init_weights(sync, masks, seed=seed + rep)
+                    theta = init_theta(masks, seed=seed + rep)
                     for m in methods:
-                        fwd, bwd = _time_phases(m, sync, masks, weights)
+                        fwd, bwd = _time_phases(m, sync, masks, theta)
                         forward_t[m] += fwd
                         backward_t[m] += bwd
                 for m in methods:

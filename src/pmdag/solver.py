@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -63,13 +64,28 @@ def derive_seed(*parts: int) -> int:
 # --- weights --------------------------------------------------------------
 
 
-def init_weights(sync: Synchronization, masks: MaskSet, seed: int) -> list[np.ndarray]:
-    """Constant pattern plus seeded standard-normal draws on the trainable entries."""
+def init_theta(masks: MaskSet, seed: int) -> np.ndarray:
+    """Seeded standard-normal edge weights, ordered like ``masks.edges``.
+
+    The generator's stream fills the whole weight stack in its row-major
+    order, constant entries included, and theta keeps the draws at the
+    trainable entries; the stack is drawn one layer at a time, so no more
+    than one layer's draws are alive.
+    """
     rng = np.random.default_rng(seed)
-    weights = []
-    for mask, const in zip(masks.trainable, masks.constants):
-        weights.append(const + mask * rng.standard_normal(mask.shape))
-    return weights
+    theta = np.empty(masks.n_trainable)
+    pos, start = masks.positions, 0
+    for shape in masks.shapes:
+        draws = rng.standard_normal(shape).ravel()
+        inside = (pos >= start) & (pos < start + draws.size)
+        theta[inside] = draws.take(pos[inside] - start)
+        start += draws.size
+    return theta
+
+
+def init_weights(sync: Synchronization, masks: MaskSet, seed: int) -> list[np.ndarray]:
+    """The constant pattern with ``init_theta``'s draws at the trainable entries."""
+    return masks.stack(init_theta(masks, seed))
 
 
 def _check_shapes(sync: Synchronization, weights) -> None:
@@ -107,16 +123,16 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 # that the two agree bitwise.
 
 
-def _cov_forward(eye, weights):
+def _cov_forward(eye, weights, lams):
+    """Write Lambda_l = Sigma_{l-1} W_l into ``lams[l - 1]``; return (final Sigma, ``lams``).
+
+    Each Sigma_l = W_l^T Lambda_l lives only until the next layer's product.
+    """
     sigma = eye
-    sigmas = [sigma]
-    lams = []
-    for w in weights:
-        lam = np.dot(sigma, w)
+    for w, lam in zip(weights, lams):
+        np.dot(sigma, w, out=lam)
         sigma = np.dot(w.T, lam)
-        lams.append(lam)
-        sigmas.append(sigma)
-    return sigma, lams, sigmas
+    return sigma, lams
 
 
 def _cov_backward(weights, lams, g, out):
@@ -158,10 +174,13 @@ def forward_cov(sync: Synchronization, weights):
     """Propagate the layer covariance: Lambda_l = Sigma_{l-1} W_l, Sigma_l = W_l^T Lambda_l.
 
     Returns (final covariance, Lambda list, Sigma list incl. the identity at
-    layer 0).
+    layer 0).  The Sigma list is rebuilt from the Lambdas by the products the
+    pass makes, so it holds the same bits.
     """
     _check_shapes(sync, weights)
-    return _cov_forward(np.eye(len(sync.layers[0])), weights)
+    eye = np.eye(len(sync.layers[0]))
+    sigma, lams = _cov_forward(eye, weights, [np.empty(w.shape) for w in weights])
+    return sigma, lams, [eye] + [np.dot(w.T, lam) for w, lam in zip(weights, lams)]
 
 
 def forward_acc(sync: Synchronization, weights):
@@ -409,18 +428,31 @@ def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCo
     state = ReducedState(plan, counter)
     buf = state.buf
     counter.add(theta.size)
+    bufsize = np.getbufsize()  # entries of the ufunc buffer a multiply broadcasting theta allocates
     for lp in plan.layers:
         for at, sl, to in lp.lam_cols:
             terms = buf.take(at)
-            counter.add(terms.size)
+            held = terms.size + min(terms.size, bufsize)
+            counter.add(held)
             terms *= theta[sl]
             buf[to] = _ordered_sum(terms, 1)
-            counter.release(terms.size)
+            counter.release(held)
+            del terms  # freed where the counter releases it, not at the next gather
         for at, sl, to, mirror in lp.pair_rows:
-            values = _ordered_sum(buf.take(at) * theta[sl], 1)
+            terms = buf.take(at)
+            held = terms.size + min(terms.size, bufsize)
+            counter.add(held)
+            terms *= theta[sl]
+            values = _ordered_sum(terms, 1)
             buf[to] = values
             buf[mirror] = values[:-1]
-        buf[lp.copy_to] = buf.take(lp.copy_from)
+            counter.release(held)
+            del terms, values
+        copied = buf.take(lp.copy_from)
+        counter.add(copied.size)
+        buf[lp.copy_to] = copied
+        counter.release(copied.size)
+        del copied
     return state
 
 
@@ -501,7 +533,8 @@ class Engine:
     ``theta`` holds one weight per trainable edge, ordered like
     ``masks.edges``.  ``forward(theta)`` returns the visible covariance and a
     context; ``backward(ctx, seed_vis)`` takes the covariance-gradient seed
-    on the visible block and returns d(loss)/d(theta).
+    on the visible block and returns d(loss)/d(theta).  A layered engine's
+    context is valid until its next forward, which overwrites its buffers.
     """
 
     forward: Callable
@@ -531,26 +564,28 @@ def _visible_block(sync: Synchronization):
 def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> Engine:
     """Bind a weight-stack engine's passes to theta through one flat buffer.
 
-    ``forward(eye, weights) -> (sigma, ctx, ...)`` and ``backward(weights,
-    ctx, seed, out)`` are the engine's unchecked passes; the backward writes
-    its unmasked gradient stack into ``out``.  The weight matrices are views
-    into a buffer holding the constant pattern; one fancy-index assignment
-    writes theta into the trainable entries, and the gradient is read back
-    from a buffer of the same layout at the same positions.
+    ``forward(eye, weights) -> (sigma, ctx)`` and ``backward(weights, ctx,
+    seed, out)`` are the engine's unchecked passes; the backward writes its
+    unmasked gradient stack into ``out``.  The weight matrices are views into
+    a buffer that holds the constant pattern, its 1s written at
+    ``masks.ones``; one fancy-index assignment writes theta into the
+    trainable entries, and the gradient is read back from a buffer of the
+    same layout at the same positions.  With the covariance forward's Lambda
+    buffer (see ``ENGINES``) these are the only stack-sized arrays a fit
+    holds; each forward overwrites them, so a context is valid until the next.
     """
     take, embed = _visible_block(sync)
-    buf = np.concatenate([const.ravel() for const in masks.constants] or [np.empty(0)])
+    buf = np.zeros(masks.size)
+    buf[masks.ones] = 1.0
     grad_buf = np.empty_like(buf)
-    cuts = np.cumsum([const.size for const in masks.constants])[:-1]
-    weights = [w.reshape(const.shape) for w, const in zip(np.split(buf, cuts), masks.constants)]
-    grads = [g.reshape(const.shape) for g, const in zip(np.split(grad_buf, cuts), masks.constants)]
+    weights, grads = masks.views(buf), masks.views(grad_buf)
     pos = masks.positions
     eye = np.eye(len(sync.layers[0]))
 
     def forward_theta(theta):
         buf[pos] = theta
-        out = forward(eye, weights)
-        return take(out[0]), out[1]
+        sigma, ctx = forward(eye, weights)
+        return take(sigma), ctx
 
     def backward_theta(ctx, seed_vis):
         backward(weights, ctx, embed(seed_vis), grads)
@@ -580,9 +615,11 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
 # Each entry binds a method to one fit's layering: ``ENGINES[method](sync,
 # masks) -> Engine``.  Bound engines run the unchecked passes; the public
 # kernels (``forward_cov``, ``backward_cov`` etc.) check, then run the same
-# passes.
+# passes.  The bound covariance forward writes Lambda into one buffer laid
+# out like the weight stack.
 ENGINES = {
-    "covariance": lambda sync, masks: _bind_layered(sync, masks, _cov_forward, _cov_backward),
+    "covariance": lambda sync, masks: _bind_layered(
+        sync, masks, partial(_cov_forward, lams=masks.views(np.empty(masks.size))), _cov_backward),
     "accumulation": lambda sync, masks: _bind_layered(sync, masks, _acc_forward, _acc_backward),
     "reduced": _bind_reduced,
 }
@@ -776,10 +813,7 @@ def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> l
     """
     params.validate_for(g)
     edge_w = params.to_edge_dict(g)
-    weights = [const.copy() for const in masks.constants]
-    for (p, c, l, r, col) in masks.edges:
-        weights[l - 1][r, col] = edge_w[(g.nodes[p].name, g.nodes[c].name)]
-    return weights
+    return masks.stack([edge_w[g.nodes[p].name, g.nodes[c].name] for p, c, *_ in masks.edges])
 
 
 def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
@@ -826,7 +860,7 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
         returns the ``theta`` one step past it, which no forward pass
         evaluated, or ``recorded``, as "diverged", if that vector overflows.
         """
-        theta = recorded = edge_vector(masks, init_weights(sync, masks, seed))
+        theta = recorded = init_theta(masks, seed)
         state = make_optimizer_state(config)
         loss_trace, kl_trace, hook_records = [], [], []
         # bound once: attribute lookups repeated every iteration add up over thousands

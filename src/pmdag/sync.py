@@ -8,7 +8,8 @@ disagrees with the graph's edges.  Within a layer, a node either appears for
 the first time (its layer-wise parents are its graph parents) or persists
 from the previous layer (its only layer-wise parent is itself, an identity
 carry).  The per-layer weight matrices of the solver are shaped by these
-layers, with a binary mask marking which entries are trainable.
+layers; ``MaskSet`` holds the flat positions of their trainable entries and
+of their identity carries.
 ``Synchronization.edges`` lists those trainable edges once, and its order is
 the order of theta, the edge-weight vector every engine reads; with ``slices``
 and ``MaskSet.positions`` it is theta's layout, which no other module derives.
@@ -117,40 +118,67 @@ def synchronize(g: PmDag) -> Synchronization:
 
 
 class MaskSet:
-    """Per-layer trainable masks and constant patterns for the weight stack.
+    """Where the trainable entries and the constant 1s sit in the weight stack, as index arrays.
 
-    For layer l >= 1 (stored at list position l-1), entry (I, J) is trainable
-    iff I is a layer-wise parent of J and I is not J itself; identity carries
-    are the constant 1 entries, everything else is constant 0.
-    ``edges`` lists one (parent_idx, child_idx, layer, row, col) tuple per
-    trainable edge, and ``positions`` its flat index in the concatenated row-major stack.
+    The weight matrix of layer l >= 1 (list position l-1) has shape
+    ``shapes[l - 1]``; entry (I, J) is trainable iff I is a layer-wise parent
+    of J and I is not J itself, the identity carries are the constant 1s,
+    and everything else is constant 0.  ``edges`` lists one (parent_idx,
+    child_idx, layer, row, col) tuple per trainable edge, ``positions`` its
+    flat index in the concatenated row-major stack of ``size`` entries, and
+    ``ones`` the flat indices of the carries.  The dense 0/1 stacks
+    ``trainable`` and ``constants`` are built anew each time they are read;
+    the fit never reads them.
     """
 
-    __slots__ = ("trainable", "constants", "edges", "positions")
+    __slots__ = ("shapes", "edges", "positions", "ones")
 
-    def __init__(self, trainable, constants, edges, positions):
-        self.trainable = trainable
-        self.constants = constants
+    def __init__(self, shapes, edges, positions, ones):
+        self.shapes = shapes
         self.edges = edges
         self.positions = positions
+        self.ones = ones
 
     @property
     def n_trainable(self) -> int:
         return len(self.edges)
 
+    @property
+    def size(self) -> int:
+        return sum(rows * cols for rows, cols in self.shapes)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The layer matrices of a flat buffer laid out like the weight stack, as views into it."""
+        cuts = np.cumsum([rows * cols for rows, cols in self.shapes])[:-1]
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), self.shapes)]
+
+    def stack(self, theta) -> list[np.ndarray]:
+        """A weight stack over one new buffer: the constant pattern, with ``theta`` at ``positions``."""
+        flat = np.zeros(self.size)
+        flat[self.ones] = 1.0
+        flat[self.positions] = theta
+        return self.views(flat)
+
+    @property
+    def trainable(self) -> list[np.ndarray]:
+        flat = np.zeros(self.size)
+        flat[self.positions] = 1.0
+        return self.views(flat)
+
+    @property
+    def constants(self) -> list[np.ndarray]:
+        return self.stack(0.0)
+
 
 def build_masks(sync: Synchronization) -> MaskSet:
+    """The index arrays of the weight stack's trainable entries and identity carries."""
     at = [{idx: k for k, idx in enumerate(layer)} for layer in sync.layers]
+    shapes = tuple((len(rows), len(cols)) for rows, cols in zip(sync.layers, sync.layers[1:]))
+    start = np.cumsum([0] + [rows * cols for rows, cols in shapes])
     edges = [(p, c, l, at[l - 1][p], at[l][c]) for p, c, l in sync.edges]
-    trainable = [np.zeros((len(rows), len(cols))) for rows, cols in zip(sync.layers, sync.layers[1:])]
-    constants = [np.zeros_like(mask) for mask in trainable]
-    for _p, _c, l, row, col in edges:
-        trainable[l - 1][row, col] = 1.0
-    for l in range(1, sync.depth):
-        for col, idx in enumerate(sync.layers[l]):
-            if sync.first_appearance[idx] < l:
-                constants[l - 1][at[l - 1][idx], col] = 1.0
-    start = np.cumsum([0] + [mask.size for mask in trainable])
-    positions = np.array([start[l - 1] + r * len(sync.layers[l]) + col
-                          for _p, _c, l, r, col in edges], dtype=np.intp)
-    return MaskSet(trainable, constants, edges, positions)
+    positions = np.array([start[l - 1] + r * shapes[l - 1][1] + col for _p, _c, l, r, col in edges],
+                         dtype=np.intp)
+    ones = np.array([start[l - 1] + at[l - 1][idx] * shapes[l - 1][1] + col
+                     for l in range(1, sync.depth) for col, idx in enumerate(sync.layers[l])
+                     if sync.first_appearance[idx] < l], dtype=np.intp)
+    return MaskSet(shapes, edges, positions, ones)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import json
 import re
@@ -187,6 +188,27 @@ class TestGenAndCanon:
 
 
 class TestSyncCommand:
+    # SHA-256 of ``pmdag sync <graph> --masks``'s stdout, taken on the commit
+    # that still stored the masks as dense 0/1 stacks
+    MASKS_DIGESTS = {
+        "backdoor": "3fe9c77c048f14a2777d919daf3d4f2a3cac7c83d65290fcc2203934d73d0712",
+        "bad_m": "209886126ff5a24a1a6cabae82563455968bc12112cc797bbfc652aa77a1a419",
+        "bow": "6387bb908e4eb3c843e23a2eba7f3e6a319f86dbc5e48d469feec89555173270",
+        "extended_bow": "a46f137b9b8203740719b72116954cf5a84f500dc638f3ff1d937754ceaaabde",
+        "frontdoor": "0730a2e68a0c0f0ac6de437b3f50012ca1f7f7d37abc05bf310b732376599ea3",
+        "iv": "4182329bc0e10705f2f69f2ae3f1749af078fb9c066a4569d1fd4e5e6291e637",
+        "m": "4368a46cd9160b94bf2a038fe52e01d524cc8a9bd96b8b7cfe956b9327713f44",
+        "napkin": "837eba597b95f459d33b6dc50cafdbbc29d94f4987e246446e60577c56ea4bee",
+    }
+
+    @pytest.mark.parametrize("name", sorted(MASKS_DIGESTS))
+    def test_masks_output_pinned(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        save_graph(canonical(name), path)
+        assert main(["sync", str(path), "--masks"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MASKS_DIGESTS[name]
+
     def test_prints_layers_and_masks(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         save_graph(canonical("bow"), path)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs, one_lapack_thread
-from pmdag.generate import GenSpec, ground_truth, random_pmdag
+from pmdag.generate import GenSpec, canonical, ground_truth, random_pmdag
 from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
     ADAMAX_BETA1,
@@ -37,21 +39,28 @@ from pmdag.solver import (
     forward_acc,
     forward_cov,
     forward_reduced,
+    init_theta,
     init_weights,
     joint_cov,
     layered_entry_count,
     optimize_step,
     save_trace_csv,
     weights_from_params,
+    _reduced_forward,
 )
-from pmdag.sync import build_masks, synchronize
+from pmdag.sync import MaskSet, build_masks, synchronize
 
 from conftest import random_params, random_small_graph
 
 
-def canonical_bow():
-    from pmdag.generate import canonical
+def quiet_random_pmdag(v):
+    """``random_pmdag(GenSpec(v, 0.5, 0.5, seed=v))``, quiet about a clamped edge budget."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return random_pmdag(GenSpec(v=v, l_star=0.5, e_star=0.5, seed=v))
 
+
+def canonical_bow():
     return canonical("bow")
 
 
@@ -99,6 +108,26 @@ class TestInitWeights:
         draws = np.asarray(draws[:10_000])
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
+
+    # SHA-256 of the initial theta's bytes, taken on the commit that still drew
+    # it as edge_vector(masks, constants + trainable * draws).  They pin how the
+    # generator's stream is consumed: one draw per weight-stack entry, in order.
+    THETA_DIGESTS = {
+        ("napkin", 0): "3d5cadfd7eb328451301769ed3c09bc6fbcdea4cc40d4b116003cd8fa722e93d",
+        ("napkin", 17): "e25df74735a393445ca96224a285f0bf066572954823a055fb9d040517f996ca",
+        ("v16", 0): "37d2ab369abecd929cfcc559ffca4b06da52f92d016e800914f7ba7aa65e1837",
+        ("v16", 17): "18647be3fa0bfe039dba0485701b59cf8d598a5b40c210c0067b899d2a3e7608",
+    }
+
+    @pytest.mark.parametrize("name, seed", list(THETA_DIGESTS), ids=lambda x: str(x))
+    def test_initial_theta_pinned(self, name, seed):
+        g = quiet_random_pmdag(16) if name == "v16" else canonical(name)
+        sync = synchronize(g)
+        masks = build_masks(sync)
+        theta = init_theta(masks, seed)
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == self.THETA_DIGESTS[name, seed]
+        # the weight stack is theta scattered into the constant pattern
+        np.testing.assert_array_equal(edge_vector(masks, init_weights(sync, masks, seed)), theta)
 
 
 def public_kernels(sync, masks, weights):
@@ -669,8 +698,7 @@ class TestFitExits:
     @pytest.mark.parametrize("method", METHODS)
     def test_zero_initial_weights_stop_as_singular_model(self, bow_target, method, monkeypatch):
         # all-zero edge weights induce a zero visible covariance, which cannot be factored
-        monkeypatch.setattr("pmdag.solver.init_weights", lambda sync, masks, seed: [
-            c.copy() for c in masks.constants])
+        monkeypatch.setattr("pmdag.solver.init_theta", lambda masks, seed: np.zeros(masks.n_trainable))
         g, target = bow_target
         _, report = fit(g, target, FitConfig(method=method, restarts=2, max_iters=10))
         assert report.stop_reason == "singular_model" and not report.converged
@@ -827,6 +855,42 @@ class TestReducedPlan:
             ReducedPlan(self.counted_new(g, 2, ("L",)))
 
 
+class TestFitMemory:
+    """A layered fit holds the weight, gradient and (covariance) Lambda buffers, and no other stack."""
+
+    @pytest.fixture(scope="class")
+    def v32(self):
+        g = quiet_random_pmdag(32)
+        sync = synchronize(g)
+        stack_bytes = 8 * sum(len(a) * len(b) for a, b in zip(sync.layers, sync.layers[1:]))
+        return g, ground_truth(g, seed=0)[1], stack_bytes
+
+    @pytest.mark.parametrize("method", ["covariance", "accumulation"])
+    def test_fit_peak_within_four_and_a_half_stacks(self, v32, method):
+        g, target, stack_bytes = v32
+        config = FitConfig(method=method, max_iters=3, restarts=1)
+        fit(g, target, config)  # first calls allocate caches that a fit does not hold
+        tracemalloc.start()
+        try:
+            fit(g, target, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * stack_bytes, (method, peak / stack_bytes)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_never_reads_the_dense_masks(self, method, monkeypatch):
+        def refuse(_masks):
+            raise AssertionError("the fit read a dense mask stack")
+
+        monkeypatch.setattr(MaskSet, "trainable", property(refuse))
+        monkeypatch.setattr(MaskSet, "constants", property(refuse))
+        g = canonical("napkin")
+        _, target = ground_truth(g, seed=3)
+        _, report = fit(g, target, FitConfig(method=method, max_iters=5, restarts=2))
+        assert report.iterations == 5
+
+
 class TestReducedStorage:
     def test_counter_tracks_peak(self):
         counter = AllocationCounter()
@@ -845,3 +909,19 @@ class TestReducedStorage:
         short = layered_entry_count(synchronize(chain(8)))
         long = layered_entry_count(synchronize(chain(16)))
         assert long > 4 * short
+
+    def test_forward_counter_matches_traced_peak(self):
+        # every array the reduced forward allocates, numpy's ufunc buffer for a
+        # broadcast multiply included, in 8-byte entries
+        sync = synchronize(quiet_random_pmdag(64))
+        plan = ReducedPlan(sync)
+        theta = np.random.default_rng(0).standard_normal(len(sync.edges))
+        counter = AllocationCounter()
+        tracemalloc.start()
+        try:
+            _reduced_forward(plan, theta, counter)
+            traced = tracemalloc.get_traced_memory()[1] / 8
+        finally:
+            tracemalloc.stop()
+        traced += theta.size  # made before tracing started; the counter counts it as held
+        assert abs(counter.peak - traced) <= 0.05 * traced, (counter.peak, traced)
