@@ -297,12 +297,7 @@ class _Workspace:
         semidefinite at round-off scale.  Raises NonFiniteEntries, then
         NotPositiveDefinite, naming the matrix as ``what``.
         """
-        if matrix.shape != self.lower.shape:
-            raise GaussError(f"{what} of shape {matrix.shape} is not square")
-        # the ufunc reductions behind .all() and .sum(), called without their
-        # Python-level wrappers: the same results, a little cheaper per call
-        if not np.logical_and.reduce(np.isfinite(matrix), axis=None):
-            raise NonFiniteEntries(f"{what} has non-finite entries")
+        self.check(matrix, what)
         self.lower[...] = matrix
         self.potrf()
         if self.info.value:
@@ -315,6 +310,20 @@ class _Workspace:
                 jitter *= 10.0
             if self.info.value:
                 raise NotPositiveDefinite(f"{what} is not positive definite, even with maximum jitter")
+        return self.logdet()
+
+    def check(self, matrix, what: str) -> None:
+        """Raise GaussError unless ``matrix`` is n x n, then NonFiniteEntries unless every entry is finite."""
+        if matrix.shape != self.lower.shape:
+            raise GaussError(f"{what} of shape {matrix.shape} is not square")
+        # the ufunc reduction behind .all(), called without its Python-level
+        # wrapper: the same result, a little cheaper per call
+        if not np.logical_and.reduce(np.isfinite(matrix), axis=None):
+            raise NonFiniteEntries(f"{what} has non-finite entries")
+
+    def logdet(self) -> float:
+        """The log-determinant of the matrix whose factor ``lower`` holds."""
+        # np.add.reduce is the ufunc reduction behind .sum(), without its wrapper
         return 2.0 * float(np.add.reduce(np.log(self.diagonal, out=self.logs)))
 
     def solve(self, rhs) -> np.ndarray:
@@ -381,22 +390,44 @@ def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
     entrywise derivative of the loss in sigma.  Raises NotPositiveDefinite
     or NonFiniteEntries naming the matrix that could not be factored.
     """
+    _WORKSPACES.by_size[sigma.shape[0]].check(sigma, "model covariance")
+    return loss_kernel_into(loss, sigma, target, target_inv, target_logdet, np.empty(sigma.shape))
+
+
+def loss_kernel_into(loss: str, sigma: np.ndarray, target: np.ndarray,
+                     target_inv: np.ndarray, target_logdet: float, seed: np.ndarray):
+    """``loss_kernel`` without its boundary check: the seed is written into ``seed``, n x n.
+
+    A fit calls this every iteration with one buffer for the seed.  It finds
+    a non-finite ``sigma`` from values it computes anyway, as
+    NonFiniteEntries: a factorization that fails goes to
+    ``_Workspace.factor``, which checks the entries before its jitter
+    ladder, and after one that succeeds a non-finite entry makes
+    tr(target^-1 sigma) non-finite, since target^-1 is finite, which runs
+    the same check.  A finite sigma whose trace overflows passes it.  On a
+    non-finite sigma numpy may warn before the check raises; the fit runs
+    this under ``np.errstate``.
+    """
     n = sigma.shape[0]
     work = _WORKSPACES.by_size[n]
-    logdet_s = work.factor(sigma, "model covariance")
-    sigma_inv = work.solve(work.eye)
+    work.lower[...] = sigma
+    work.potrf()
+    logdet_s = work.factor(sigma, "model covariance") if work.info.value else work.logdet()
     trace = float(np.add.reduce(target_inv * sigma, axis=None))
+    if not math.isfinite(trace):
+        work.check(sigma, "model covariance")
+    sigma_inv = work.solve(work.eye)
     kl_mt = 0.5 * (trace - n + target_logdet - logdet_s)
     if loss == "kl":
         err = trace - logdet_s
-        seed = target_inv - sigma_inv
+        diff = np.subtract(target_inv, sigma_inv, out=sigma_inv)
     else:
-        half_inv = 0.5 * sigma_inv  # read before the next solve overwrites sigma_inv
+        half_inv = np.multiply(sigma_inv, 0.5, out=seed)  # read before the next solve overwrites sigma_inv
         logdet_sum = work.factor(sigma + target, "model plus target covariance")
         err = n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
-        seed = work.solve(work.eye) - half_inv
-    seed = (seed + seed.T) / 2.0
-    return err, seed, kl_mt
+        diff = np.subtract(work.solve(work.eye), half_inv, out=work.solution)
+    np.add(diff, diff.T, out=seed)
+    return err, np.divide(seed, 2.0, out=seed), kl_mt
 
 
 def _kernel(loss, sigma, target):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from pmdag.gauss import (
     NotPositiveDefinite,
     SingularQ,
     kl_gaussian,
-    loss_kernel,
+    loss_kernel_into,
     one_lapack_thread,
     target_terms,
     write_csv,
@@ -114,59 +114,70 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 # engine runs the passes alone: its weights are views into one buffer, so
 # their shapes cannot change, and the seed the loss kernel returns is
 # symmetric, placed by the binding into a matrix of the last layer's size.
+# Both hand a pass one (W_l, W_l^T, Lambda_l, out_l) tuple per layer
+# (``_layers``); a bound engine builds its tuples once, at bind time.
 #
-# The passes multiply with ``np.dot``, not ``@``: on 2-D operands both make
-# the same BLAS call (``dgemm``, or ``dsyrk`` for a product with its own
-# transpose) and so give the same bits, but ``@`` dispatches through the
-# matmul gufunc machinery, which costs about half as much again per call
-# on the few-by-few matrices of a fit.  ``tests/test_kernels.py`` checks
-# that the two agree bitwise.
+# The passes multiply with ``_dot``, the C function behind ``np.dot``
+# (``np.dot._implementation``).  On 2-D operands it makes the same BLAS call
+# as ``np.dot`` and ``@`` (``dgemm``, or ``dsyrk`` for a product with its own
+# transpose) and so gives the same bits, but ``np.dot`` first goes through
+# numpy's ``__array_function__`` dispatcher and ``@`` through the matmul
+# gufunc machinery, which on the few-by-few matrices of a fit cost about a
+# third and about a half again as much as the product itself.
+# ``tests/test_kernels.py`` checks that the three agree bitwise.
+
+_dot = getattr(np.dot, "_implementation", np.dot)
 
 
-def _cov_forward(eye, weights, lams):
-    """Write Lambda_l = Sigma_{l-1} W_l into ``lams[l - 1]``; return (final Sigma, ``lams``).
+def _layers(weights, lams=(), outs=()) -> list[tuple]:
+    """One (W_l, W_l^T, Lambda_l, out_l) tuple per layer; None where ``lams`` or ``outs`` give none."""
+    return [(w, w.T, lam, out) for w, lam, out in zip_longest(weights, lams, outs)]
+
+
+def _cov_forward(eye, layers):
+    """Write Lambda_l = Sigma_{l-1} W_l into each layer's Lambda; return (final Sigma, None).
 
     Each Sigma_l = W_l^T Lambda_l lives only until the next layer's product.
     """
     sigma = eye
-    for w, lam in zip(weights, lams):
-        np.dot(sigma, w, out=lam)
-        sigma = np.dot(w.T, lam)
-    return sigma, lams
+    for w, wt, lam, _out in layers:
+        _dot(sigma, w, lam)
+        sigma = _dot(wt, lam)
+    return sigma, None
 
 
-def _cov_backward(weights, lams, g, out):
-    """Write Lambda_l G_l, the unmasked half-gradient of layer l, into ``out[l - 1]``."""
-    for l in range(len(weights), 0, -1):
-        np.dot(lams[l - 1], g, out[l - 1])
-        if l > 1:
-            w = weights[l - 1]
-            g = np.dot(np.dot(w, g), w.T)
-    return out
+def _cov_backward(layers, _ctx, g) -> None:
+    """Write Lambda_l G_l, the unmasked half-gradient of layer l, into each layer's out."""
+    for k in range(len(layers) - 1, -1, -1):
+        w, wt, lam, out = layers[k]
+        _dot(lam, g, out)
+        if k:
+            g = _dot(_dot(w, g), wt)
 
 
-def _acc_forward(eye, weights):
+def _acc_forward(eye, layers):
     acc = eye
     accs = [acc]
-    for w in weights:
-        acc = np.dot(acc, w)
+    for w, _wt, _lam, _out in layers:
+        acc = _dot(acc, w)
         accs.append(acc)
-    return np.dot(acc.T, acc), accs
+    return _dot(acc.T, acc), accs
 
 
-def _acc_backward(weights, accs, g, out):
-    """Write A_{l-1}^T Omega_l, the unmasked half-gradient of layer l, into ``out[l - 1]``."""
-    omega = np.dot(accs[-1], g)
-    for l in range(len(weights), 0, -1):
-        np.dot(accs[l - 1].T, omega, out[l - 1])
-        if l > 1:
-            omega = np.dot(omega, weights[l - 1].T)
-    return out
+def _acc_backward(layers, accs, g) -> None:
+    """Write A_{l-1}^T Omega_l, the unmasked half-gradient of layer l, into each layer's out."""
+    omega = _dot(accs[-1], g)
+    for k in range(len(layers) - 1, -1, -1):
+        _w, wt, _lam, out = layers[k]
+        _dot(accs[k].T, omega, out)
+        if k:
+            omega = _dot(omega, wt)
 
 
-def _masked_grads(masks: MaskSet, weights, backward, ctx, g) -> list[np.ndarray]:
+def _masked_grads(masks: MaskSet, weights, lams, backward, ctx, g) -> list[np.ndarray]:
     """The gradient stack 2 M_l o (pass output) of a layered backward pass."""
-    out = backward(weights, ctx, g, [np.empty(w.shape) for w in weights])
+    out = [np.empty(w.shape) for w in weights]
+    backward(_layers(weights, lams, out), ctx, g)
     return [2.0 * mask * grad for mask, grad in zip(masks.trainable, out)]
 
 
@@ -179,8 +190,9 @@ def forward_cov(sync: Synchronization, weights):
     """
     _check_shapes(sync, weights)
     eye = np.eye(len(sync.layers[0]))
-    sigma, lams = _cov_forward(eye, weights, [np.empty(w.shape) for w in weights])
-    return sigma, lams, [eye] + [np.dot(w.T, lam) for w, lam in zip(weights, lams)]
+    lams = [np.empty(w.shape) for w in weights]
+    sigma, _ = _cov_forward(eye, _layers(weights, lams))
+    return sigma, lams, [eye] + [_dot(w.T, lam) for w, lam in zip(weights, lams)]
 
 
 def forward_acc(sync: Synchronization, weights):
@@ -189,7 +201,7 @@ def forward_acc(sync: Synchronization, weights):
     Returns (final covariance, accumulated list A_0..A_{L-1} with A_0 = I).
     """
     _check_shapes(sync, weights)
-    return _acc_forward(np.eye(len(sync.layers[0])), weights)
+    return _acc_forward(np.eye(len(sync.layers[0])), _layers(weights))
 
 
 def backward_cov(sync: Synchronization, masks: MaskSet, weights, lams, dsigma):
@@ -199,22 +211,23 @@ def backward_cov(sync: Synchronization, masks: MaskSet, weights, lams, dsigma):
     is dW_l = 2 M_l o (Lambda_l G_l) with G_{l-1} = W_l G_l W_l^T.
     """
     _check_shapes(sync, weights)
-    return _masked_grads(masks, weights, _cov_backward, lams, _check_seed(sync, dsigma))
+    return _masked_grads(masks, weights, lams, _cov_backward, None, _check_seed(sync, dsigma))
 
 
 def backward_acc(sync: Synchronization, masks: MaskSet, weights, accs, dsigma):
     """Weight gradients via the accumulated products: dW_l = 2 M_l o (A_{l-1}^T Omega_l)."""
     _check_shapes(sync, weights)
-    return _masked_grads(masks, weights, _acc_backward, accs, _check_seed(sync, dsigma))
+    return _masked_grads(masks, weights, (), _acc_backward, accs, _check_seed(sync, dsigma))
 
 
 def layered_entry_count(sync: Synchronization) -> int:
-    """Matrix entries the layered forward stores for its backward pass."""
-    total = len(sync.layers[0]) ** 2
-    for l in range(1, sync.depth):
-        total += len(sync.layers[l - 1]) * len(sync.layers[l])  # Lambda_l
-        total += len(sync.layers[l]) ** 2  # Sigma_l
-    return total
+    """Matrix entries the layered forward stores for its backward pass.
+
+    That is the identity at layer 0 and the Lambda stack, n_{l-1} x n_l per
+    layer, which the bound covariance engine keeps; no Sigma_l is kept.
+    """
+    sizes = [len(layer) for layer in sync.layers]
+    return sizes[0] ** 2 + sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
 # --- reduced method --------------------------------------------------------
@@ -463,15 +476,17 @@ def _reduced_backward(plan: ReducedPlan, theta_pad: np.ndarray, state: ReducedSt
     gbuf = np.zeros(plan.table_size + 1)  # G laid out like sigma, then the zero cell
     gbuf[plan.seed_at] = g[:, plan.last_nr]
     counter.add(grads.size + theta_pad.size + gbuf.size)
+    bufsize = np.getbufsize()  # entries of the ufunc buffer a multiply broadcasting g_col allocates
     for lp in reversed(plan.layers):
         for at, sl, g_at in lp.edge_cols:
             g_col = gbuf.take(g_at)
             terms = state.buf.take(at)
-            counter.add(terms.size + g_col.size)
+            held = terms.size + g_col.size + min(terms.size, bufsize)
+            counter.add(held)
             terms *= g_col[:, None]
             terms[g_col == 0.0] = 0.0  # a zero seed skips its term, even against an infinite factor
             grads[sl] = 2.0 * _ordered_sum(terms, 0)
-            counter.release(terms.size + g_col.size)
+            counter.release(held)
             del terms, g_col  # freed where the counter releases them, not at the next gather
         if lp.carry is None:
             break
@@ -561,34 +576,35 @@ def _visible_block(sync: Synchronization):
     return (lambda sigma: sigma[ix]), embed
 
 
-def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward) -> Engine:
+def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward, lams=()) -> Engine:
     """Bind a weight-stack engine's passes to theta through one flat buffer.
 
-    ``forward(eye, weights) -> (sigma, ctx)`` and ``backward(weights, ctx,
-    seed, out)`` are the engine's unchecked passes; the backward writes its
-    unmasked gradient stack into ``out``.  The weight matrices are views into
-    a buffer that holds the constant pattern, its 1s written at
-    ``masks.ones``; one fancy-index assignment writes theta into the
-    trainable entries, and the gradient is read back from a buffer of the
-    same layout at the same positions.  With the covariance forward's Lambda
-    buffer (see ``ENGINES``) these are the only stack-sized arrays a fit
-    holds; each forward overwrites them, so a context is valid until the next.
+    ``forward(eye, layers) -> (sigma, ctx)`` and ``backward(layers, ctx,
+    seed)`` are the engine's unchecked passes over the tuples of ``_layers``;
+    the backward writes its unmasked gradient stack into the layers' outs.
+    The weight matrices are views into a buffer that holds the constant
+    pattern, its 1s written at ``masks.ones``; one fancy-index assignment
+    writes theta into the trainable entries, and the gradient is read back
+    from a buffer of the same layout at the same positions.  With the
+    covariance forward's Lambda views ``lams`` (see ``ENGINES``) these are
+    the only stack-sized arrays a fit holds; each forward overwrites them,
+    so a context is valid until the next.
     """
     take, embed = _visible_block(sync)
     buf = np.zeros(masks.size)
     buf[masks.ones] = 1.0
     grad_buf = np.empty_like(buf)
-    weights, grads = masks.views(buf), masks.views(grad_buf)
+    layers = _layers(masks.views(buf), lams, masks.views(grad_buf))
     pos = masks.positions
     eye = np.eye(len(sync.layers[0]))
 
     def forward_theta(theta):
         buf[pos] = theta
-        sigma, ctx = forward(eye, weights)
+        sigma, ctx = forward(eye, layers)
         return take(sigma), ctx
 
     def backward_theta(ctx, seed_vis):
-        backward(weights, ctx, embed(seed_vis), grads)
+        backward(layers, ctx, embed(seed_vis))
         return 2.0 * grad_buf[pos]  # pos holds only trainable cells, whose mask is 1
 
     return Engine(forward_theta, backward_theta)
@@ -619,7 +635,7 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
 # out like the weight stack.
 ENGINES = {
     "covariance": lambda sync, masks: _bind_layered(
-        sync, masks, partial(_cov_forward, lams=masks.views(np.empty(masks.size))), _cov_backward),
+        sync, masks, _cov_forward, _cov_backward, masks.views(np.empty(masks.size))),
     "accumulation": lambda sync, masks: _bind_layered(sync, masks, _acc_forward, _acc_backward),
     "reduced": _bind_reduced,
 }
@@ -647,18 +663,43 @@ ADAMAX_BETA2 = 0.999
 
 @dataclass
 class AdamaxState:
-    """Adamax learning rate and moments; ``optimize_step`` advances it in place."""
+    """Adamax learning rate and moments; ``optimize_step`` advances it in place.
+
+    ``scratch`` holds the arrays ``_adamax_arrays`` makes at the first step.
+    """
 
     lr: float
     t: int = 0
     m: np.ndarray | None = None
     u: np.ndarray | None = None
+    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def make_optimizer_state(config: "FitConfig"):
     if config.optimizer == "sgd":
         return SgdState(lr=config.lr)
     return AdamaxState(lr=config.lr)
+
+
+def _require_finite_gradient(magnitude) -> None:
+    """Raise NonFiniteGradient unless every entry of |g| is finite.
+
+    ``np.maximum`` propagates nan, so the largest |g| is below inf exactly
+    when every entry is finite.
+    """
+    if not np.maximum.reduce(magnitude, initial=0.0) < math.inf:
+        raise NonFiniteGradient("gradient contains nan or inf")
+
+
+def _adamax_arrays(n: int) -> tuple:
+    """Zeroed m and u, then the step's work arrays |g|, a product, the step and where u > 0.
+
+    They are views of one buffer: made one by one, small arrays that live as
+    long as the state fragment the heap, which raised the peak RSS of
+    perfbench's random-fit workload by about 0.5 MB (glibc, x86-64 Linux).
+    """
+    buf = np.zeros(5 * n + -(-n // 8))  # five float arrays, then n bools
+    return (*(buf[k * n:(k + 1) * n] for k in range(5)), buf[5 * n:].view(bool)[:n])
 
 
 def optimize_step(theta, grad, state):
@@ -669,22 +710,26 @@ def optimize_step(theta, grad, state):
     gradient yet) steps exactly 0.
     Raises NonFiniteGradient on nan/inf gradients, before the state changes.
     """
-    # the ufunc reduction behind .all(), called without its Python-level wrapper
-    if not np.logical_and.reduce(np.isfinite(grad)):
-        raise NonFiniteGradient("gradient contains nan or inf")
     kind = type(state)
     if kind is AdamaxState:
+        if state.scratch is None:
+            state.scratch = _adamax_arrays(grad.size)
+        first_m, first_u, magnitude, product, step, live = state.scratch
+        _require_finite_gradient(np.abs(grad, out=magnitude))
         if state.m is None:
-            state.m, state.u = np.zeros_like(grad), np.zeros_like(grad)
+            state.m, state.u = first_m, first_u
         state.t += 1
         m, u = state.m, state.u
         m *= ADAMAX_BETA1
-        m += (1.0 - ADAMAX_BETA1) * grad
+        m += np.multiply(grad, 1.0 - ADAMAX_BETA1, out=product)
         u *= ADAMAX_BETA2
-        np.maximum(u, np.abs(grad), out=u)
+        np.maximum(u, magnitude, out=u)
         rate = state.lr / (1.0 - ADAMAX_BETA1 ** state.t)
-        return theta - np.divide(rate * m, u, out=np.zeros(u.shape), where=u > 0.0), state
+        step.fill(0.0)
+        np.divide(np.multiply(m, rate, out=product), u, out=step, where=np.greater(u, 0.0, out=live))
+        return theta - step, state
     if kind is SgdState:
+        _require_finite_gradient(np.abs(grad))
         return theta - state.lr * grad, state
     raise SolverError(f"unknown optimizer state {kind.__name__}")
 
@@ -850,6 +895,7 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
     sync = synchronize(g)
     masks = build_masks(sync)
     engine = ENGINES[config.method](sync, masks)
+    seed_buf = np.empty(target.data.shape)  # the loss kernel writes its seed here every iteration
 
     def restart(seed: int) -> tuple[StructuralParams, FitReport]:
         """One descent from the weights seeded by ``seed``, and its own report.
@@ -863,7 +909,8 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
         theta = recorded = init_theta(masks, seed)
         state = make_optimizer_state(config)
         loss_trace, kl_trace, hook_records = [], [], []
-        # bound once: attribute lookups repeated every iteration add up over thousands
+        # bound once: attribute lookups repeated every iteration add up over thousands;
+        # loss_kernel_into and optimize_step stay module lookups, which a tracer can wrap
         forward, backward, target_data = engine.forward, engine.backward, target.data
         loss, kl_tol, min_improvement = config.loss, config.kl_tol, config.min_improvement
         prev_err = math.inf
@@ -873,7 +920,8 @@ def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,
         for i in range(1, config.max_iters + 1):
             sigma_vis, ctx = forward(theta)
             try:
-                err, seed_vis, kl_mt = loss_kernel(loss, sigma_vis, target_data, target_inv, target_logdet)
+                err, seed_vis, kl_mt = loss_kernel_into(loss, sigma_vis, target_data, target_inv,
+                                                        target_logdet, seed_buf)
             except NotPositiveDefinite:
                 stop_reason = "singular_model"
                 break

@@ -8,16 +8,21 @@ assigned values at the targets' rows: the targets become sources beside the
 roots.
 """
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pmdag.gauss import loss_kernel, one_lapack_thread, target_terms
+from pmdag.gauss import NonFiniteEntries, loss_kernel, one_lapack_thread, target_terms
 from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import (
     ENGINES,
     LOSSES,
     METHODS,
+    _dot,
     backward_cov,
     edge_vector,
     forward_cov,
@@ -198,7 +203,7 @@ def same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**31 - 1))
 def test_dot_and_matmul_give_the_same_bits(m, k, n, seed):
-    """The layered passes multiply with np.dot; it must round exactly like ``@``.
+    """The layered passes multiply with ``_dot``, the C function behind np.dot; it must round exactly like np.dot and ``@``.
 
     Covers plain and transposed operands, a product with its own transpose
     (the ``dsyrk`` path), the backward chain w g w^T and a write through
@@ -214,9 +219,26 @@ def test_dot_and_matmul_give_the_same_bits(m, k, n, seed):
     with one_lapack_thread():
         for x, y in ((a, b), (at, b), (a, bt), (at, bt), (b.T, a.T), (a, a.T), (a.T, a), (a.T, at)):
             assert same_bits(np.dot(x, y), x @ y)
+            assert same_bits(_dot(x, y), x @ y)
         assert same_bits(np.dot(np.dot(w, g), w.T), w @ g @ w.T)
+        assert same_bits(_dot(_dot(w, g), w.T), w @ g @ w.T)
         out = buf[3:].reshape(m, n)
-        np.dot(a, b, out)
-        assert same_bits(out, np.matmul(a, b))
-        np.dot(at, b, out)
-        assert same_bits(out, np.matmul(at, b, out=np.empty((m, n))))
+        for dot in (np.dot, _dot):
+            dot(a, b, out)
+            assert same_bits(out, np.matmul(a, b))
+            dot(at, b, out)
+            assert same_bits(out, np.matmul(at, b, out=np.empty((m, n))))
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)], ids=["upper", "lower", "diagonal"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_loss_kernel_rejects_non_finite_sigma_without_warning(loss, where, value):
+    """The public kernel checks its covariance before any arithmetic, so numpy has nothing to warn about."""
+    sigma = np.eye(3) + 0.1
+    sigma[where] = value
+    target = np.eye(3) * 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntries, match="model covariance"):
+            loss_kernel(loss, sigma, target, *target_terms(target))

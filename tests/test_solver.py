@@ -46,6 +46,7 @@ from pmdag.solver import (
     optimize_step,
     save_trace_csv,
     weights_from_params,
+    _reduced_backward,
     _reduced_forward,
 )
 from pmdag.sync import MaskSet, build_masks, synchronize
@@ -726,6 +727,76 @@ class TestFitExits:
         assert report.iterations == 3 and len(calls) == 3
         assert params == report.hook_records[-1]  # the params of iteration 3, which took no step
 
+    @staticmethod
+    def bind_with_a_changed_covariance(change, at_call):
+        """Bind the covariance engine so that its forward number ``at_call`` returns ``change(sigma_vis)``."""
+        bind, calls = ENGINES["covariance"], []
+
+        def bind_changed(sync, masks):
+            engine = bind(sync, masks)
+
+            def forward(theta):
+                calls.append(theta)
+                sigma_vis, ctx = engine.forward(theta)
+                return (change(sigma_vis) if len(calls) == at_call else sigma_vis), ctx
+
+            return Engine(forward, engine.backward)
+
+        return bind_changed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_upper_triangle_stops_as_diverged(self, bow_target, monkeypatch, value):
+        # the factorization reads the lower triangle only and succeeds; the trace finds the entry
+        def spoil(sigma_vis):
+            sigma_vis = sigma_vis.copy()
+            sigma_vis[0, -1] = value
+            return sigma_vis
+
+        monkeypatch.setitem(ENGINES, "covariance", self.bind_with_a_changed_covariance(spoil, 3))
+        g, target = bow_target
+        params, report = fit(g, target, FitConfig(restarts=1), iter_hook=lambda i, get: get())
+        assert report.stop_reason == "diverged" and not report.converged
+        assert report.iterations == 2
+        assert params == report.hook_records[-1]  # the params of iteration 2, the last recorded
+
+    def test_overflowing_trace_of_a_finite_covariance_is_not_diverged(self, bow_target, monkeypatch):
+        huge = np.finfo(float).max
+        monkeypatch.setitem(ENGINES, "covariance",
+                            self.bind_with_a_changed_covariance(lambda s: huge * np.eye(len(s)), 2))
+        g, target = bow_target
+        _, report = fit(g, target, FitConfig(restarts=1, max_iters=5))
+        assert math.isinf(report.kl_trace[1]) and math.isinf(report.loss_trace[1])
+        assert report.stop_reason == "max_iters" and report.iterations == 5
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_finite_iterations_run_no_finite_check(self, method, monkeypatch):
+        # the loss kernel and the step find a non-finite value from results they need anyway
+        calls, marks = [], []
+        isfinite, logical_and = np.isfinite, np.logical_and
+
+        def counted_isfinite(*args, **kwargs):
+            calls.append("isfinite")
+            return isfinite(*args, **kwargs)
+
+        class CountedLogicalAnd:
+            def __call__(self, *args, **kwargs):
+                return logical_and(*args, **kwargs)
+
+            def reduce(self, *args, **kwargs):
+                calls.append("logical_and.reduce")
+                return logical_and.reduce(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted_isfinite)
+        monkeypatch.setattr(np, "logical_and", CountedLogicalAnd())
+        g = canonical("napkin")
+        _, target = ground_truth(g, seed=3)
+        _, report = fit(g, target, FitConfig(method=method, max_iters=4, restarts=1, kl_tol=0.0),
+                        iter_hook=lambda i, get: marks.append(len(calls)))
+        monkeypatch.undo()
+        assert report.iterations == 4
+        assert marks[0] == marks[-1], calls[marks[0]:]
+        assert "isfinite" in calls and "logical_and.reduce" in calls  # the counters count: set-up checks
+
     def test_flat_loss_stops_as_loss_plateau(self, bow_target):
         g, target = bow_target
         config = FitConfig(optimizer="sgd", lr=1e-2, restarts=1, max_iters=20000, kl_tol=0.0,
@@ -909,6 +980,25 @@ class TestReducedStorage:
         short = layered_entry_count(synchronize(chain(8)))
         long = layered_entry_count(synchronize(chain(16)))
         assert long > 4 * short
+
+    def test_backward_counter_matches_traced_peak(self):
+        # every array the reduced backward allocates, numpy's ufunc buffer for a
+        # broadcast multiply included, in 8-byte entries
+        sync = synchronize(quiet_random_pmdag(32))
+        plan = ReducedPlan(sync)
+        theta = np.random.default_rng(0).standard_normal(len(sync.edges))
+        state = _reduced_forward(plan, theta, AllocationCounter())
+        half = np.random.default_rng(1).standard_normal((len(sync.layers[-1]),) * 2)
+        seed, theta_pad = half + half.T, np.append(theta, 0.0)
+        counter = AllocationCounter()
+        tracemalloc.start()
+        try:
+            _reduced_backward(plan, theta_pad, state, seed, counter)
+            traced = tracemalloc.get_traced_memory()[1] / 8
+        finally:
+            tracemalloc.stop()
+        traced += theta_pad.size  # made before tracing started; the counter counts it as held
+        assert abs(counter.peak - traced) <= 0.05 * traced, (counter.peak, traced)
 
     def test_forward_counter_matches_traced_peak(self):
         # every array the reduced forward allocates, numpy's ufunc buffer for a
