@@ -39,7 +39,8 @@ class Experiment:
     hook_stride: int = 10
 
     def __post_init__(self):
-        check_ints(self, ("truth_seed", "repetitions", "hook_stride"), SpecError)
+        check_ints(SpecError, truth_seed=self.truth_seed, repetitions=self.repetitions,
+                   hook_stride=self.hook_stride)
         if self.repetitions < 1 or self.hook_stride < 1:
             raise SpecError("repetitions and hook_stride must be at least 1")
         if self.truth_seed < 0:

@@ -290,27 +290,35 @@ class _Workspace:
                 for nrhs in (n, 1))
 
     def factor(self, matrix, what: str) -> float:
+        """``factor_first`` with every entry checked first, whether or not the factorization fails."""
+        self.check(matrix, what)
+        return self.factor_first(matrix, what)
+
+    def factor_first(self, matrix, what: str) -> float:
         """Lower Cholesky factor of ``matrix`` into ``lower``; returns the log-determinant.
 
         Jitter on the diagonal starts at 1e-12 * trace/n and grows tenfold up
         to 1e-6 * trace/n before giving up; sample covariances are routinely
-        semidefinite at round-off scale.  Raises NonFiniteEntries, then
-        NotPositiveDefinite, naming the matrix as ``what``.
+        semidefinite at round-off scale.  The entries are checked only before
+        the jitter or after a non-finite log-determinant.  Raises
+        NonFiniteEntries, then NotPositiveDefinite, naming the matrix ``what``.
         """
-        self.check(matrix, what)
         self.lower[...] = matrix
         self.potrf()
         if self.info.value:
-            n = self.eye.shape[0]
-            base = max(float(np.trace(matrix)), 0.0) / max(n, 1)
+            self.check(matrix, what)
+            base = max(float(np.trace(matrix)), 0.0) / max(len(matrix), 1)
             jitter = 1e-12 * base
             while self.info.value and 0.0 < jitter <= 1e-6 * base:
-                self.lower[...] = matrix + jitter * np.eye(n)
+                self.lower[...] = matrix + jitter * self.eye
                 self.potrf()
                 jitter *= 10.0
             if self.info.value:
                 raise NotPositiveDefinite(f"{what} is not positive definite, even with maximum jitter")
-        return self.logdet()
+        logdet = self.logdet()
+        if not math.isfinite(logdet):
+            self.check(matrix, what)
+        return logdet
 
     def check(self, matrix, what: str) -> None:
         """Raise GaussError unless ``matrix`` is n x n, then NonFiniteEntries unless every entry is finite."""
@@ -398,21 +406,16 @@ def loss_kernel_into(loss: str, sigma: np.ndarray, target: np.ndarray,
                      target_inv: np.ndarray, target_logdet: float, seed: np.ndarray):
     """``loss_kernel`` without its boundary check: the seed is written into ``seed``, n x n.
 
-    A fit calls this every iteration with one buffer for the seed.  It finds
-    a non-finite ``sigma`` from values it computes anyway, as
-    NonFiniteEntries: a factorization that fails goes to
-    ``_Workspace.factor``, which checks the entries before its jitter
-    ladder, and after one that succeeds a non-finite entry makes
-    tr(target^-1 sigma) non-finite, since target^-1 is finite, which runs
-    the same check.  A finite sigma whose trace overflows passes it.  On a
-    non-finite sigma numpy may warn before the check raises; the fit runs
-    this under ``np.errstate``.
+    A fit calls it every iteration with one seed buffer.  It finds a
+    non-finite ``sigma`` from values it computes anyway, as NonFiniteEntries:
+    both factorizations run ``_Workspace.factor_first``, and after one of
+    sigma succeeds, a non-finite entry makes tr(target^-1 sigma) non-finite
+    (target^-1 is finite), which runs the entry check; a finite sigma whose
+    trace overflows passes it.  Numpy may warn first; the fit uses ``np.errstate``.
     """
     n = sigma.shape[0]
     work = _WORKSPACES.by_size[n]
-    work.lower[...] = sigma
-    work.potrf()
-    logdet_s = work.factor(sigma, "model covariance") if work.info.value else work.logdet()
+    logdet_s = work.factor_first(sigma, "model covariance")
     trace = float(np.add.reduce(target_inv * sigma, axis=None))
     if not math.isfinite(trace):
         work.check(sigma, "model covariance")
@@ -423,7 +426,7 @@ def loss_kernel_into(loss: str, sigma: np.ndarray, target: np.ndarray,
         diff = np.subtract(target_inv, sigma_inv, out=sigma_inv)
     else:
         half_inv = np.multiply(sigma_inv, 0.5, out=seed)  # read before the next solve overwrites sigma_inv
-        logdet_sum = work.factor(sigma + target, "model plus target covariance")
+        logdet_sum = work.factor_first(sigma + target, "model plus target covariance")
         err = n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
         diff = np.subtract(work.solve(work.eye), half_inv, out=work.solution)
     np.add(diff, diff.T, out=seed)

@@ -39,7 +39,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_ints(self, ("v", "seed"), GraphError)
+        check_ints(GraphError, v=self.v, seed=self.seed)
         if self.v < 1:
             raise GraphError("v must be a positive integer")
         if not 0.0 <= self.l_star < 1.0:

@@ -310,10 +310,9 @@ def typed_kwargs(cls, data, error: type[Exception], where: str) -> dict:
     return kwargs
 
 
-def check_ints(obj, names, error: type[Exception]) -> None:
-    """Raise ``error`` unless each named field of ``obj`` is a Python or numpy integer, not a bool."""
-    for name in names:
-        value = getattr(obj, name)
+def check_ints(error: type[Exception], **values) -> None:
+    """Raise ``error`` unless each keyword's value is a Python or numpy integer, not a bool."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise error(f"{name} must be an integer, got {value!r}")
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from pmdag.gauss import CovMatrix, GaussianDist, SingularQ, kl_gaussian
-from pmdag.graph import NotVisible, PmDag, StructuralParams
+from pmdag.graph import NotVisible, PmDag, StructuralParams, check_ints
 from pmdag.solver import FitConfig, FitReport, derive_seed, fit, fit_kl, root_loadings
 
 
@@ -160,6 +160,7 @@ def identify(
     refutes identifiability with a replayable witness; otherwise the verdict
     is presumed identifiability with the largest observed divergence.
     """
+    check_ints(IdentifyError, iters=iters)
     if iters < 1:
         raise IdentifyError("iters must be at least 1")
     if not (math.isfinite(tol_id) and tol_id >= 0):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import Callable
@@ -234,7 +235,7 @@ def layered_entry_count(sync: Synchronization) -> int:
 
 
 class AllocationCounter:
-    """Tracks live and peak auxiliary entries of the reduced method."""
+    """Live and peak 8-byte entries of the reduced passes, which ``_measured`` records."""
 
     __slots__ = ("current", "peak")
 
@@ -373,14 +374,13 @@ class ReducedState:
 
     __slots__ = ("plan", "buf", "sigma", "lam")
 
-    def __init__(self, plan: ReducedPlan, counter: AllocationCounter):
+    def __init__(self, plan: ReducedPlan):
         self.plan = plan
         size = plan.table_size
         self.buf = np.full(2 * size + 2, np.nan)
         self.buf[-2:] = (0.0, 1.0)
         self.sigma = self.buf[:size].reshape(plan.table_shape)
         self.lam = self.buf[size:2 * size].reshape(plan.table_shape)
-        counter.add(self.buf.size)
 
     def sig(self, p: int, q: int) -> float:
         return self.buf[self.plan.at([p], [q])[0, 0]]
@@ -409,8 +409,7 @@ def edge_weight_map(masks: MaskSet, weights) -> dict[tuple[int, int], float]:
     }
 
 
-def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, gbuf: np.ndarray,
-                    counter: AllocationCounter) -> None:
+def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, gbuf: np.ndarray) -> None:
     """Overwrite the gradient table's cells of layer l-1's pairs with their sums over layer l's.
 
     Each pair a <= b (node order) adds in the scalar order: the carry G(a, b),
@@ -422,8 +421,6 @@ def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, gbuf: np.ndarray,
     """
     total = gbuf.take(lp.carry) + 0.0
     term = np.empty_like(total)
-    held = 4 * total.size  # the sum, one term, and two of its factors
-    counter.add(held)
     for th, at in zip(*lp.single):
         total += np.multiply(theta_pad.take(th), gbuf.take(at), out=term)
     theta_a, theta_b, g_at = lp.double
@@ -432,66 +429,69 @@ def _previous_grads(lp: _LayerPlan, theta_pad: np.ndarray, gbuf: np.ndarray,
         for th_b, at in zip(theta_b, row):
             np.multiply(w_a, theta_pad.take(th_b), out=term)
             total += np.multiply(term, gbuf.take(at), out=term)
-    for to in lp.to:
-        gbuf[to] = total
-    counter.release(held)
+    gbuf[lp.to[0]] = gbuf[lp.to[1]] = total
 
 
-def _reduced_forward(plan: ReducedPlan, theta: np.ndarray, counter: AllocationCounter) -> ReducedState:
-    state = ReducedState(plan, counter)
+def _reduced_forward(plan: ReducedPlan, theta: np.ndarray) -> ReducedState:
+    state = ReducedState(plan)
     buf = state.buf
-    counter.add(theta.size)
-    bufsize = np.getbufsize()  # entries of the ufunc buffer a multiply broadcasting theta allocates
     for lp in plan.layers:
         for at, sl, to in lp.lam_cols:
             terms = buf.take(at)
-            held = terms.size + min(terms.size, bufsize)
-            counter.add(held)
             terms *= theta[sl]
             buf[to] = _ordered_sum(terms, 1)
-            counter.release(held)
-            del terms  # freed where the counter releases it, not at the next gather
+            del terms  # freed before the next gather, so two gathers are never held at once
         for at, sl, to, mirror in lp.pair_rows:
             terms = buf.take(at)
-            held = terms.size + min(terms.size, bufsize)
-            counter.add(held)
             terms *= theta[sl]
             values = _ordered_sum(terms, 1)
             buf[to] = values
             buf[mirror] = values[:-1]
-            counter.release(held)
-            del terms, values
-        copied = buf.take(lp.copy_from)
-        counter.add(copied.size)
-        buf[lp.copy_to] = copied
-        counter.release(copied.size)
-        del copied
+            del terms, values  # freed before the next gather, so two gathers are never held at once
+        buf[lp.copy_to] = buf.take(lp.copy_from)
     return state
 
 
-def _reduced_backward(plan: ReducedPlan, theta_pad: np.ndarray, state: ReducedState, g: np.ndarray,
-                      counter: AllocationCounter) -> np.ndarray:
-    """Edge gradients ordered like theta; ``theta_pad`` is theta with a trailing 0."""
-    grads = np.zeros(theta_pad.size - 1)
+def _reduced_backward(plan: ReducedPlan, theta: np.ndarray, state: ReducedState, g: np.ndarray) -> np.ndarray:
+    """Edge gradients ordered like theta, from the forward's ``state`` and the seed ``g``."""
+    theta_pad = np.append(theta, 0.0)  # child slots past a node's last child read weight 0
+    grads = np.zeros(theta.size)
     gbuf = np.zeros(plan.table_size + 1)  # G laid out like sigma, then the zero cell
     gbuf[plan.seed_at] = g[:, plan.last_nr]
-    counter.add(grads.size + theta_pad.size + gbuf.size)
-    bufsize = np.getbufsize()  # entries of the ufunc buffer a multiply broadcasting g_col allocates
     for lp in reversed(plan.layers):
         for at, sl, g_at in lp.edge_cols:
             g_col = gbuf.take(g_at)
             terms = state.buf.take(at)
-            held = terms.size + g_col.size + min(terms.size, bufsize)
-            counter.add(held)
             terms *= g_col[:, None]
             terms[g_col == 0.0] = 0.0  # a zero seed skips its term, even against an infinite factor
             grads[sl] = 2.0 * _ordered_sum(terms, 0)
-            counter.release(held)
-            del terms, g_col  # freed where the counter releases them, not at the next gather
+            del terms, g_col  # freed before the next gathers, so two of each are never held at once
         if lp.carry is None:
             break
-        _previous_grads(lp, theta_pad, gbuf, counter)
+        _previous_grads(lp, theta_pad, gbuf)
     return grads
+
+
+def _measured(counter: AllocationCounter | None, run: Callable, *args):
+    """``run(*args)``; a given counter adds its traced peak and releases what it freed, in 8-byte entries.
+
+    An enclosing tracemalloc session keeps tracing, its peak reset.  No other thread may allocate.
+    """
+    if counter is None:
+        return run(*args)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()  # a no-op while a session is tracing
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    counter.add((peak - base) // 8)
+    counter.release((peak - current) // 8)
+    return result
 
 
 def forward_reduced(
@@ -505,9 +505,8 @@ def forward_reduced(
     tables replace the per-layer Sigma/Lambda stacks of the layered methods.
     Every sum adds in the order of the scalar loop over node pairs.
     """
-    plan = ReducedPlan(sync)
     theta = np.fromiter((edge_weights[p, c] for p, c, _l in sync.edges), float, len(sync.edges))
-    return _reduced_forward(plan, theta, AllocationCounter() if counter is None else counter)
+    return _measured(counter, _reduced_forward, ReducedPlan(sync), theta)
 
 
 def backward_reduced(
@@ -526,10 +525,8 @@ def backward_reduced(
     """
     g = _check_seed(sync, dsigma)
     edges = [(p, c) for p, c, _l in sync.edges]
-    # child slots past a node's last child read weight 0
-    theta_pad = np.array([edge_weights[e] for e in edges] + [0.0])
-    grads = _reduced_backward(state.plan, theta_pad, state, g,
-                              AllocationCounter() if counter is None else counter)
+    theta = np.array([edge_weights[e] for e in edges])
+    grads = _measured(counter, _reduced_backward, state.plan, theta, state, g)
     return dict(zip(edges, grads.tolist()))
 
 
@@ -614,16 +611,14 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
     """Bind the reduced engine's passes: its index plan is built here, once."""
     _take, embed = _visible_block(sync)
     plan = ReducedPlan(sync)
-    counter = AllocationCounter()  # required by the passes; nothing reads it here
 
     def forward_theta(theta):
-        state = _reduced_forward(plan, theta, counter)
+        state = _reduced_forward(plan, theta)
         return state.visible_cov(), (theta, state)
 
     def backward_theta(ctx, seed_vis):
         theta, state = ctx
-        # child slots past a node's last child read weight 0
-        return _reduced_backward(plan, np.append(theta, 0.0), state, embed(seed_vis), counter)
+        return _reduced_backward(plan, theta, state, embed(seed_vis))
 
     return Engine(forward_theta, backward_theta)
 
@@ -800,7 +795,7 @@ class FitConfig:
     kl_tol: float = 1e-5
 
     def __post_init__(self):
-        check_ints(self, ("max_iters", "seed", "restarts"), SolverError)
+        check_ints(SolverError, max_iters=self.max_iters, seed=self.seed, restarts=self.restarts)
         if self.loss not in LOSSES:
             raise SolverError(f"loss must be one of {LOSSES}")
         if self.method not in METHODS:

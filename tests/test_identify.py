@@ -276,6 +276,17 @@ class TestIdentify:
             identify(g, target, DO_X_ON_Y, QUICK, fn=lambda *a: calls.append(a), **kwargs)
         assert not calls  # rejected before any fit runs
 
+    @pytest.mark.parametrize("iters", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_iters_rejected(self, iters):
+        # unchecked, 2.5 fails in range() only after the reference fit, and True runs as one slot
+        # and is written to the verdict's JSON as "iterations": true
+        g = canonical("bow")
+        _, target = ground_truth(g, seed=5)
+        calls = []
+        with pytest.raises(IdentifyError, match="iters must be an integer"):
+            identify(g, target, DO_X_ON_Y, QUICK, iters=iters, fn=lambda *a: calls.append(a))
+        assert not calls  # rejected before any fit runs
+
     @pytest.mark.parametrize("name", ["tol_id"])
     @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
     def test_void_tolerance_rejected(self, name, value):

@@ -16,6 +16,7 @@ from pmdag.solver import (
     ADAMAX_BETA1,
     ADAMAX_BETA2,
     ENGINES,
+    LOSSES,
     METHODS,
     AdamaxState,
     AllocationCounter,
@@ -46,8 +47,6 @@ from pmdag.solver import (
     optimize_step,
     save_trace_csv,
     weights_from_params,
-    _reduced_backward,
-    _reduced_forward,
 )
 from pmdag.sync import MaskSet, build_masks, synchronize
 
@@ -768,8 +767,10 @@ class TestFitExits:
         assert math.isinf(report.kl_trace[1]) and math.isinf(report.loss_trace[1])
         assert report.stop_reason == "max_iters" and report.iterations == 5
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_finite_iterations_run_no_finite_check(self, method, monkeypatch):
+    @pytest.mark.parametrize("method, loss", [(m, loss) for loss in LOSSES for m in METHODS],
+                             ids=[m if loss == "kl" else f"{m}-{loss}" for loss in LOSSES for m in METHODS])
+    def test_finite_iterations_run_no_finite_check(self, method, loss, monkeypatch):
+        # an id without a loss is the default loss, kl
         # the loss kernel and the step find a non-finite value from results they need anyway
         calls, marks = [], []
         isfinite, logical_and = np.isfinite, np.logical_and
@@ -790,7 +791,7 @@ class TestFitExits:
         monkeypatch.setattr(np, "logical_and", CountedLogicalAnd())
         g = canonical("napkin")
         _, target = ground_truth(g, seed=3)
-        _, report = fit(g, target, FitConfig(method=method, max_iters=4, restarts=1, kl_tol=0.0),
+        _, report = fit(g, target, FitConfig(loss=loss, method=method, max_iters=4, restarts=1, kl_tol=0.0),
                         iter_hook=lambda i, get: marks.append(len(calls)))
         monkeypatch.undo()
         assert report.iterations == 4
@@ -981,37 +982,46 @@ class TestReducedStorage:
         long = layered_entry_count(synchronize(chain(16)))
         assert long > 4 * short
 
-    def test_backward_counter_matches_traced_peak(self):
-        # every array the reduced backward allocates, numpy's ufunc buffer for a
-        # broadcast multiply included, in 8-byte entries
+    @pytest.fixture(scope="class")
+    def v32_pass_inputs(self):
         sync = synchronize(quiet_random_pmdag(32))
-        plan = ReducedPlan(sync)
-        theta = np.random.default_rng(0).standard_normal(len(sync.edges))
-        state = _reduced_forward(plan, theta, AllocationCounter())
+        masks = build_masks(sync)
+        edge_w = edge_weight_map(masks, init_weights(sync, masks, seed=0))
         half = np.random.default_rng(1).standard_normal((len(sync.layers[-1]),) * 2)
-        seed, theta_pad = half + half.T, np.append(theta, 0.0)
-        counter = AllocationCounter()
-        tracemalloc.start()
-        try:
-            _reduced_backward(plan, theta_pad, state, seed, counter)
-            traced = tracemalloc.get_traced_memory()[1] / 8
-        finally:
-            tracemalloc.stop()
-        traced += theta_pad.size  # made before tracing started; the counter counts it as held
-        assert abs(counter.peak - traced) <= 0.05 * traced, (counter.peak, traced)
+        return sync, edge_w, half + half.T
 
-    def test_forward_counter_matches_traced_peak(self):
-        # every array the reduced forward allocates, numpy's ufunc buffer for a
-        # broadcast multiply included, in 8-byte entries
-        sync = synchronize(quiet_random_pmdag(64))
-        plan = ReducedPlan(sync)
-        theta = np.random.default_rng(0).standard_normal(len(sync.edges))
+    def test_counted_passes_give_the_same_bits(self, v32_pass_inputs):
+        sync, edge_w, seed = v32_pass_inputs
+        plain = forward_reduced(sync, edge_w)
+        counter = AllocationCounter()
+        counted = forward_reduced(sync, edge_w, counter=counter)
+        assert counted.buf.tobytes() == plain.buf.tobytes()
+        # the returned table stays counted as live; the gathers made on the way are released
+        assert counted.buf.size <= counter.current < counter.peak
+        grads = [backward_reduced(sync, edge_w, state, seed, **kw)
+                 for state, kw in ((counted, {"counter": counter}), (plain, {}))]
+        assert grads[0].keys() == grads[1].keys()
+        assert np.array(list(grads[0].values())).tobytes() == np.array(list(grads[1].values())).tobytes()
+
+    def test_counted_pass_leaves_an_enclosing_trace_running(self, v32_pass_inputs):
+        sync, edge_w, _seed = v32_pass_inputs
         counter = AllocationCounter()
         tracemalloc.start()
         try:
-            _reduced_forward(plan, theta, counter)
-            traced = tracemalloc.get_traced_memory()[1] / 8
+            forward_reduced(sync, edge_w, counter=counter)
+            assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
-        traced += theta.size  # made before tracing started; the counter counts it as held
-        assert abs(counter.peak - traced) <= 0.05 * traced, (counter.peak, traced)
+        assert counter.peak > 0
+        forward_reduced(sync, edge_w, counter=AllocationCounter())
+        assert not tracemalloc.is_tracing()  # a trace the call started is stopped again
+
+    def test_reduced_fit_never_traces(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the fit started tracemalloc")
+
+        monkeypatch.setattr(tracemalloc, "start", refuse)
+        g = canonical("napkin")
+        _, target = ground_truth(g, seed=3)
+        _, report = fit(g, target, FitConfig(method="reduced", max_iters=5, restarts=2))
+        assert report.iterations == 5
