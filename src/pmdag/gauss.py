@@ -367,8 +367,8 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
         raise GaussError("dimension mismatch")
     n = p.cov.dim
     work = _WORKSPACES.by_size[n]
-    try:
-        logdet_q = work.factor(q.cov.data, "matrix")
+    try:  # q.cov is a CovMatrix, whose constructor checked every entry
+        logdet_q = work.factor_first(q.cov.data, "matrix")
     except NotPositiveDefinite as exc:
         raise SingularQ(str(exc)) from None
     sign_p, logdet_p = np.linalg.slogdet(p.cov.data)

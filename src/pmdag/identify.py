@@ -12,6 +12,7 @@ confidence without proving it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -163,8 +164,9 @@ def identify(
     check_ints(IdentifyError, iters=iters)
     if iters < 1:
         raise IdentifyError("iters must be at least 1")
-    if not (math.isfinite(tol_id) and tol_id >= 0):
-        raise IdentifyError("tol_id must be finite and nonnegative")
+    real = isinstance(tol_id, numbers.Real) and not isinstance(tol_id, bool)
+    if not (real and math.isfinite(tol_id) and tol_id >= 0):
+        raise IdentifyError(f"tol_id must be a number, finite and nonnegative, got {tol_id!r}")
     _check_query_nodes(g, query)
     if fn_config is None:
         fn_config = FitConfig()

@@ -89,15 +89,6 @@ def init_weights(sync: Synchronization, masks: MaskSet, seed: int) -> list[np.nd
     return masks.stack(init_theta(masks, seed))
 
 
-def _check_shapes(sync: Synchronization, weights) -> None:
-    if len(weights) != sync.depth - 1:
-        raise ShapeMismatch(f"expected {sync.depth - 1} weight matrices, got {len(weights)}")
-    for l in range(1, sync.depth):
-        want = (len(sync.layers[l - 1]), len(sync.layers[l]))
-        if weights[l - 1].shape != want:
-            raise ShapeMismatch(f"layer {l} weight shape {weights[l - 1].shape} != {want}")
-
-
 def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
     dsigma = np.asarray(dsigma, dtype=float)
     n = len(sync.layers[-1])
@@ -111,12 +102,12 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 
 # --- layered forward / backward -------------------------------------------
 #
-# Each public kernel checks its arguments and then runs its pass.  A bound
-# engine runs the passes alone: its weights are views into one buffer, so
-# their shapes cannot change, and the seed the loss kernel returns is
-# symmetric, placed by the binding into a matrix of the last layer's size.
-# Both hand a pass one (W_l, W_l^T, Lambda_l, out_l) tuple per layer
-# (``_layers``); a bound engine builds its tuples once, at bind time.
+# The covariance and accumulation engines' passes, which only a bound engine
+# runs (``_bind_layered``), so they check nothing: its weights are views into
+# one buffer, so their shapes cannot change, and the seed the loss kernel
+# returns is symmetric, placed by the binding into a matrix of the last
+# layer's size.  A pass takes one (W_l, W_l^T, Lambda_l, out_l) tuple per
+# layer (``_layers``), built once, at bind time.
 #
 # The passes multiply with ``_dot``, the C function behind ``np.dot``
 # (``np.dot._implementation``).  On 2-D operands it makes the same BLAS call
@@ -148,7 +139,10 @@ def _cov_forward(eye, layers):
 
 
 def _cov_backward(layers, _ctx, g) -> None:
-    """Write Lambda_l G_l, the unmasked half-gradient of layer l, into each layer's out."""
+    """Write Lambda_l G_l, the unmasked half-gradient of layer l, into each layer's out.
+
+    G_L is the seed ``g`` and G_{l-1} = W_l G_l W_l^T.
+    """
     for k in range(len(layers) - 1, -1, -1):
         w, wt, lam, out = layers[k]
         _dot(lam, g, out)
@@ -157,6 +151,7 @@ def _cov_backward(layers, _ctx, g) -> None:
 
 
 def _acc_forward(eye, layers):
+    """Accumulate A_l = A_{l-1} W_l from A_0 = I; return (A_L^T A_L, [A_0, ..., A_L])."""
     acc = eye
     accs = [acc]
     for w, _wt, _lam, _out in layers:
@@ -166,59 +161,16 @@ def _acc_forward(eye, layers):
 
 
 def _acc_backward(layers, accs, g) -> None:
-    """Write A_{l-1}^T Omega_l, the unmasked half-gradient of layer l, into each layer's out."""
+    """Write A_{l-1}^T Omega_l, the unmasked half-gradient of layer l, into each layer's out.
+
+    Omega_L = A_L G for the seed G, and Omega_{l-1} = Omega_l W_l^T.
+    """
     omega = _dot(accs[-1], g)
     for k in range(len(layers) - 1, -1, -1):
         _w, wt, _lam, out = layers[k]
         _dot(accs[k].T, omega, out)
         if k:
             omega = _dot(omega, wt)
-
-
-def _masked_grads(masks: MaskSet, weights, lams, backward, ctx, g) -> list[np.ndarray]:
-    """The gradient stack 2 M_l o (pass output) of a layered backward pass."""
-    out = [np.empty(w.shape) for w in weights]
-    backward(_layers(weights, lams, out), ctx, g)
-    return [2.0 * mask * grad for mask, grad in zip(masks.trainable, out)]
-
-
-def forward_cov(sync: Synchronization, weights):
-    """Propagate the layer covariance: Lambda_l = Sigma_{l-1} W_l, Sigma_l = W_l^T Lambda_l.
-
-    Returns (final covariance, Lambda list, Sigma list incl. the identity at
-    layer 0).  The Sigma list is rebuilt from the Lambdas by the products the
-    pass makes, so it holds the same bits.
-    """
-    _check_shapes(sync, weights)
-    eye = np.eye(len(sync.layers[0]))
-    lams = [np.empty(w.shape) for w in weights]
-    sigma, _ = _cov_forward(eye, _layers(weights, lams))
-    return sigma, lams, [eye] + [_dot(w.T, lam) for w, lam in zip(weights, lams)]
-
-
-def forward_acc(sync: Synchronization, weights):
-    """Accumulate weight products; the final covariance is acc^T acc.
-
-    Returns (final covariance, accumulated list A_0..A_{L-1} with A_0 = I).
-    """
-    _check_shapes(sync, weights)
-    return _acc_forward(np.eye(len(sync.layers[0])), _layers(weights))
-
-
-def backward_cov(sync: Synchronization, masks: MaskSet, weights, lams, dsigma):
-    """Per-layer masked weight gradients from the covariance-gradient seed.
-
-    The seed is d(loss)/d(Sigma_final) treated entrywise; the exact recursion
-    is dW_l = 2 M_l o (Lambda_l G_l) with G_{l-1} = W_l G_l W_l^T.
-    """
-    _check_shapes(sync, weights)
-    return _masked_grads(masks, weights, lams, _cov_backward, None, _check_seed(sync, dsigma))
-
-
-def backward_acc(sync: Synchronization, masks: MaskSet, weights, accs, dsigma):
-    """Weight gradients via the accumulated products: dW_l = 2 M_l o (A_{l-1}^T Omega_l)."""
-    _check_shapes(sync, weights)
-    return _masked_grads(masks, weights, (), _acc_backward, accs, _check_seed(sync, dsigma))
 
 
 def layered_entry_count(sync: Synchronization) -> int:
@@ -533,11 +485,6 @@ def backward_reduced(
 # --- the engine table ---------------------------------------------------------
 
 
-def edge_vector(masks: MaskSet, weights) -> np.ndarray:
-    """The trainable entries of a weight stack as one vector, read at ``masks.positions``."""
-    return np.concatenate([np.ravel(w) for w in weights] or [np.empty(0)])[masks.positions]
-
-
 @dataclass(frozen=True)
 class Engine:
     """One solver method bound to a layering, over the flat edge vector theta.
@@ -577,7 +524,7 @@ def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward, lams
     """Bind a weight-stack engine's passes to theta through one flat buffer.
 
     ``forward(eye, layers) -> (sigma, ctx)`` and ``backward(layers, ctx,
-    seed)`` are the engine's unchecked passes over the tuples of ``_layers``;
+    seed)`` are the engine's passes over the tuples of ``_layers``;
     the backward writes its unmasked gradient stack into the layers' outs.
     The weight matrices are views into a buffer that holds the constant
     pattern, its 1s written at ``masks.ones``; one fancy-index assignment
@@ -624,10 +571,11 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
 
 
 # Each entry binds a method to one fit's layering: ``ENGINES[method](sync,
-# masks) -> Engine``.  Bound engines run the unchecked passes; the public
-# kernels (``forward_cov``, ``backward_cov`` etc.) check, then run the same
-# passes.  The bound covariance forward writes Lambda into one buffer laid
-# out like the weight stack.
+# masks) -> Engine``, the one interface to the three engines, over theta.
+# The bound covariance forward writes Lambda into one buffer laid out like
+# the weight stack.  Outside a fit, ``forward_reduced`` and
+# ``backward_reduced`` run the reduced passes over an edge-weight map, so
+# that an ``AllocationCounter`` can measure them.
 ENGINES = {
     "covariance": lambda sync, masks: _bind_layered(
         sync, masks, _cov_forward, _cov_backward, masks.views(np.empty(masks.size))),
@@ -844,16 +792,6 @@ def extract_params(sync: Synchronization, theta) -> StructuralParams:
     theta = np.array(theta, dtype=float)
     return StructuralParams({n.name: theta[sl] for n, sl in zip(sync.graph.nodes, sync.slices)
                              if sl is not None})
-
-
-def weights_from_params(g: PmDag, masks: MaskSet, params: StructuralParams) -> list[np.ndarray]:
-    """Materialize the weight stack holding the given edge weights.
-
-    ``extract_params(sync, edge_vector(masks, weights))`` gives the params back.
-    """
-    params.validate_for(g)
-    edge_w = params.to_edge_dict(g)
-    return masks.stack([edge_w[g.nodes[p].name, g.nodes[c].name] for p, c, *_ in masks.edges])
 
 
 def fit(g: PmDag, target: CovMatrix, config: FitConfig | None = None,

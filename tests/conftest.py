@@ -4,13 +4,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 import pmdag
 from pmdag.generate import GenSpec, random_pmdag
-from pmdag.graph import validate
+from pmdag.graph import PmDag, validate
+from pmdag.sync import synchronize
 
 
 @pytest.fixture
@@ -66,8 +68,6 @@ def random_small_graph(rng, max_v=4):
 
 def demote_one_visible(g, rng):
     """Relabel a random visible node with children as latent (makes a non-strict graph)."""
-    from pmdag.graph import PmDag
-
     candidates = [n.name for n in g.nodes if n.is_visible and g.children(n.name)]
     if not candidates:
         return None
@@ -82,3 +82,27 @@ def random_params(g, rng):
     return StructuralParams({
         name: rng.standard_normal(len(g.parents(name))) for name in g.nonroots
     })
+
+
+def theta_from_params(sync, params):
+    """The edge vector theta holding ``params``: each node's weights written at its ``sync.slices`` run."""
+    params.validate_for(sync.graph)
+    theta = np.empty(len(sync.edges))
+    for node, sl in zip(sync.graph.nodes, sync.slices):
+        if sl is not None:
+            theta[sl] = params.weights[node.name]
+    return theta
+
+
+def add_latent_sink(g, rng):
+    """The graph with a childless latent below one of its deepest nodes, at a random place in node order.
+
+    The sink sits in the last layer, so the visible nodes no longer fill it
+    and the engines gather the visible block out of it.
+    """
+    sync = synchronize(g)
+    deepest = [g.nodes[i].name for i in sync.new[-1]]
+    parent = deepest[int(rng.integers(len(deepest)))]
+    nodes = [(n.name, n.role) for n in g.nodes]
+    nodes.insert(int(rng.integers(len(nodes) + 1)), ("sink", "latent"))
+    return PmDag(nodes, [*g.edges, (parent, "sink")])

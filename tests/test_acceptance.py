@@ -33,24 +33,21 @@ from pmdag.identify import (
     identify,
 )
 from pmdag.solver import (
+    ENGINES,
     AllocationCounter,
     FitConfig,
-    backward_acc,
-    backward_cov,
     backward_reduced,
     edge_weight_map,
     fit,
-    forward_acc,
-    forward_cov,
     forward_reduced,
     init_weights,
     joint_cov,
     layered_entry_count,
-    weights_from_params,
+    visible_positions,
 )
 from pmdag.sync import build_masks, synchronize
 
-from conftest import demote_one_visible, random_params
+from conftest import demote_one_visible, random_params, theta_from_params
 
 DO_X_ON_Y = InterventionQuery(("X",), (0.0,), ("Y",))
 
@@ -105,32 +102,25 @@ def test_criterion_1_gradient_oracle():
     for _ in range(100):
         g, params = well_conditioned_instance(rng)
         sync = synchronize(g)
-        masks = build_masks(sync)
-        weights = weights_from_params(g, masks, params)
-        vis = g.visible_names
-        last = sync.layer_names(sync.depth - 1)
-        vis_pos = [last.index(v) for v in vis]
-        n_target = len(vis)
+        engine = ENGINES["covariance"](sync, build_masks(sync))
+        theta = theta_from_params(sync, params)
+        n_target = len(g.visible_names)
         raw = rng.standard_normal((n_target + 2, n_target))
         target = raw.T @ raw / (n_target + 2) + 0.5 * np.eye(n_target)
 
-        def loss(w_stack, kind):
-            sigma, _, _ = forward_cov(sync, w_stack)
-            sv = sigma[np.ix_(vis_pos, vis_pos)]
+        def loss(t, kind):
+            sv = engine.forward(t)[0]
             return err_kl(sv, target) if kind == "kl" else log_err_bha(sv, target)
 
         for kind, grad_fn in (("kl", grad_err_kl), ("bha", grad_err_bha)):
-            sigma, lams, _ = forward_cov(sync, weights)
-            sv = sigma[np.ix_(vis_pos, vis_pos)]
-            seed = np.zeros_like(sigma)
-            seed[np.ix_(vis_pos, vis_pos)] = grad_fn(sv, target)
-            grads = backward_cov(sync, masks, weights, lams, seed)
+            sv, ctx = engine.forward(theta)
+            grads = engine.backward(ctx, grad_fn(sv, target))
             h = 1e-6
-            for (_p, _c, l, r, col) in masks.edges:
-                up = [w.copy() for w in weights]; up[l - 1][r, col] += h
-                dn = [w.copy() for w in weights]; dn[l - 1][r, col] -= h
-                fd = (loss(up, kind) - loss(dn, kind)) / (2 * h)
-                an = grads[l - 1][r, col]
+            for k in range(theta.size):
+                step = np.zeros_like(theta)
+                step[k] = h
+                fd = (loss(theta + step, kind) - loss(theta - step, kind)) / (2 * h)
+                an = grads[k]
                 rel = abs(an - fd) / max(1.0, abs(an), abs(fd))
                 worst = max(worst, rel)
                 checked += 1
@@ -147,27 +137,23 @@ def test_criterion_2_method_equivalence():
         g, params = well_conditioned_instance(rng)
         sync = synchronize(g)
         masks = build_masks(sync)
-        weights = weights_from_params(g, masks, params)
-        s_cov, lams, _ = forward_cov(sync, weights)
-        s_acc, accs = forward_acc(sync, weights)
-        edge_w = edge_weight_map(masks, weights)
-        state = forward_reduced(sync, edge_w)
-        last = sync.layers[-1]
-        s_red = np.array([[state.sig(p, q) for q in last] for p in last])
+        theta = theta_from_params(sync, params)
+        engines = {method: bind(sync, masks) for method, bind in ENGINES.items()}
+        forwards = {method: engine.forward(theta) for method, engine in engines.items()}
+        s_cov = forwards["covariance"][0]
         worst_sigma = max(worst_sigma,
-                          float(np.abs(s_acc - s_cov).max()),
-                          float(np.abs(s_red - s_cov).max()))
+                          float(np.abs(forwards["accumulation"][0] - s_cov).max()),
+                          float(np.abs(forwards["reduced"][0] - s_cov).max()))
 
-        n = len(last)
+        n = len(sync.layers[-1])
         raw = rng.standard_normal((n, n))
-        seed = (raw + raw.T) / 2
-        g_cov = backward_cov(sync, masks, weights, lams, seed)
-        g_acc = backward_acc(sync, masks, weights, accs, seed)
-        g_red = backward_reduced(sync, edge_w, state, seed)
-        for (p, c, l, r, col) in masks.edges:
-            ref = g_cov[l - 1][r, col]
-            worst_grad = max(worst_grad, abs(g_acc[l - 1][r, col] - ref),
-                             abs(g_red[(p, c)] - ref))
+        vis = visible_positions(sync)
+        seed_vis = ((raw + raw.T) / 2)[np.ix_(vis, vis)]
+        grads = {method: engine.backward(forwards[method][1], seed_vis) for method, engine in engines.items()}
+        ref = grads["covariance"]
+        worst_grad = max(worst_grad,
+                         float(np.abs(grads["accumulation"] - ref).max(initial=0.0)),
+                         float(np.abs(grads["reduced"] - ref).max(initial=0.0)))
     assert worst_sigma <= 1e-10
     assert worst_grad <= 1e-10
     report("2", f"100 instances, max covariance diff {worst_sigma:.2e}, "

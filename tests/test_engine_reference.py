@@ -1,12 +1,14 @@
-"""The bound engines against the checked paths they replaced, and the SGD step against its definition.
+"""The bound reduced engine against its measured entry points, and the SGD step against its definition.
 
-A bound engine runs the unchecked forward and backward passes.  Its output
-must equal, bit for bit, the public checked kernel followed by the
-extraction the engines used before: the visible block taken by fancy index,
-the seed embedded in a zero last-layer matrix, and the masked gradient stack
-concatenated and read at the trainable positions.  Graphs with a latent sink
-in the last layer make the visible block a proper sub-block, so both the
-identity and the gather branch of the visible block run.
+The bound reduced engine runs its passes over theta with the index plan it
+built at bind time.  Its output must equal, bit for bit, ``forward_reduced``
+and ``backward_reduced`` over the edge-weight map, which build their own
+plan, with the visible block gathered by fancy index and the seed embedded
+in a zero last-layer matrix.  Graphs with a latent sink in the last layer
+make the visible block a proper sub-block, so both the identity and the
+gather branch of the visible block run.  The layered engines meet their
+oracles in ``tests/test_kernels.py``: the closed-form Jacobian, central
+differences, and ``_dot``'s bits.
 
 The Adamax step's bitwise reference is
 ``tests/test_solver.py::TestOptimizeStep::test_adamax_matches_the_two_where_formula``.
@@ -16,67 +18,37 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmdag.graph import PmDag
 from pmdag.solver import (
     ENGINES,
     SgdState,
-    backward_acc,
-    backward_cov,
     backward_reduced,
-    edge_vector,
     edge_weight_map,
-    forward_acc,
-    forward_cov,
     forward_reduced,
+    init_theta,
     init_weights,
     optimize_step,
     visible_positions,
 )
 from pmdag.sync import build_masks, synchronize
 
-from conftest import demote_one_visible, pmdags
+from conftest import add_latent_sink, demote_one_visible, pmdags
 
 
 def bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def add_latent_sink(g, rng):
-    """The graph with a childless latent below one of its deepest nodes, at a random place in node order."""
-    sync = synchronize(g)
-    deepest = [g.nodes[i].name for i in sync.new[-1]]
-    parent = deepest[int(rng.integers(len(deepest)))]
-    nodes = [(n.name, n.role) for n in g.nodes]
-    nodes.insert(int(rng.integers(len(nodes) + 1)), ("sink", "latent"))
-    return PmDag(nodes, [*g.edges, (parent, "sink")])
-
-
-def old_positions(masks, weights):
-    """Trainable positions in the concatenated flattened weight stack, ordered like ``masks.edges``."""
-    offsets = np.cumsum([0] + [w.size for w in weights])
-    return np.array([offsets[l - 1] + r * weights[l - 1].shape[1] + col
-                     for (_p, _c, l, r, col) in masks.edges], dtype=np.intp)
-
-
-def checked(method, sync, masks, weights, seed_vis):
-    """(visible covariance, theta gradient) through the public kernels and the old extraction."""
+def checked(sync, masks, weights, seed_vis):
+    """(visible covariance, theta gradient) through ``forward_reduced`` and ``backward_reduced``."""
     vis = visible_positions(sync)
     ix = np.ix_(vis, vis)
     n = len(sync.layers[-1])
     seed = np.zeros((n, n))
     seed[ix] = seed_vis
-    if method == "reduced":
-        edge_w = edge_weight_map(masks, weights)
-        state = forward_reduced(sync, edge_w)
-        grads = backward_reduced(sync, edge_w, state, seed)
-        return state.visible_cov(), np.fromiter(grads.values(), float, len(grads))
-    if method == "covariance":
-        sigma, ctx, _sigmas = forward_cov(sync, weights)
-        grads = backward_cov(sync, masks, weights, ctx, seed)
-    else:
-        sigma, ctx = forward_acc(sync, weights)
-        grads = backward_acc(sync, masks, weights, ctx, seed)
-    return sigma[ix], np.concatenate([grad.ravel() for grad in grads])[old_positions(masks, weights)]
+    edge_w = edge_weight_map(masks, weights)
+    state = forward_reduced(sync, edge_w)
+    grads = backward_reduced(sync, edge_w, state, seed)
+    return state.visible_cov(), np.fromiter(grads.values(), float, len(grads))
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,8 +61,7 @@ def test_bound_engines_match_the_checked_kernels_bitwise(g, seed, variant):
         g = add_latent_sink(g, rng)
     sync = synchronize(g)
     masks = build_masks(sync)
-    weights = init_weights(sync, masks, seed)
-    theta = edge_vector(masks, weights)
+    theta = init_theta(masks, seed)
     k = len(g.visible_names)
     raw = rng.standard_normal((k, k))
     raw[rng.random((k, k)) < 0.3] = 0.0
@@ -98,13 +69,12 @@ def test_bound_engines_match_the_checked_kernels_bitwise(g, seed, variant):
     is_identity = visible_positions(sync) == list(range(len(sync.layers[-1])))
     assert is_identity == (variant != "latent sink")
 
-    for method, bind in ENGINES.items():
-        engine = bind(sync, masks)
-        sigma_vis, ctx = engine.forward(theta)
-        dtheta = engine.backward(ctx, seed_vis)
-        want_sigma, want_grad = checked(method, sync, masks, weights, seed_vis)
-        assert bits(sigma_vis) == bits(want_sigma), method
-        assert bits(dtheta) == bits(want_grad), method
+    engine = ENGINES["reduced"](sync, masks)
+    sigma_vis, ctx = engine.forward(theta)
+    dtheta = engine.backward(ctx, seed_vis)
+    want_sigma, want_grad = checked(sync, masks, init_weights(sync, masks, seed), seed_vis)
+    assert bits(sigma_vis) == bits(want_sigma)
+    assert bits(dtheta) == bits(want_grad)
 
 
 def gradients(rng, size, steps):

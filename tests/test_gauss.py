@@ -111,6 +111,23 @@ class TestKlGaussian:
         with pytest.raises(SingularQ):
             kl_gaussian(p, q)
 
+    def test_covariance_entries_not_checked_again(self, monkeypatch):
+        # each CovMatrix checked its entries when it was built; only the mean difference is checked
+        p = GaussianDist(np.array([1.0, 0.0]), CovMatrix(("a", "b"), np.diag([2.0, 1.0])))
+        q = GaussianDist(np.zeros(2), CovMatrix(("a", "b"), np.eye(2)))
+        checked = []
+        isfinite = np.isfinite
+
+        def counted_isfinite(x, *args, **kwargs):
+            checked.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted_isfinite)
+        kl = kl_gaussian(p, q)
+        monkeypatch.undo()
+        assert checked == [(2,)]
+        assert kl == pytest.approx(0.5 * (1.0 - math.log(2.0)) + 0.5)
+
 
 class TestErrKl:
     def test_identity_pair(self):

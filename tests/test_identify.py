@@ -288,9 +288,11 @@ class TestIdentify:
         assert not calls  # rejected before any fit runs
 
     @pytest.mark.parametrize("name", ["tol_id"])
-    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, pytest.param(True, id="bool"),
+                                       pytest.param("0.01", id="str")])
     def test_void_tolerance_rejected(self, name, value):
-        # a NaN tol_id never refutes, a negative one refutes every fit
+        # a NaN tol_id never refutes, a negative one refutes every fit, True would run as 1.0,
+        # and a string would escape as a bare TypeError
         g = canonical("bow")
         _, target = ground_truth(g, seed=5)
         calls = []

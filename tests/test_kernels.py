@@ -23,17 +23,13 @@ from pmdag.solver import (
     LOSSES,
     METHODS,
     _dot,
-    backward_cov,
-    edge_vector,
-    forward_cov,
     joint_cov,
     root_loadings,
     visible_positions,
-    weights_from_params,
 )
 from pmdag.sync import build_masks, synchronize
 
-from conftest import PROPERTY, pmdags, random_params
+from conftest import PROPERTY, add_latent_sink, demote_one_visible, pmdags, random_params, theta_from_params
 
 
 @st.composite
@@ -87,28 +83,25 @@ def test_interventional_dist_matches_mutilated_system(case, data):
 
 
 def engine_case(g, rng):
-    """Synchronization, masks, weight stack and edge vector theta at random weights."""
+    """Params, synchronization, masks and the edge vector theta holding the params, at random weights."""
     params = random_params(g, rng)
     sync = synchronize(g)
     masks = build_masks(sync)
-    weights = weights_from_params(g, masks, params)
-    return params, sync, masks, weights, edge_vector(masks, weights)
+    return params, sync, masks, theta_from_params(sync, params)
 
 
 @PROPERTY
 @given(graph_and_rng())
 def test_every_engine_matches_joint_cov_and_backward_cov(case):
+    """Forward against the path-sum covariance; backward against the covariance engine's."""
     g, rng = case
-    params, sync, masks, weights, theta = engine_case(g, rng)
+    params, sync, masks, theta = engine_case(g, rng)
     vis = visible_positions(sync)
-    n_last = len(sync.layers[-1])
     half = rng.standard_normal((len(vis), len(vis)))
     seed_vis = half + half.T
-    seed = np.zeros((n_last, n_last))
-    seed[np.ix_(vis, vis)] = seed_vis
     expected_cov = joint_cov(g, params).restrict(g.visible_names).data
-    _sigma, lams, _ = forward_cov(sync, weights)
-    expected_grad = edge_vector(masks, backward_cov(sync, masks, weights, lams, seed))
+    cov_engine = ENGINES["covariance"](sync, masks)
+    expected_grad = cov_engine.backward(cov_engine.forward(theta)[1], seed_vis)
 
     assert METHODS == tuple(ENGINES)
     for method, bind in ENGINES.items():
@@ -127,7 +120,7 @@ def test_every_engine_matches_joint_cov_and_backward_cov(case):
 def test_every_engine_gradient_matches_finite_differences(case, loss):
     """d(theta) of each bound engine against central differences of the fit's loss kernel."""
     g, rng = case
-    _params, sync, masks, _weights, theta = engine_case(g, rng)
+    _params, sync, masks, theta = engine_case(g, rng)
     k = len(g.visible_names)
     a = rng.standard_normal((k, k))
     target = a @ a.T + k * np.eye(k)
@@ -180,11 +173,21 @@ def assert_close_rel(actual, expected, what, rtol=1e-12):
 
 
 @PROPERTY
-@given(graph_and_rng())
-def test_every_engine_matches_closed_form_jacobian(case):
-    """Forward against Sigma_vis and backward against J^T seed: no engine and no differences in the oracle."""
+@given(graph_and_rng(), st.sampled_from(["as drawn", "demoted", "latent sink"]))
+def test_every_engine_matches_closed_form_jacobian(case, variant):
+    """Forward against Sigma_vis and backward against J^T seed: no engine and no differences in the oracle.
+
+    A latent sink in the last layer makes the visible block a proper
+    sub-block of it, so each engine's gather of that block meets the oracle.
+    """
     g, rng = case
-    _params, sync, masks, _weights, theta = engine_case(g, rng)
+    if variant == "demoted":
+        g = (demote_one_visible(g, rng) or (g,))[0]
+    elif variant == "latent sink":
+        g = add_latent_sink(g, rng)
+    _params, sync, masks, theta = engine_case(g, rng)
+    is_identity = visible_positions(sync) == list(range(len(sync.layers[-1])))
+    assert is_identity == (variant != "latent sink")
     sigma_vis, jac = visible_jacobian(g, masks, theta)
     half = rng.standard_normal(sigma_vis.shape)
     seed_vis = half + half.T
