@@ -94,6 +94,18 @@ def theta_from_params(sync, params):
     return theta
 
 
+GRAPH_VARIANTS = ("as drawn", "demoted", "latent sink")
+
+
+def graph_variant(g, rng, variant):
+    """``g`` as drawn, with one visible demoted to latent (when one has children), or with a latent sink."""
+    if variant == "demoted":
+        return (demote_one_visible(g, rng) or (g,))[0]
+    if variant == "latent sink":
+        return add_latent_sink(g, rng)
+    return g
+
+
 def add_latent_sink(g, rng):
     """The graph with a childless latent below one of its deepest nodes, at a random place in node order.
 

@@ -31,7 +31,7 @@ from pmdag.solver import (
 )
 from pmdag.sync import build_masks, synchronize
 
-from conftest import add_latent_sink, demote_one_visible, pmdags
+from conftest import GRAPH_VARIANTS, graph_variant, pmdags
 
 
 def bits(a):
@@ -52,13 +52,10 @@ def checked(sync, masks, weights, seed_vis):
 
 
 @settings(max_examples=60, deadline=None)
-@given(pmdags(max_v=7), st.integers(0, 2**32 - 1), st.sampled_from(["as drawn", "demoted", "latent sink"]))
+@given(pmdags(max_v=7), st.integers(0, 2**32 - 1), st.sampled_from(GRAPH_VARIANTS))
 def test_bound_engines_match_the_checked_kernels_bitwise(g, seed, variant):
     rng = np.random.default_rng(seed)
-    if variant == "demoted":
-        g = (demote_one_visible(g, rng) or (g,))[0]
-    elif variant == "latent sink":
-        g = add_latent_sink(g, rng)
+    g = graph_variant(g, rng, variant)
     sync = synchronize(g)
     masks = build_masks(sync)
     theta = init_theta(masks, seed)

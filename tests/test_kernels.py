@@ -29,7 +29,7 @@ from pmdag.solver import (
 )
 from pmdag.sync import build_masks, synchronize
 
-from conftest import PROPERTY, add_latent_sink, demote_one_visible, pmdags, random_params, theta_from_params
+from conftest import GRAPH_VARIANTS, PROPERTY, graph_variant, pmdags, random_params, theta_from_params
 
 
 @st.composite
@@ -173,7 +173,7 @@ def assert_close_rel(actual, expected, what, rtol=1e-12):
 
 
 @PROPERTY
-@given(graph_and_rng(), st.sampled_from(["as drawn", "demoted", "latent sink"]))
+@given(graph_and_rng(), st.sampled_from(GRAPH_VARIANTS))
 def test_every_engine_matches_closed_form_jacobian(case, variant):
     """Forward against Sigma_vis and backward against J^T seed: no engine and no differences in the oracle.
 
@@ -181,10 +181,7 @@ def test_every_engine_matches_closed_form_jacobian(case, variant):
     sub-block of it, so each engine's gather of that block meets the oracle.
     """
     g, rng = case
-    if variant == "demoted":
-        g = (demote_one_visible(g, rng) or (g,))[0]
-    elif variant == "latent sink":
-        g = add_latent_sink(g, rng)
+    g = graph_variant(g, rng, variant)
     _params, sync, masks, theta = engine_case(g, rng)
     is_identity = visible_positions(sync) == list(range(len(sync.layers[-1])))
     assert is_identity == (variant != "latent sink")
