@@ -14,6 +14,7 @@ import numpy as np
 
 from pmdag.gauss import write_csv
 from pmdag.generate import GenSpec, random_pmdag
+from pmdag.graph import check_ints
 from pmdag.solver import ENGINES, init_theta
 from pmdag.sync import build_masks, synchronize
 
@@ -29,11 +30,7 @@ class BenchRow:
 
 
 def _time_phases(method, sync, masks, theta):
-    try:
-        bind = ENGINES[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    engine = bind(sync, masks)
+    engine = ENGINES[method](sync, masks)
     seed = np.eye(len(sync.graph.visible_names))
     t0 = time.perf_counter()
     _sigma, ctx = engine.forward(theta)
@@ -51,10 +48,17 @@ def bench(
     repetitions: int = 5,
     seed: int = 0,
 ) -> list[BenchRow]:
-    """Mean forward/backward seconds per method over freshly drawn random graphs."""
+    """Mean forward/backward seconds per method over freshly drawn random graphs.
+
+    A method named twice is timed once, in the order first named.
+    """
+    check_ints(ValueError, repetitions=repetitions, seed=seed)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    methods = tuple(methods)
+    methods = tuple(dict.fromkeys(methods))
+    for m in methods:
+        if m not in ENGINES:
+            raise ValueError(f"unknown method {m!r}")
     rows = []
     for v in v_values:
         for l_star in l_stars:

@@ -124,9 +124,12 @@ class NonFiniteEntries(GaussError):
     pass
 
 
-def _require_finite(data: np.ndarray) -> None:
-    if not np.isfinite(data).all():
-        raise NonFiniteEntries("matrix has non-finite entries")
+def _require_finite(data: np.ndarray, what: str) -> None:
+    """Raise NonFiniteEntries, naming the data ``what``, unless every entry of ``data`` is finite."""
+    # the ufunc reduction behind .all(), called without its Python-level
+    # wrapper: the same result, a little cheaper per call
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
+        raise NonFiniteEntries(f"{what} has non-finite entries")
 
 
 class CovMatrix:
@@ -145,7 +148,7 @@ class CovMatrix:
             raise GaussError(f"matrix shape {data.shape} does not match {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise GaussError("labels must be unique")
-        _require_finite(data)
+        _require_finite(data, "matrix")
         scale = max(1.0, float(np.abs(data).max())) if data.size else 1.0
         if data.size and float(np.abs(data - data.T).max()) > 1e-12 * scale:
             raise GaussError("matrix is not symmetric")
@@ -290,17 +293,13 @@ class _Workspace:
                 for nrhs in (n, 1))
 
     def factor(self, matrix, what: str) -> float:
-        """``factor_first`` with every entry checked first, whether or not the factorization fails."""
-        self.check(matrix, what)
-        return self.factor_first(matrix, what)
-
-    def factor_first(self, matrix, what: str) -> float:
         """Lower Cholesky factor of ``matrix`` into ``lower``; returns the log-determinant.
 
         Jitter on the diagonal starts at 1e-12 * trace/n and grows tenfold up
         to 1e-6 * trace/n before giving up; sample covariances are routinely
         semidefinite at round-off scale.  The entries are checked only before
-        the jitter or after a non-finite log-determinant.  Raises
+        the jitter or after a non-finite log-determinant; a caller whose
+        matrix was not checked before runs ``check`` first.  Raises
         NonFiniteEntries, then NotPositiveDefinite, naming the matrix ``what``.
         """
         self.lower[...] = matrix
@@ -324,10 +323,7 @@ class _Workspace:
         """Raise GaussError unless ``matrix`` is n x n, then NonFiniteEntries unless every entry is finite."""
         if matrix.shape != self.lower.shape:
             raise GaussError(f"{what} of shape {matrix.shape} is not square")
-        # the ufunc reduction behind .all(), called without its Python-level
-        # wrapper: the same result, a little cheaper per call
-        if not np.logical_and.reduce(np.isfinite(matrix), axis=None):
-            raise NonFiniteEntries(f"{what} has non-finite entries")
+        _require_finite(matrix, what)
 
     def logdet(self) -> float:
         """The log-determinant of the matrix whose factor ``lower`` holds."""
@@ -362,60 +358,64 @@ _WORKSPACES = _ThreadWorkspaces()
 
 
 def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
-    """KL divergence of p from q in closed form; +inf when p is singular."""
-    if p.cov.dim != q.cov.dim:
-        raise GaussError("dimension mismatch")
+    """KL divergence of p from q in closed form; +inf when p is singular, LabelMismatch unless the labels agree."""
+    if p.cov.labels != q.cov.labels:
+        raise LabelMismatch(f"labels {p.cov.labels} and {q.cov.labels} differ")
     n = p.cov.dim
     work = _WORKSPACES.by_size[n]
     try:  # q.cov is a CovMatrix, whose constructor checked every entry
-        logdet_q = work.factor_first(q.cov.data, "matrix")
+        logdet_q = work.factor(q.cov.data, "matrix")
     except NotPositiveDefinite as exc:
         raise SingularQ(str(exc)) from None
     sign_p, logdet_p = np.linalg.slogdet(p.cov.data)
     if sign_p <= 0:
         return math.inf
     diff = q.mean - p.mean
-    _require_finite(diff)
+    _require_finite(diff, "matrix")
     trace = float(np.trace(work.solve(p.cov.data)))
     maha = float(diff @ work.solve(diff))
     return 0.5 * (trace + maha - n + logdet_q - logdet_p)
 
 
 def target_terms(target: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of the target, the fixed inputs of ``loss_kernel``."""
+    """Inverse and log-determinant of the target, after checking its shape and entries."""
     work = _WORKSPACES.by_size[target.shape[0]]
+    work.check(target, "target covariance")
     logdet = work.factor(target, "target covariance")
     return work.solve(work.eye).copy(order="F"), logdet
 
 
-def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray,
-                target_inv: np.ndarray, target_logdet: float):
+def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray):
     """Surrogate loss, covariance-gradient seed, and KL(model || target) from one factorization.
 
-    ``loss="kl"`` is tr(target^-1 sigma) - ln|sigma| with seed
-    target^-1 - sigma^-1; ``loss="bha"`` is log_err_bha with seed
-    (sigma + target)^-1 - sigma^-1 / 2.  The seed is symmetrized; it is the
-    entrywise derivative of the loss in sigma.  Raises NotPositiveDefinite
-    or NonFiniteEntries naming the matrix that could not be factored.
+    ``loss="kl"`` is the divergence surrogate tr(target^-1 sigma) - ln|sigma|,
+    with seed target^-1 - sigma^-1.  ``loss="bha"`` is the log of the
+    Bhattacharyya-style surrogate, ln((1/2)^n |sigma + target| / |sigma|^(1/2)),
+    with seed (sigma + target)^-1 - sigma^-1 / 2: the unlogged surrogate's
+    gradient up to the positive factor of the surrogate itself, which the
+    learning rate absorbs.  The seed is symmetrized; it is the entrywise
+    derivative of the loss in sigma.  Checks sigma, then the target through
+    ``target_terms``, and raises GaussError, NonFiniteEntries or
+    NotPositiveDefinite naming the matrix at fault.
     """
     _WORKSPACES.by_size[sigma.shape[0]].check(sigma, "model covariance")
-    return loss_kernel_into(loss, sigma, target, target_inv, target_logdet, np.empty(sigma.shape))
+    return loss_kernel_into(loss, sigma, target, *target_terms(target), np.empty(sigma.shape))
 
 
 def loss_kernel_into(loss: str, sigma: np.ndarray, target: np.ndarray,
                      target_inv: np.ndarray, target_logdet: float, seed: np.ndarray):
-    """``loss_kernel`` without its boundary check: the seed is written into ``seed``, n x n.
+    """``loss_kernel``'s unchecked body, over ``target_terms(target)``: the seed is written into ``seed``, n x n.
 
     A fit calls it every iteration with one seed buffer.  It finds a
     non-finite ``sigma`` from values it computes anyway, as NonFiniteEntries:
-    both factorizations run ``_Workspace.factor_first``, and after one of
+    both factorizations run ``_Workspace.factor``, and after one of
     sigma succeeds, a non-finite entry makes tr(target^-1 sigma) non-finite
     (target^-1 is finite), which runs the entry check; a finite sigma whose
     trace overflows passes it.  Numpy may warn first; the fit uses ``np.errstate``.
     """
     n = sigma.shape[0]
     work = _WORKSPACES.by_size[n]
-    logdet_s = work.factor_first(sigma, "model covariance")
+    logdet_s = work.factor(sigma, "model covariance")
     trace = float(np.add.reduce(target_inv * sigma, axis=None))
     if not math.isfinite(trace):
         work.check(sigma, "model covariance")
@@ -426,39 +426,11 @@ def loss_kernel_into(loss: str, sigma: np.ndarray, target: np.ndarray,
         diff = np.subtract(target_inv, sigma_inv, out=sigma_inv)
     else:
         half_inv = np.multiply(sigma_inv, 0.5, out=seed)  # read before the next solve overwrites sigma_inv
-        logdet_sum = work.factor_first(sigma + target, "model plus target covariance")
+        logdet_sum = work.factor(sigma + target, "model plus target covariance")
         err = n * math.log(0.5) + logdet_sum - 0.5 * logdet_s
         diff = np.subtract(work.solve(work.eye), half_inv, out=work.solution)
     np.add(diff, diff.T, out=seed)
     return err, np.divide(seed, 2.0, out=seed), kl_mt
-
-
-def _kernel(loss, sigma, target):
-    return loss_kernel(loss, sigma, target, *target_terms(target))
-
-
-def err_kl(sigma: np.ndarray, target: np.ndarray) -> float:
-    """tr(target^-1 sigma) - ln|sigma|: the divergence surrogate the solver minimizes."""
-    return _kernel("kl", sigma, target)[0]
-
-
-def grad_err_kl(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """target^-1 - sigma^-1, the entrywise derivative of err_kl in sigma."""
-    return _kernel("kl", sigma, target)[1]
-
-
-def log_err_bha(sigma: np.ndarray, target: np.ndarray) -> float:
-    """ln((1/2)^n |sigma + target| / |sigma|^(1/2)), the Bhattacharyya-style surrogate's log."""
-    return _kernel("bha", sigma, target)[0]
-
-
-def grad_err_bha(sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """(sigma + target)^-1 - sigma^-1 / 2: the gradient of log_err_bha in sigma.
-
-    This matches the unlogged surrogate's gradient up to the positive factor
-    of the surrogate itself, which the learning rate absorbs.
-    """
-    return _kernel("bha", sigma, target)[1]
 
 
 # --- CSV covariance format ----------------------------------------------
@@ -494,8 +466,7 @@ def load_cov_csv(path) -> CovMatrix:
         raise GaussError(f"covariance file {path} is not a numeric matrix: {exc}") from None
     if data.shape != (len(labels), len(labels)):
         raise GaussError(f"covariance file {path} is not a {len(labels)}x{len(labels)} matrix")
-    if not np.isfinite(data).all():
-        raise NonFiniteEntries(f"covariance file {path} has non-finite entries")
+    _require_finite(data, f"covariance file {path}")
     scale = max(1.0, float(np.abs(data).max()))
     if float(np.abs(data - data.T).max()) > 1e-9 * scale:
         raise GaussError(f"covariance file {path} is not symmetric within 1e-9 relative tolerance")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pmdag.gauss import CovMatrix
-from pmdag.graph import LATENT, VISIBLE, GraphError, Node, PmDag, StructuralParams, check_ints, validate
+from pmdag.graph import LATENT, VISIBLE, GraphError, Node, PmDag, StructuralParams, check_ints, is_real, validate
 from pmdag.solver import joint_cov
 
 
@@ -42,9 +42,9 @@ class GenSpec:
         check_ints(GraphError, v=self.v, seed=self.seed)
         if self.v < 1:
             raise GraphError("v must be a positive integer")
-        if not 0.0 <= self.l_star < 1.0:
+        if not (is_real(self.l_star) and 0.0 <= self.l_star < 1.0):
             raise GraphError("l_star must lie in [0, 1)")
-        if not 0.0 <= self.e_star <= 1.0:
+        if not (is_real(self.e_star) and 0.0 <= self.e_star <= 1.0):
             raise GraphError("e_star must lie in [0, 1]")
         if self.seed < 0:
             raise GraphError(f"seed must be nonnegative, got {self.seed}")
@@ -159,6 +159,7 @@ def ground_truth(g: PmDag, seed: int) -> tuple[StructuralParams, CovMatrix]:
     The covariance is exact, not sampled, so a fit's error is optimization
     error alone.
     """
+    check_ints(GraphError, seed=seed)
     if seed < 0:
         raise GraphError(f"ground-truth seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ import dataclasses
 import heapq
 import json
 import math
+import numbers
 import sys
 import typing
 from dataclasses import dataclass
@@ -315,6 +316,11 @@ def check_ints(error: type[Exception], **values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise error(f"{name} must be an integer, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """True for a real number (``numbers.Real``: Python and numpy floats and integers) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _finite_or_none(obj):

@@ -12,14 +12,13 @@ confidence without proving it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from pmdag.gauss import CovMatrix, GaussianDist, SingularQ, kl_gaussian
-from pmdag.graph import NotVisible, PmDag, StructuralParams, check_ints
+from pmdag.graph import NotVisible, PmDag, StructuralParams, check_ints, is_real
 from pmdag.solver import FitConfig, FitReport, derive_seed, fit, fit_kl, root_loadings
 
 
@@ -41,14 +40,15 @@ class InterventionQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "effects", tuple(self.effects))
         if len(self.targets) != len(self.values):
             raise IdentifyError("one value per intervention target is required")
         if not self.effects:
             raise IdentifyError("at least one effect node is required")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(is_real(v) and math.isfinite(v) for v in self.values):
             raise IdentifyError("intervention values must be finite")
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(set(self.targets)) != len(self.targets):
             raise IdentifyError("an intervention target is given more than once")
         if len(set(self.effects)) != len(self.effects):
@@ -164,8 +164,7 @@ def identify(
     check_ints(IdentifyError, iters=iters)
     if iters < 1:
         raise IdentifyError("iters must be at least 1")
-    real = isinstance(tol_id, numbers.Real) and not isinstance(tol_id, bool)
-    if not (real and math.isfinite(tol_id) and tol_id >= 0):
+    if not (is_real(tol_id) and math.isfinite(tol_id) and tol_id >= 0):
         raise IdentifyError(f"tol_id must be a number, finite and nonnegative, got {tol_id!r}")
     _check_query_nodes(g, query)
     if fn_config is None:

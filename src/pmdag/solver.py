@@ -33,7 +33,7 @@ from pmdag.gauss import (
     target_terms,
     write_csv,
 )
-from pmdag.graph import GraphError, PmDag, StructuralParams, check_ints
+from pmdag.graph import GraphError, PmDag, StructuralParams, check_ints, is_real
 from pmdag.sync import MaskSet, Synchronization, build_masks, synchronize
 
 LOSSES = ("kl", "bha")
@@ -750,17 +750,17 @@ class FitConfig:
             raise SolverError(f"method must be one of {METHODS}")
         if self.optimizer not in OPTIMIZERS:
             raise SolverError(f"optimizer must be one of {OPTIMIZERS}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
             raise SolverError("learning rate must be positive and finite")
         if self.max_iters < 1:
             raise SolverError("max_iters must be at least 1")
-        if not (math.isfinite(self.min_improvement) and self.min_improvement >= 0):
+        if not (is_real(self.min_improvement) and math.isfinite(self.min_improvement) and self.min_improvement >= 0):
             raise SolverError("min_improvement must be nonnegative and finite")
         if self.seed < 0:
             raise SolverError(f"seed must be nonnegative, got {self.seed}")
         if self.restarts < 1:
             raise SolverError("restarts must be at least 1")
-        if not (math.isfinite(self.kl_tol) and self.kl_tol >= 0):
+        if not (is_real(self.kl_tol) and math.isfinite(self.kl_tol) and self.kl_tol >= 0):
             raise SolverError("kl_tol must be nonnegative and finite")
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pmdag
+from pmdag import bench as bench_mod
 from pmdag.bench import bench
 from pmdag.cli import _cmd_experiment, _fit_config, _parse_do, build_parser, main
 from pmdag.experiment import SpecError
@@ -424,6 +425,24 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "v,l_star,e_star,method,phase,mean_seconds"
         assert len(lines) == 1 + 4  # two methods x two phases
+
+    def test_repeated_method_timed_once(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--v", "8", "--lstar", "0.5", "--estar", "0.5",
+                     "--methods", "cov,covariance", "--reps", "1", "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3:5] for row in rows] == [["covariance", "forward"], ["covariance", "backward"]]
+
+    @pytest.mark.parametrize("kwargs", [{"methods": ("covariance", "foo")}, {"repetitions": True},
+                                        {"repetitions": 1.0}],
+                             ids=["unknown_second_method", "bool_repetitions", "float_repetitions"])
+    def test_bad_arguments_rejected_before_any_graph(self, kwargs, monkeypatch):
+        def no_graph(_spec):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(bench_mod, "random_pmdag", no_graph)
+        with pytest.raises(ValueError, match="unknown method 'foo'|must be an integer"):
+            bench([8], [0.5], [0.5], **kwargs)
 
     def test_zero_reps_exits_1(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

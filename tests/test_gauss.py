@@ -13,9 +13,6 @@ from pmdag.gauss import (
     NonFiniteEntries,
     NotPositiveDefinite,
     SingularQ,
-    err_kl,
-    grad_err_bha,
-    grad_err_kl,
     kl_gaussian,
     load_cov_csv,
     loss_kernel,
@@ -105,6 +102,15 @@ class TestKlGaussian:
         q = GaussianDist(np.zeros(2), CovMatrix(("a", "b"), np.eye(2)))
         assert kl_gaussian(p, q) == math.inf
 
+    def test_labels_must_agree_in_order(self):
+        # the same law with its labels reordered: compared entry by entry it would read 0.2857
+        p = GaussianDist(np.zeros(2), CovMatrix(("X", "Y"), [[1.0, 0.5], [0.5, 2.0]]))
+        q = GaussianDist(np.zeros(2), CovMatrix(("Y", "X"), [[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(LabelMismatch):
+            kl_gaussian(p, q)
+        with pytest.raises(LabelMismatch):
+            kl_gaussian(p, GaussianDist(np.zeros(1), CovMatrix(("X",), [[1.0]])))
+
     def test_singular_q_raises(self):
         p = GaussianDist(np.zeros(2), CovMatrix(("a", "b"), np.eye(2)))
         q = GaussianDist(np.zeros(2), CovMatrix(("a", "b"), np.zeros((2, 2))))
@@ -131,17 +137,17 @@ class TestKlGaussian:
 
 class TestErrKl:
     def test_identity_pair(self):
-        assert err_kl(np.eye(3), np.eye(3)) == pytest.approx(3.0)
+        assert loss_kernel("kl", np.eye(3), np.eye(3))[0] == pytest.approx(3.0)
 
     def test_diagonal_example(self):
-        assert err_kl(np.diag([2.0, 1.0]), np.eye(2)) == pytest.approx(3.0 - math.log(2.0))
+        assert loss_kernel("kl", np.diag([2.0, 1.0]), np.eye(2))[0] == pytest.approx(3.0 - math.log(2.0))
 
     def test_relation_to_kl(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(2, 5))
             sigma, target = random_spd(rng, n), random_spd(rng, n)
-            lhs = err_kl(sigma, target) - err_kl(target, target)
+            lhs = loss_kernel("kl", sigma, target)[0] - loss_kernel("kl", target, target)[0]
             zero = np.zeros(n)
             kl = kl_gaussian(GaussianDist(zero, CovMatrix(range(n), sigma)),
                              GaussianDist(zero, CovMatrix(range(n), target)))
@@ -155,7 +161,7 @@ class TestErrKl:
             lower = np.zeros((3, 3))
             lower[np.tril_indices(3)] = theta
             sigma = lower @ lower.T + 1e-12 * np.eye(3)
-            return err_kl(sigma, target)
+            return loss_kernel("kl", sigma, target)[0]
 
         x0 = np.linalg.cholesky(target + 0.5 * np.eye(3))[np.tril_indices(3)]
         res = scipy.optimize.minimize(objective, x0, method="Nelder-Mead",
@@ -204,12 +210,12 @@ def central_diff(f, sigma, h):
 
 class TestGradients:
     def test_grad_err_kl_examples(self):
-        np.testing.assert_allclose(grad_err_kl(np.eye(2), np.eye(2)), np.zeros((2, 2)), atol=1e-14)
-        np.testing.assert_allclose(grad_err_kl(np.diag([2.0, 1.0]), np.eye(2)),
+        np.testing.assert_allclose(loss_kernel("kl", np.eye(2), np.eye(2))[1], np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(loss_kernel("kl", np.diag([2.0, 1.0]), np.eye(2))[1],
                                    np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_grad_err_bha_zero_at_target(self):
-        np.testing.assert_allclose(grad_err_bha(np.eye(2), np.eye(2)), np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(loss_kernel("bha", np.eye(2), np.eye(2))[1], np.zeros((2, 2)), atol=1e-14)
 
     @pytest.mark.parametrize("which", ["kl", "bha"])
     def test_matches_finite_differences(self, which):
@@ -222,14 +228,11 @@ class TestGradients:
             sigma, target = random_spd(rng, n), random_spd(rng, n)
             h = 1e-5 * float(np.abs(sigma).max())
             target_inv = np.linalg.inv(target)
+            analytic = loss_kernel(which, sigma, target)[1]
             if which == "kl":
-                analytic = grad_err_kl(sigma, target)
-
                 def f(s):
                     return float((target_inv * s.T).sum()) - np.linalg.slogdet(s)[1]
             else:
-                analytic = grad_err_bha(sigma, target)
-
                 def f(s):
                     return (n * math.log(0.5) + np.linalg.slogdet(s + target)[1]
                             - 0.5 * np.linalg.slogdet(s)[1])
@@ -242,12 +245,13 @@ class TestGradients:
 def factor(matrix, what="matrix"):
     """Lower Cholesky factor (the workspace's lower triangle) and log-determinant of ``matrix``."""
     work = gauss._WORKSPACES.by_size[matrix.shape[0]]
+    work.check(matrix, what)
     logdet = work.factor(matrix, what)
     return np.tril(work.lower), logdet
 
 
 class TestSpdFactor:
-    """``_Workspace.factor``, the one SPD factorization behind every Gaussian kernel."""
+    """``_Workspace.check`` and ``_Workspace.factor``, the one SPD factorization behind every Gaussian kernel."""
 
     def test_identity(self):
         lower, logdet = factor(np.eye(3))
@@ -278,7 +282,9 @@ class TestSpdFactor:
         with pytest.raises(NonFiniteEntries, match="test input"):
             factor(sigma, "test input")
         with pytest.raises(NonFiniteEntries, match="model covariance"):
-            loss_kernel("kl", sigma, np.eye(2), np.eye(2), 0.0)
+            loss_kernel("kl", sigma, np.eye(2))
+        with pytest.raises(NonFiniteEntries, match="target covariance"):
+            loss_kernel("kl", np.eye(2), sigma)
 
 
 class TestCovCsv:

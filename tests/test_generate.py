@@ -40,6 +40,9 @@ class TestSizeFormulas:
         for kwargs in ({"v": 4.0}, {"v": True}, {"v": 4, "seed": 1.5}):
             with pytest.raises(GraphError, match="must be an integer"):
                 GenSpec(**kwargs)
+        for kwargs in ({"e_star": True}, {"l_star": None}):
+            with pytest.raises(GraphError, match="must lie in"):
+                GenSpec(v=3, **kwargs)
         assert GenSpec(v=np.int64(4), seed=np.int32(1)) == GenSpec(v=4, seed=1)
 
 
@@ -127,6 +130,11 @@ class TestGroundTruth:
     def test_negative_seed_rejected(self):
         with pytest.raises(GraphError, match="seed"):
             ground_truth(canonical("bow"), -1)
+
+    @pytest.mark.parametrize("seed", [True, 1.5], ids=["bool", "float"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(GraphError, match="seed must be an integer"):
+            ground_truth(canonical("bow"), seed)
 
     def test_covariance_is_psd_and_matches_params(self):
         g = canonical("napkin")

@@ -32,7 +32,7 @@ class TestInterventionQuery:
         with pytest.raises(IdentifyError):
             InterventionQuery(("X",), (0.0,), ())
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, pytest.param("1.5", id="str")])
     def test_non_finite_value_rejected(self, value):
         with pytest.raises(IdentifyError, match="finite"):
             InterventionQuery(("X",), (value,), ("Y",))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pmdag.gauss import NonFiniteEntries, loss_kernel, one_lapack_thread, target_terms
+from pmdag.gauss import NonFiniteEntries, loss_kernel, one_lapack_thread
 from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import (
     ENGINES,
@@ -124,16 +124,15 @@ def test_every_engine_gradient_matches_finite_differences(case, loss):
     k = len(g.visible_names)
     a = rng.standard_normal((k, k))
     target = a @ a.T + k * np.eye(k)
-    terms = target_terms(target)
     for method, bind in ENGINES.items():
         engine = bind(sync, masks)
         sigma_vis, ctx = engine.forward(theta)
         assume(np.linalg.cond(sigma_vis) < 1e6)
-        _err, seed_vis, _kl = loss_kernel(loss, sigma_vis, target, *terms)
+        _err, seed_vis, _kl = loss_kernel(loss, sigma_vis, target)
         dtheta = engine.backward(ctx, seed_vis)
 
         def value(t):
-            return loss_kernel(loss, engine.forward(t)[0], target, *terms)[0]
+            return loss_kernel(loss, engine.forward(t)[0], target)[0]
 
         h = 1e-6
         numeric = np.empty_like(theta)
@@ -241,4 +240,4 @@ def test_loss_kernel_rejects_non_finite_sigma_without_warning(loss, where, value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEntries, match="model covariance"):
-            loss_kernel(loss, sigma, target, *target_terms(target))
+            loss_kernel(loss, sigma, target)

@@ -47,6 +47,7 @@ def workspace(n: int) -> gauss._Workspace:
 def factor(a: np.ndarray) -> tuple[np.ndarray, float]:
     """The workspace's Cholesky factor of ``a`` (lower triangle, Fortran order) and log-determinant."""
     work = workspace(a.shape[0])
+    work.check(a, "matrix")
     logdet = work.factor(a, "matrix")
     return np.asfortranarray(np.tril(work.lower)), logdet
 
@@ -106,7 +107,7 @@ def kernel_outputs():
         terms = gauss.target_terms(target)
         out += [bits(terms[0]), repr(terms[1]), bits(factor(spd)[0])]
         for loss in ("kl", "bha"):
-            err, seed, kl = gauss.loss_kernel(loss, spd, target, *terms)
+            err, seed, kl = gauss.loss_kernel(loss, spd, target)
             out += [repr(err), bits(seed), repr(kl)]
         p = gauss.GaussianDist(np.zeros(n), gauss.CovMatrix(range(n), spd))
         q = gauss.GaussianDist(np.arange(n, dtype=float), gauss.CovMatrix(range(n), target))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmdag.gauss import CovMatrix, err_kl, grad_err_kl, lapack_thread_count_funcs, one_lapack_thread
+from pmdag.gauss import CovMatrix, lapack_thread_count_funcs, loss_kernel, one_lapack_thread
 from pmdag.generate import GenSpec, canonical, ground_truth, random_pmdag
 from pmdag.graph import StructuralParams, validate
 from pmdag.solver import (
@@ -281,9 +281,9 @@ class TestBackward:
         step[k] = h
         for method, engine in bound(sync, masks).items():
             sigma_vis, ctx = engine.forward(theta)
-            grads = engine.backward(ctx, grad_err_kl(sigma_vis, target))
-            fd = (err_kl(engine.forward(theta + step)[0], target)
-                  - err_kl(engine.forward(theta - step)[0], target)) / (2 * h)
+            grads = engine.backward(ctx, loss_kernel("kl", sigma_vis, target)[1])
+            fd = (loss_kernel("kl", engine.forward(theta + step)[0], target)[0]
+                  - loss_kernel("kl", engine.forward(theta - step)[0], target)[0]) / (2 * h)
             assert grads[k] == pytest.approx(fd, rel=1e-6), method
 
     def test_asymmetric_seed_rejected(self, bow):
@@ -645,7 +645,7 @@ class TestFit:
         sync = synchronize(g)
         engine = ENGINES["covariance"](sync, build_masks(sync))
         sigma_vis, ctx = engine.forward(theta_from_params(sync, params))
-        grads = engine.backward(ctx, grad_err_kl(sigma_vis, target.data))
+        grads = engine.backward(ctx, loss_kernel("kl", sigma_vis, target.data)[1])
         assert math.sqrt(float((grads ** 2).sum())) <= 1e-6
 
     def test_result_dict_and_trace_csv(self, bow, tmp_path):
@@ -820,6 +820,9 @@ class TestFitConfigValidation:
         pytest.param({"restarts": 1.5}, id="float_restarts"),
         pytest.param({"seed": 1.5}, id="float_seed"),
         pytest.param({"seed": True}, id="bool_seed"),
+        pytest.param({"lr": True}, id="bool_lr"),
+        pytest.param({"kl_tol": True}, id="bool_kl_tol"),
+        pytest.param({"lr": "0.1"}, id="str_lr"),
     ])
     def test_bad_values_rejected(self, kwargs):
         from pmdag.solver import SolverError
