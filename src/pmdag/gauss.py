@@ -377,6 +377,10 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     return 0.5 * (trace + maha - n + logdet_q - logdet_p)
 
 
+# the surrogate losses the loss kernel computes
+LOSSES = ("kl", "bha")
+
+
 def target_terms(target: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of the target, after checking its shape and entries."""
     work = _WORKSPACES.by_size[target.shape[0]]
@@ -394,11 +398,17 @@ def loss_kernel(loss: str, sigma: np.ndarray, target: np.ndarray):
     with seed (sigma + target)^-1 - sigma^-1 / 2: the unlogged surrogate's
     gradient up to the positive factor of the surrogate itself, which the
     learning rate absorbs.  The seed is symmetrized; it is the entrywise
-    derivative of the loss in sigma.  Checks sigma, then the target through
-    ``target_terms``, and raises GaussError, NonFiniteEntries or
-    NotPositiveDefinite naming the matrix at fault.
+    derivative of the loss in sigma.  Checks the loss name, sigma, the
+    target's shape against sigma's, then the target through ``target_terms``,
+    and raises GaussError, NonFiniteEntries or NotPositiveDefinite naming the
+    matrix at fault.
     """
+    if loss not in LOSSES:
+        raise GaussError(f"loss must be one of {LOSSES}, got {loss!r}")
     _WORKSPACES.by_size[sigma.shape[0]].check(sigma, "model covariance")
+    if target.shape != sigma.shape:
+        raise GaussError(f"target covariance of shape {target.shape} does not match "
+                         f"model covariance of shape {sigma.shape}")
     return loss_kernel_into(loss, sigma, target, *target_terms(target), np.empty(sigma.shape))
 
 

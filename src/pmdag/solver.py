@@ -3,7 +3,9 @@
 Three equivalent computations of the induced covariance and its weight
 gradients are provided: ``covariance`` (per-layer congruence products),
 ``accumulation`` (running weight products), and ``reduced`` (global node-pair
-tables whose footprint is independent of depth).  Gradients are the true
+tables whose footprint is independent of depth).  The two layered engines
+multiply the whole weight matrix of each layer, or on a wide layering only
+its new nodes' columns, copying the identity carries.  Gradients are the true
 entrywise matrix derivatives, pinned by central finite differences; any
 constant factor a differing convention would introduce is absorbed by the
 learning rate.
@@ -21,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from pmdag.gauss import (
+    LOSSES,
     CovMatrix,
     GaussianDist,
     LabelMismatch,
@@ -34,9 +37,8 @@ from pmdag.gauss import (
     write_csv,
 )
 from pmdag.graph import GraphError, PmDag, StructuralParams, check_ints, is_real
-from pmdag.sync import MaskSet, Synchronization, build_masks, synchronize
+from pmdag.sync import MaskSet, Synchronization, build_masks, matrix_views, synchronize
 
-LOSSES = ("kl", "bha")
 OPTIMIZERS = ("sgd", "adamax")
 
 
@@ -102,12 +104,13 @@ def _check_seed(sync: Synchronization, dsigma) -> np.ndarray:
 
 # --- layered forward / backward -------------------------------------------
 #
-# The covariance and accumulation engines' passes, which only a bound engine
-# runs (``_bind_layered``), so they check nothing: its weights are views into
-# one buffer, so their shapes cannot change, and the seed the loss kernel
+# The covariance and accumulation engines' dense passes, which only a bound
+# engine runs (``_bind_dense``), so they check nothing: its weights are views
+# into one buffer, so their shapes cannot change, and the seed the loss kernel
 # returns is symmetric, placed by the binding into a matrix of the last
 # layer's size.  A pass takes one (W_l, W_l^T, Lambda_l, out_l) tuple per
-# layer (``_layers``), built once, at bind time.
+# layer (``_layers``), built once, at bind time.  ``_bind_layered`` binds
+# them, or the split passes below on a wide layering.
 #
 # The passes multiply with ``_dot``, the C function behind ``np.dot``
 # (``np.dot._implementation``).  On 2-D operands it makes the same BLAS call
@@ -173,11 +176,132 @@ def _acc_backward(layers, accs, g) -> None:
             omega = _dot(omega, wt)
 
 
+# --- split forward / backward ------------------------------------------------
+#
+# On a wide layering nearly every node of a layer is an identity carry, and
+# the dense passes spend O(n^3) per layer on products with the carry block of
+# W_l.  The split passes hold each layer in its split order: first the nodes
+# it carries, in the previous layer's split order, then its k new nodes, in
+# node-list order.  A carried block is then a row gather ``src`` from the
+# previous layer (a slice when the carried nodes are its first rows, as on
+# every layer that drops no node), and only the k new columns of W_l, W_new,
+# are multiplied: O(n^2 k) per layer.  A pass takes one tuple per layer,
+# built at bind time (``_bind_split``), whose arrays are views into buffers
+# of the bind; Sigma, H and G share buffers sized to the widest layer, since
+# each is overwritten only once the previous one is read.
+
+
+def _cov_split_forward(eye, layers):
+    """Write Lambda_l^T into each layer's ``lam``; return (final Sigma, None).
+
+    Lambda_l^T = W_l^T Sigma_{l-1} is Sigma_{l-1}[src] on the carried rows and
+    W_new^T Sigma_{l-1} on the new ones; Sigma_l = W_l^T Lambda_l is Lambda_l's
+    rows src, then W_new^T Lambda_l.
+    """
+    sigma = eye
+    for src, c, _w, wt, lam, sig, *_ in layers:
+        lam[:c] = sigma[src]
+        _dot(wt, sigma, lam[c:])
+        lam_ = lam.T
+        sig[:c] = lam_[src]
+        _dot(wt, lam_, sig[c:])
+        sigma = sig
+    return sigma, None
+
+
+def _cov_split_backward(layers, _ctx, g) -> None:
+    """Write Lambda_l G_l[:, new], the unmasked half-gradient of W_new, into each layer's ``grad``.
+
+    G_{l-1} = W_l G_l W_l^T, with W_l = [P | W_new] for the 0/1 carry
+    selector P: H = P G + W_new G[new, :], then G_{l-1} = H P^T + H[:, new] W_new^T.
+    """
+    for k in range(len(layers) - 1, -1, -1):
+        src, c, w, wt, lam, _sig, grad, h, g_prev = layers[k]
+        _dot(lam.T, g[:, c:], grad)
+        if k:
+            _dot(w, g[c:], h)
+            h[src] += g[:c]
+            _dot(h[:, c:], wt, g_prev)
+            g_prev[:, src] += h[:, :c]
+            g = g_prev
+
+
+def _acc_split_forward(eye, layers):
+    """Accumulate A_l^T from A_0^T = I into each layer's ``acc``; return (A_L^T A_L, A_L^T).
+
+    A_l^T is A_{l-1}^T[src] on the carried rows and W_new^T A_{l-1}^T on the new ones.
+    """
+    acc = eye
+    for src, c, _w, wt, acc_l, *_ in layers:
+        acc_l[:c] = acc[src]
+        _dot(wt, acc, acc_l[c:])
+        acc = acc_l
+    return _dot(acc, acc.T), acc
+
+
+def _acc_split_backward(layers, acc, g) -> None:
+    """Write A_{l-1}^T Omega_l[:, new], the unmasked half-gradient of W_new, into each layer's ``grad``.
+
+    ``acc`` is the forward's A_L^T.  Omega_L^T = G A_L^T for the seed G, and
+    Omega_{l-1}^T = P Omega_l^T[carried] + W_new Omega_l^T[new].
+    """
+    omega = _dot(g, acc)
+    for k in range(len(layers) - 1, -1, -1):
+        src, c, w, _wt, _acc, acc_prev, grad, om_prev = layers[k]
+        _dot(acc_prev, omega[c:].T, grad)
+        if k:
+            _dot(w, omega[c:], om_prev)
+            om_prev[src] += omega[:c]
+            omega = om_prev
+
+
+def _split_layout(sync: Synchronization):
+    """Every layer's carry gather and split order, and where theta sits in the W_new blocks.
+
+    Returns (carries, positions, last).  ``carries[l - 1]`` is (src, c,
+    n_{l-1}, k_l) for layer l >= 1: ``src`` holds the positions, in layer
+    l-1's split order, of the c nodes layer l carries, as a slice when they
+    are its first rows, and k_l counts the new nodes.  ``positions`` are
+    theta's flat indices into the (n_{l-1} x k_l) W_new blocks laid back to
+    back, row-major; ``last`` is the last layer's split order.  Dict lookups
+    keep it linear in the layers' sizes and the edge count.
+    """
+    parents = sync.graph.parent_index
+    order = sync.layers[0]
+    carries, start = [], 0
+    positions = np.empty(len(sync.edges), dtype=np.intp)
+    for l in range(1, sync.depth):
+        at = {u: i for i, u in enumerate(order)}
+        kept = set(sync.layers[l])
+        src = [i for i, u in enumerate(order) if u in kept]
+        new = sync.new[l]
+        for j, child in enumerate(new):
+            positions[sync.slices[child]] = [start + at[p] * len(new) + j for p in parents[child]]
+        gather = slice(0, len(src)) if src == list(range(len(src))) else np.array(src, dtype=np.intp)
+        carries.append((gather, len(src), len(order), len(new)))
+        start += len(order) * len(new)
+        order = tuple(order[i] for i in src) + new
+    return carries, positions, order
+
+
+def _scratch(size: int) -> Callable:
+    """``view(rows, cols)``: a (rows x cols) view of the first entries of one buffer of ``size`` entries."""
+    flat = np.empty(size)
+    return lambda rows, cols: flat[:rows * cols].reshape(rows, cols)
+
+
+def _stack(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed buffer and its ``matrix_views``, one matrix per shape."""
+    flat = np.zeros(sum(rows * cols for rows, cols in shapes))
+    return flat, matrix_views(flat, shapes)
+
+
 def layered_entry_count(sync: Synchronization) -> int:
     """Matrix entries the layered forward stores for its backward pass.
 
     That is the identity at layer 0 and the Lambda stack, n_{l-1} x n_l per
-    layer, which the bound covariance engine keeps; no Sigma_l is kept.
+    layer, which the bound covariance engine keeps, dense or split; no
+    Sigma_l is kept.
     """
     sizes = [len(layer) for layer in sync.layers]
     return sizes[0] ** 2 + sum(a * b for a, b in zip(sizes, sizes[1:]))
@@ -500,14 +624,17 @@ class Engine:
     backward: Callable
 
 
-def _visible_block(sync: Synchronization):
+def _visible_block(sync: Synchronization, last=None):
     """(take, embed): the visible block of a last-layer matrix, and a seed placed back into one.
 
+    ``last`` is the last layer's node order, ``sync.layers[-1]`` by default.
     Both are the identity when the visible nodes fill the last layer in node
     order, as on every canonical graph.
     """
-    vis = visible_positions(sync)
-    n = len(sync.layers[-1])
+    last = sync.layers[-1] if last is None else last
+    at = {u: k for k, u in enumerate(last)}
+    vis = [at[i] for i, node in enumerate(sync.graph.nodes) if node.is_visible]
+    n = len(last)
     if vis == list(range(n)):
         return (lambda sigma: sigma), (lambda seed_vis: seed_vis)
     ix = np.ix_(vis, vis)
@@ -520,26 +647,16 @@ def _visible_block(sync: Synchronization):
     return (lambda sigma: sigma[ix]), embed
 
 
-def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward, lams=()) -> Engine:
-    """Bind a weight-stack engine's passes to theta through one flat buffer.
+def _bind_passes(sync, forward, backward, layers, buf, grad_buf, pos, last=None) -> Engine:
+    """The Engine that writes theta into ``buf`` at ``pos``, runs the passes and reads the gradient from ``grad_buf``.
 
     ``forward(eye, layers) -> (sigma, ctx)`` and ``backward(layers, ctx,
-    seed)`` are the engine's passes over the tuples of ``_layers``;
-    the backward writes its unmasked gradient stack into the layers' outs.
-    The weight matrices are views into a buffer that holds the constant
-    pattern, its 1s written at ``masks.ones``; one fancy-index assignment
-    writes theta into the trainable entries, and the gradient is read back
-    from a buffer of the same layout at the same positions.  With the
-    covariance forward's Lambda views ``lams`` (see ``ENGINES``) these are
-    the only stack-sized arrays a fit holds; each forward overwrites them,
-    so a context is valid until the next.
+    seed)`` run over the bind's layer tuples, whose weights are views into
+    ``buf`` and whose half-gradients are views into ``grad_buf``; ``pos``
+    holds only trainable cells.  ``last`` is the order of the last layer's
+    rows (see ``_visible_block``).
     """
-    take, embed = _visible_block(sync)
-    buf = np.zeros(masks.size)
-    buf[masks.ones] = 1.0
-    grad_buf = np.empty_like(buf)
-    layers = _layers(masks.views(buf), lams, masks.views(grad_buf))
-    pos = masks.positions
+    take, embed = _visible_block(sync, last)
     eye = np.eye(len(sync.layers[0]))
 
     def forward_theta(theta):
@@ -549,9 +666,83 @@ def _bind_layered(sync: Synchronization, masks: MaskSet, forward, backward, lams
 
     def backward_theta(ctx, seed_vis):
         backward(layers, ctx, embed(seed_vis))
-        return 2.0 * grad_buf[pos]  # pos holds only trainable cells, whose mask is 1
+        return 2.0 * grad_buf[pos]
 
     return Engine(forward_theta, backward_theta)
+
+
+def _bind_dense(sync: Synchronization, masks: MaskSet, method: str) -> Engine:
+    """Bind the dense passes of ``method`` to theta through one flat weight buffer.
+
+    The passes run over the tuples of ``_layers``; the backward writes its
+    unmasked gradient stack into the layers' outs.  The weight matrices are
+    views into a buffer that holds the constant pattern, its 1s written at
+    ``masks.ones``; one fancy-index assignment writes theta into the
+    trainable entries, and the gradient is read back from a buffer of the
+    same layout at the same positions.  With the covariance forward's Lambda
+    views these are the only stack-sized arrays a fit holds; each forward
+    overwrites them, so a context is valid until the next.
+    """
+    buf = np.zeros(masks.size)
+    buf[masks.ones] = 1.0
+    grad_buf = np.empty_like(buf)
+    if method == "covariance":
+        passes, lams = (_cov_forward, _cov_backward), masks.views(np.empty(masks.size))
+    else:
+        passes, lams = (_acc_forward, _acc_backward), ()
+    layers = _layers(masks.views(buf), lams, masks.views(grad_buf))
+    return _bind_passes(sync, *passes, layers, buf, grad_buf, masks.positions)
+
+
+def _bind_split(sync: Synchronization, masks: MaskSet, method: str) -> Engine:
+    """Bind the split passes of ``method`` to theta through the stacked W_new blocks; ``masks`` is not read.
+
+    Each layer holds W_new and its gradient, (n_{l-1} x k_l) views into one
+    weight and one gradient buffer (``_split_layout``); theta goes in with one
+    fancy-index assignment and the gradient comes out with one gather.  The
+    covariance engine keeps the Lambda^T stack, as many entries as the dense
+    Lambda stack, and the accumulation engine the A^T stack, (n_l x n_0) per
+    layer; Sigma, H, G and Omega^T live in buffers sized to the widest layer.
+    No dense weight or gradient stack is built.  Each forward overwrites the
+    buffers, so a context is valid until the next.
+    """
+    carries, pos, last = _split_layout(sync)
+    sizes = [len(layer) for layer in sync.layers]
+    widest, n0 = max(sizes), sizes[0]
+    buf, ws = _stack([(n, k) for *_, n, k in carries])
+    grad_buf, grads = _stack([(n, k) for *_, n, k in carries])
+    heads = [(src, c, w, w.T) for (src, c, _n, _k), w in zip(carries, ws)]
+    if method == "covariance":
+        _lam_buf, lams = _stack(list(zip(sizes[1:], sizes)))
+        sig, h, g = (_scratch(widest * widest) for _ in range(3))
+        layers = [(*head, lam, sig(n, n), gr, h(m, n), g(m, m))
+                  for head, lam, gr, m, n in zip(heads, lams, grads, sizes, sizes[1:])]
+        passes = (_cov_split_forward, _cov_split_backward)
+    else:
+        _acc_buf, accs = _stack([(n, n0) for n in sizes[1:]])
+        omegas = (_scratch(widest * n0), _scratch(widest * n0))  # Omega^T_{l-1} never overwrites Omega^T_l
+        layers = [(*head, acc, acc_prev, gr, omegas[l % 2](m, n0))
+                  for l, (head, acc, acc_prev, gr, m) in enumerate(
+                      zip(heads, accs, [np.eye(n0)] + accs, grads, sizes))]
+        passes = (_acc_split_forward, _acc_split_backward)
+    return _bind_passes(sync, *passes, layers, buf, grad_buf, pos, last)
+
+
+# The widest layer from which ``_bind_layered`` binds the split passes.  Speed
+# of the split passes over the dense ones, forward plus backward on one
+# OpenBLAS thread (2-core Xeon, numpy 2.4.6), by the widest layer of
+# GenSpec(v, 0.5, 0.5) graphs: 30-32 (v=12) covariance 0.62-0.66x,
+# accumulation 0.79-0.83x; 42-44 (v=16) 0.82-0.97x, 1.18-1.36x; 47-48 (v=18)
+# 1.00-1.21x, 1.35-1.63x; 54-55 (v=20) 1.34-1.44x, 1.85-2.06x; 90 (v=32)
+# 2.8x, 4.6x.  From 48 neither engine is slower split.
+SPLIT_MIN_WIDTH = 48
+
+
+def _bind_layered(sync: Synchronization, masks: MaskSet, method: str) -> Engine:
+    """Bind ``method``'s dense passes, or its split passes when the widest layer holds SPLIT_MIN_WIDTH nodes."""
+    if max(len(layer) for layer in sync.layers) >= SPLIT_MIN_WIDTH:
+        return _bind_split(sync, masks, method)
+    return _bind_dense(sync, masks, method)
 
 
 def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
@@ -572,14 +763,13 @@ def _bind_reduced(sync: Synchronization, masks: MaskSet) -> Engine:
 
 # Each entry binds a method to one fit's layering: ``ENGINES[method](sync,
 # masks) -> Engine``, the one interface to the three engines, over theta.
-# The bound covariance forward writes Lambda into one buffer laid out like
-# the weight stack.  Outside a fit, ``forward_reduced`` and
+# The bound covariance forward writes Lambda, or Lambda^T when split, into
+# one buffer of the weight stack's size.  Outside a fit, ``forward_reduced`` and
 # ``backward_reduced`` run the reduced passes over an edge-weight map, so
 # that an ``AllocationCounter`` can measure them.
 ENGINES = {
-    "covariance": lambda sync, masks: _bind_layered(
-        sync, masks, _cov_forward, _cov_backward, masks.views(np.empty(masks.size))),
-    "accumulation": lambda sync, masks: _bind_layered(sync, masks, _acc_forward, _acc_backward),
+    "covariance": lambda sync, masks: _bind_layered(sync, masks, "covariance"),
+    "accumulation": lambda sync, masks: _bind_layered(sync, masks, "accumulation"),
     "reduced": _bind_reduced,
 }
 METHODS = tuple(ENGINES)

@@ -149,8 +149,7 @@ class MaskSet:
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """The layer matrices of a flat buffer laid out like the weight stack, as views into it."""
-        cuts = np.cumsum([rows * cols for rows, cols in self.shapes])[:-1]
-        return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), self.shapes)]
+        return matrix_views(flat, self.shapes)
 
     def stack(self, theta) -> list[np.ndarray]:
         """A weight stack over one new buffer: the constant pattern, with ``theta`` at ``positions``."""
@@ -168,6 +167,12 @@ class MaskSet:
     @property
     def constants(self) -> list[np.ndarray]:
         return self.stack(0.0)
+
+
+def matrix_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views into ``flat`` of one (rows, cols) matrix per shape, laid back to back, row-major."""
+    cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
 
 
 def build_masks(sync: Synchronization) -> MaskSet:

@@ -287,6 +287,23 @@ class TestSpdFactor:
             loss_kernel("kl", np.eye(2), sigma)
 
 
+class TestLossKernelInputs:
+    """The checked entry rejects, as GaussError, what its unchecked body would misread."""
+
+    @pytest.mark.parametrize("loss", ["KL", "Bha", "", "js"])
+    def test_unknown_loss_rejected(self, loss):
+        # "KL" used to fall through to the bha branch and read 0.1178
+        with pytest.raises(GaussError, match=r"\('kl', 'bha'\)"):
+            loss_kernel(loss, 2 * np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 3)])
+    def test_target_of_another_shape_rejected(self, shape):
+        # used to escape as numpy's bare ValueError from a broadcast
+        with pytest.raises(GaussError, match=rf"target covariance of shape \({shape[0]}, {shape[1]}\)"
+                                             r".*model covariance of shape \(2, 2\)"):
+            loss_kernel("kl", np.eye(2), np.eye(*shape))
+
+
 class TestCovCsv:
     def test_round_trip(self, tmp_path):
         cov = CovMatrix(("X", "Y"), [[2.0, 0.3], [0.3, 1.0]])

@@ -10,19 +10,27 @@ roots.
 
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pmdag import solver
 from pmdag.gauss import NonFiniteEntries, loss_kernel, one_lapack_thread
+from pmdag.generate import GenSpec, canonical, random_pmdag
 from pmdag.identify import InterventionQuery, interventional_dist
 from pmdag.solver import (
     ENGINES,
     LOSSES,
     METHODS,
+    SPLIT_MIN_WIDTH,
+    _bind_dense,
+    _bind_split,
     _dot,
+    _split_layout,
+    init_theta,
     joint_cov,
     root_loadings,
     visible_positions,
@@ -90,6 +98,19 @@ def engine_case(g, rng):
     return params, sync, masks, theta_from_params(sync, params)
 
 
+LAYERED = ("covariance", "accumulation")
+
+
+def bound_engines(sync, masks):
+    """(name, engine) for every method as ``ENGINES`` binds it, then the split passes of the layered methods.
+
+    A narrow layering binds the dense passes, so the split passes are bound
+    here directly, to meet the same oracles on every drawn layering.
+    """
+    return chain(((method, bind(sync, masks)) for method, bind in ENGINES.items()),
+                 ((f"{method} split", _bind_split(sync, masks, method)) for method in LAYERED))
+
+
 @PROPERTY
 @given(graph_and_rng())
 def test_every_engine_matches_joint_cov_and_backward_cov(case):
@@ -104,8 +125,7 @@ def test_every_engine_matches_joint_cov_and_backward_cov(case):
     expected_grad = cov_engine.backward(cov_engine.forward(theta)[1], seed_vis)
 
     assert METHODS == tuple(ENGINES)
-    for method, bind in ENGINES.items():
-        engine = bind(sync, masks)
+    for method, engine in bound_engines(sync, masks):
         sigma_vis, ctx = engine.forward(theta)
         np.testing.assert_allclose(sigma_vis, expected_cov, rtol=1e-10, atol=1e-10,
                                    err_msg=method)
@@ -124,8 +144,7 @@ def test_every_engine_gradient_matches_finite_differences(case, loss):
     k = len(g.visible_names)
     a = rng.standard_normal((k, k))
     target = a @ a.T + k * np.eye(k)
-    for method, bind in ENGINES.items():
-        engine = bind(sync, masks)
+    for method, engine in bound_engines(sync, masks):
         sigma_vis, ctx = engine.forward(theta)
         assume(np.linalg.cond(sigma_vis) < 1e6)
         _err, seed_vis, _kl = loss_kernel(loss, sigma_vis, target)
@@ -188,8 +207,7 @@ def test_every_engine_matches_closed_form_jacobian(case, variant):
     half = rng.standard_normal(sigma_vis.shape)
     seed_vis = half + half.T
     expected_grad = np.einsum("kij,ij->k", jac, seed_vis)
-    for method, bind in ENGINES.items():
-        engine = bind(sync, masks)
+    for method, engine in bound_engines(sync, masks):
         got_sigma, ctx = engine.forward(theta)
         assert_close_rel(got_sigma, sigma_vis, f"{method} forward")
         assert_close_rel(engine.backward(ctx, seed_vis), expected_grad, f"{method} backward")
@@ -241,3 +259,100 @@ def test_loss_kernel_rejects_non_finite_sigma_without_warning(loss, where, value
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEntries, match="model covariance"):
             loss_kernel(loss, sigma, target)
+
+
+# --- the split passes on wide layerings ----------------------------------------
+#
+# GenSpec(32, 0.5, 0.5) graphs: layers 64-90 wide, 1-3 new nodes each, and the
+# last five layers drop nodes, so both the slice and the fancy-index carry
+# gather run.  theta is init_theta's draw at half scale, which keeps Sigma's
+# condition number near 1e4 (about 1e8 at full scale).
+
+
+@pytest.fixture(scope="module", params=[32, 35], ids=lambda seed: f"v32-seed{seed}")
+def wide_case(request):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = random_pmdag(GenSpec(32, 0.5, 0.5, seed=request.param))
+    sync = synchronize(g)
+    masks = build_masks(sync)
+    assert max(map(len, sync.layers)) >= SPLIT_MIN_WIDTH
+    assert {isinstance(src, slice) for src, *_ in _split_layout(sync)[0]} == {True, False}
+    rng = np.random.default_rng(request.param)
+    half = rng.standard_normal((len(g.visible_names),) * 2)
+    return g, sync, masks, 0.5 * init_theta(masks, request.param), half + half.T, rng
+
+
+@pytest.mark.parametrize("method", LAYERED)
+def test_split_passes_match_the_dense_passes(wide_case, method):
+    _g, sync, masks, theta, seed_vis, _rng = wide_case
+    dense, split = _bind_dense(sync, masks, method), _bind_split(sync, masks, method)
+    dense_sigma, dense_ctx = dense.forward(theta)
+    split_sigma, split_ctx = split.forward(theta)
+    assert_close_rel(split_sigma, dense_sigma, f"{method} forward")
+    assert_close_rel(split.backward(split_ctx, seed_vis), dense.backward(dense_ctx, seed_vis),
+                     f"{method} backward")
+
+
+@pytest.mark.parametrize("method", LAYERED)
+def test_split_passes_match_closed_form_jacobian(wide_case, method):
+    g, sync, masks, theta, seed_vis, _rng = wide_case
+    sigma_vis, jac = visible_jacobian(g, masks, theta)
+    engine = _bind_split(sync, masks, method)
+    got_sigma, ctx = engine.forward(theta)
+    assert_close_rel(got_sigma, sigma_vis, f"{method} forward", rtol=1e-10)
+    assert_close_rel(engine.backward(ctx, seed_vis), np.einsum("kij,ij->k", jac, seed_vis),
+                     f"{method} backward", rtol=1e-10)
+
+
+@pytest.mark.parametrize("method", LAYERED)
+def test_split_gradient_matches_finite_differences(wide_case, method):
+    """Central differences of <seed, Sigma_vis> at 50 seeded theta entries.
+
+    Sigma is quadratic in each single edge weight (a path crosses an edge at
+    most once), so the central difference of a linear functional of it is
+    exact up to rounding.
+    """
+    _g, sync, masks, theta, seed_vis, rng = wide_case
+    engine = _bind_split(sync, masks, method)
+    _sigma, ctx = engine.forward(theta)
+    grad = engine.backward(ctx, seed_vis)
+
+    def value(t):
+        return float(np.sum(seed_vis * engine.forward(t)[0]))
+
+    picks = rng.choice(theta.size, size=50, replace=False)
+    h = 1e-3
+    numeric = np.empty(picks.size)
+    for n, i in enumerate(picks):
+        step = np.zeros_like(theta)
+        step[i] = h
+        numeric[n] = (value(theta + step) - value(theta - step)) / (2 * h)
+    assert_close_rel(grad[picks], numeric, f"{method} finite differences", rtol=1e-9)
+
+
+def random_fit_graphs():
+    """The graphs perfbench's random-fit workload draws with its default seed 0, by size."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {v: [random_pmdag(GenSpec(v, 0.5, 0.5, seed=seed)) for seed in seeds]
+                for v, seeds in ((8, (8, 16)), (12, (12, 25)), (32, (32, 35, 38)))}
+
+
+def test_layered_engines_bind_split_passes_only_on_wide_layerings(monkeypatch):
+    """The canonical graphs, the golden v8 graph and random-fit's v8 and v12 graphs bind the dense passes; its v32 graphs the split ones."""
+    bound = []
+    monkeypatch.setattr(solver, "_bind_dense", lambda sync, masks, method: bound.append("dense"))
+    monkeypatch.setattr(solver, "_bind_split", lambda sync, masks, method: bound.append("split"))
+    names = ("backdoor", "frontdoor", "m", "napkin", "iv", "bow", "extended_bow", "bad_m")
+    graphs = random_fit_graphs()
+    narrow = [canonical(name) for name in names] + [random_pmdag(GenSpec(8, 0.5, 0.5, seed=8))]
+    narrow += graphs[8] + graphs[12]
+    for expected, group in (("dense", narrow), ("split", graphs[32])):
+        for g in group:
+            sync = synchronize(g)
+            masks = build_masks(sync)
+            for method in LAYERED:
+                bound.clear()
+                ENGINES[method](sync, masks)
+                assert bound == [expected], (g, method)

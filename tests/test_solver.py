@@ -491,7 +491,8 @@ class TestFit:
 
     def test_fit_bits_do_not_follow_the_callers_numpy_thread_count(self):
         # v=32 is large enough for numpy's OpenBLAS to split its products
-        # over threads, which changes their rounding
+        # over threads, which changes their rounding; its layering binds the
+        # layered engines' split passes
         funcs = lapack_thread_count_funcs().get("numpy")
         if funcs is None:
             pytest.skip("numpy's bundled OpenBLAS and its thread-count symbols are absent")
@@ -500,7 +501,6 @@ class TestFit:
             warnings.simplefilter("ignore")
             g = random_pmdag(GenSpec(v=32, l_star=0.5, e_star=0.5, seed=32))
         _, target = ground_truth(g, seed=32)
-        config = FitConfig(max_iters=35, restarts=1, seed=32)
         original = get()
         traces = {}
         try:
@@ -508,10 +508,13 @@ class TestFit:
                 set_(threads)
                 if get() != threads:
                     pytest.skip("numpy's bundled OpenBLAS cannot run two threads here")
-                traces[threads] = fit(g, target, config)[1].kl_trace.tobytes()
+                for method in ("covariance", "accumulation"):
+                    config = FitConfig(method=method, max_iters=35, restarts=1, seed=32)
+                    traces[method, threads] = fit(g, target, config)[1].kl_trace.tobytes()
         finally:
             set_(original)
-        assert traces[1] == traces[2]
+        for method in ("covariance", "accumulation"):
+            assert traces[method, 1] == traces[method, 2], method
 
     def test_methods_all_converge(self):
         g = canonical_bow()
